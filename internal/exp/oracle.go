@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -25,10 +26,10 @@ var ErrExperiment = errors.New("experiment failed")
 // Oracle scores candidate code against a task's golden design under a dense
 // verification testbench — the role the VerilogEval reference testbenches
 // play in the paper. Golden fingerprints are computed once per task and
-// cached. Verification compares fingerprints on the streaming path by
-// default (the dense benches made verification the largest remaining trace
-// producer); LegacyTraces retains full printed traces instead, with
-// identical verdicts. The oracle is safe for concurrent use.
+// cached. Verification only needs a verdict, so by default each candidate
+// runs until its first case that disagrees with the golden
+// (testbench.VerifyGang); LegacyTraces retains full printed traces instead,
+// with identical verdicts. The oracle is safe for concurrent use.
 type Oracle struct {
 	seed int64
 	// Backend selects the simulation engine (zero value: compiled).
@@ -38,9 +39,10 @@ type Oracle struct {
 	// before the first Verify: tasks prepared earlier have no retained
 	// golden trace, so they keep comparing fingerprints (same verdicts).
 	LegacyTraces bool
-	// PerLaneGang forces VerifyBatch gangs onto the per-lane engine model
-	// instead of the default shared-plane SoA model. Verdicts are identical
-	// either way; the per-lane model is the differential referee.
+	// PerLaneGang forces verification gangs onto the per-lane engine model
+	// with full traces instead of the default verdict-only SoA gang.
+	// Verdicts are identical either way; the per-lane model is the
+	// differential referee.
 	PerLaneGang bool
 
 	mu       sync.Mutex
@@ -128,41 +130,22 @@ func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace
 
 // Verify reports whether candidate code is functionally correct for the
 // task: it must parse and match the golden behavior on every verification
-// case.
+// case. It is VerifyBatch over a batch of one.
 func (o *Oracle) Verify(taskID, code string) (bool, error) {
-	key := verdictKey{taskID: taskID, code: hashCode(code)}
-	o.mu.Lock()
-	if v, hit := o.verdicts[key]; hit {
-		o.mu.Unlock()
-		return v, nil
-	}
-	o.mu.Unlock()
-
-	st, golden, goldenTr, err := o.prepare(taskID)
+	v, err := o.VerifyBatch(taskID, []string{code})
 	if err != nil {
 		return false, err
 	}
-	verdict := false
-	if src, perr := eval.ParseCached(code); perr == nil && src.FindModule(eval.TopModule) != nil {
-		if o.LegacyTraces && goldenTr != nil {
-			tr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-			verdict = tr.Err == nil && testbench.Agrees(tr, goldenTr)
-		} else {
-			tr := testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
-			verdict = tr.Err == nil && testbench.FPAgrees(tr, golden)
-		}
-	}
-	o.mu.Lock()
-	o.verdicts[key] = verdict
-	o.mu.Unlock()
-	return verdict, nil
+	return v[0], nil
 }
 
-// VerifyBatch is Verify over a batch of candidates for one task: verdicts
-// are identical to per-candidate Verify calls, but all unverified
-// parseable candidates are simulated as one gang over the shared dense
-// verification stimulus, with the compiled golden as delta-compilation
-// base. The legacy-trace referee path stays per-candidate.
+// VerifyBatch verifies a batch of candidates for one task. All unverified
+// parseable candidates run as one verdict-only gang (testbench.VerifyGang)
+// over the shared dense verification stimulus, with the compiled golden as
+// delta-compilation base: each lane retires at its first case that
+// disagrees with the golden. The referee paths keep full traces with
+// identical verdicts: LegacyTraces runs each candidate's printed trace,
+// PerLaneGang runs full fingerprint traces on the per-lane gang model.
 func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	out := make([]bool, len(codes))
 	keys := make([]verdictKey, len(codes))
@@ -194,14 +177,10 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, goldenTr)
 			}
 		} else {
-			srcs := make([]*ast.Source, len(pending))
+			gangSrcs := make([]*ast.Source, 0, len(pending))
+			gangAt := make([]int, 0, len(pending))
 			for k, i := range pending {
-				srcs[k] = mustParse(codes[i])
-			}
-			gangSrcs := make([]*ast.Source, 0, len(srcs))
-			gangAt := make([]int, 0, len(srcs))
-			for k, src := range srcs {
-				if src != nil {
+				if src := mustParse(codes[i]); src != nil {
 					gangSrcs = append(gangSrcs, src)
 					gangAt = append(gangAt, k)
 				}
@@ -209,14 +188,18 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 			o.mu.Lock()
 			base := o.goldenD[taskID]
 			o.mu.Unlock()
-			mode := testbench.GangSoA
+			var gv []bool
 			if o.PerLaneGang {
-				mode = testbench.GangPerLane
+				trs := testbench.RunFingerprintGangMode(gangSrcs, eval.TopModule, st, o.Backend, base, testbench.GangPerLane)
+				gv = make([]bool, len(trs))
+				for j, tr := range trs {
+					gv[j] = tr.Err == nil && testbench.FPAgrees(tr, golden)
+				}
+			} else if gv, err = testbench.VerifyGang(context.TODO(), gangSrcs, eval.TopModule, st, o.Backend, base, golden); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrExperiment, err)
 			}
-			trs := testbench.RunFingerprintGangMode(gangSrcs, eval.TopModule, st, o.Backend, base, mode)
 			for j, k := range gangAt {
-				tr := trs[j]
-				verdicts[k] = tr.Err == nil && testbench.FPAgrees(tr, golden)
+				verdicts[k] = gv[j]
 			}
 		}
 		o.mu.Lock()

@@ -199,10 +199,15 @@ func newJobRecord(id string) *jobRecord {
 
 func (j *jobRecord) append(ev Event) {
 	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+}
+
+// appendLocked appends ev and wakes followers. Callers hold j.mu.
+func (j *jobRecord) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
 	close(j.wake)
 	j.wake = make(chan struct{})
-	j.mu.Unlock()
 }
 
 func (j *jobRecord) setStatus(status string) {
@@ -224,11 +229,6 @@ func (j *jobRecord) finish(err error) {
 		status = StatusFailed
 		msg = err.Error()
 	}
-	j.mu.Lock()
-	j.status = status
-	j.errMsg = msg
-	j.final = true
-	j.mu.Unlock()
 	ev := Event{Type: "done", Status: status}
 	if status == StatusFailed {
 		ev.Type = "error"
@@ -238,7 +238,14 @@ func (j *jobRecord) finish(err error) {
 		ev.Type = "cancelled"
 		ev.Error = msg
 	}
-	j.append(ev)
+	// One critical section: a stream that sees final must also see the
+	// terminal event, or a caught-up follower could return without it.
+	j.mu.Lock()
+	j.status = status
+	j.errMsg = msg
+	j.final = true
+	j.appendLocked(ev)
+	j.mu.Unlock()
 }
 
 // snapshot returns the events at or after index i, plus the wake channel

@@ -82,6 +82,11 @@ func (g *Gang) EndCase() {
 	}
 }
 
+// Retire withdraws a running lane between cases without an error: it takes
+// no further part in the gang and its Err stays nil. Retiring an already
+// retired or failed lane is a no-op.
+func (g *Gang) Retire(id int) { g.live = dropLane(g.live, int32(id)) }
+
 // Drive stores one decoded stimulus value into drive position pos of every
 // live lane. The Value may be a view over shared schedule planes: engines
 // only read it during the call.

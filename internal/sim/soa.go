@@ -576,6 +576,29 @@ func (sg *SoAGang) BeginCase() {
 // engines here); SoA lane engines persist, resetting at the next BeginCase.
 func (sg *SoAGang) EndCase() {}
 
+// Retire withdraws a running lane between cases without an error: it leaves
+// the live list and the merged scheduler's lane set, so no later drive,
+// settle or class mask touches it, and its Err stays nil. Retiring a mirror
+// retires its leader, and with it every lane mirroring that leader (they are
+// one machine). Retiring an already retired or failed lane is a no-op.
+func (sg *SoAGang) Retire(id int) {
+	if sg.mirror != nil && sg.mirror[id] >= 0 {
+		id = int(sg.mirror[id])
+	}
+	sg.live = dropLane(sg.live, int32(id))
+	sg.mergedLanes = dropLane(sg.mergedLanes, int32(id))
+}
+
+// dropLane removes id from an ordered lane list in place.
+func dropLane(ids []int32, id int32) []int32 {
+	for i, x := range ids {
+		if x == id {
+			return append(ids[:i], ids[i+1:]...)
+		}
+	}
+	return ids
+}
+
 // Drive stores one decoded stimulus value into drive position pos of every
 // live lane. The Value may be a view over shared schedule planes.
 func (sg *SoAGang) Drive(pos int, v Value) {

@@ -23,10 +23,16 @@ import (
 // single-flight (claim/publish/wait) so concurrent gangs and solo runs never
 // duplicate a run, and LRU-bounded with in-flight entries pinned, following
 // the discipline of the compile and bind caches.
+//
+// Verification runs are verdict-grade: a lane stops at the first case whose
+// fingerprint differs from the golden's, so its trace is a prefix that
+// decides the verdict only against that golden. Such entries carry the
+// golden in their key (ref); full-trace entries have ref == nil.
 
 type fpKey struct {
-	d  *sim.Design
-	st *Stimulus
+	d   *sim.Design
+	st  *Stimulus
+	ref *FPTrace // golden a verdict-grade run is cut against; nil: full trace
 }
 
 // fpEntry is one single-flight memo slot. claim marks the caller as the
@@ -180,7 +186,7 @@ func SetFPMemoCap(n int) int {
 	defer fpMu.Unlock()
 	prev := fpMemoCap
 	fpMemoCap = n
-	fpEvictLocked()
+	fpEvictLocked(n)
 	return prev
 }
 
@@ -191,13 +197,16 @@ func FPMemoLen() int {
 	return fpLen
 }
 
-// fpEvictLocked drops least-recently-used finished entries until the memo
-// fits its cap. Entries whose run is still in flight are skipped: evicting
-// them would orphan waiters. Callers hold fpMu.
-func fpEvictLocked() {
-	for fpLen > fpMemoCap {
+// fpEvictLocked drops least-recently-used entries until the memo holds at
+// most limit. Entries whose run is in flight (claimed, unpublished) are
+// skipped: evicting them would orphan waiters. Unclaimed entries — fresh, or
+// left behind by an aborted run — go like finished ones; a waiter woken by
+// the abort keeps its own pointer and claims the orphaned entry instead.
+// Callers hold fpMu.
+func fpEvictLocked(limit int) {
+	for fpLen > limit {
 		oldest := fpBack
-		for oldest != nil && !oldest.done() {
+		for oldest != nil && oldest.claimed.Load() && !oldest.done() {
 			oldest = oldest.prev
 		}
 		if oldest == nil {
@@ -208,10 +217,10 @@ func fpEvictLocked() {
 	}
 }
 
-// fpClaim returns the memo entry for (d, st), inserting a fresh unclaimed
-// one on a miss. Eviction skips entries whose run is still in flight.
-func fpClaim(d *sim.Design, st *Stimulus) *fpEntry {
-	key := fpKey{d: d, st: st}
+// fpClaim returns the memo entry for key, inserting a fresh unclaimed one
+// on a miss. Room is made before the insert, so the new entry survives until
+// its caller claims it; eviction skips entries whose run is in flight.
+func fpClaim(key fpKey) *fpEntry {
 	fpMu.Lock()
 	defer fpMu.Unlock()
 	if e, hit := fpMemo[key]; hit {
@@ -221,11 +230,27 @@ func fpClaim(d *sim.Design, st *Stimulus) *fpEntry {
 		}
 		return e
 	}
+	fpEvictLocked(fpMemoCap - 1)
 	e := &fpEntry{key: key}
 	fpMemo[key] = e
 	fpPushFront(e)
-	fpEvictLocked()
 	return e
+}
+
+// fpPeek returns the published trace under key, or nil, without inserting
+// an entry or waiting for one in flight.
+func fpPeek(key fpKey) *FPTrace {
+	fpMu.Lock()
+	defer fpMu.Unlock()
+	e, hit := fpMemo[key]
+	if !hit || !e.done() {
+		return nil
+	}
+	if fpFront != e {
+		fpUnlink(e)
+		fpPushFront(e)
+	}
+	return e.tr
 }
 
 // --- Gang runs ---------------------------------------------------------------
@@ -260,6 +285,7 @@ type laneGang interface {
 	Hash(id int) uint64
 	BeginCase()
 	EndCase()
+	Retire(id int)
 	Drive(pos int, v sim.Value)
 	Advance()
 	HashOutput(col, width int)
@@ -307,6 +333,37 @@ func RunFingerprintGangCtx(ctx context.Context, srcs []*ast.Source, top string, 
 // crashes again resolves to a per-candidate ErrSimPanic trace and every
 // other lane reproduces its bit-identical clean result.
 func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) ([]*FPTrace, error) {
+	return runFingerprintGang(ctx, srcs, top, st, backend, base, mode, nil)
+}
+
+// VerifyGang reports for each candidate whether it agrees with golden — a
+// clean run of st — on every case: the candidate must run clean and match
+// every case fingerprint. It is the verdict-only form of
+// RunFingerprintGangCtx: after each case the SoA gang retires every lane
+// whose case fingerprint differs from the golden's, and the walk stops once
+// no lane is live, so a failing candidate costs only the cases up to its
+// first disagreement. Verdicts equal comparing full traces. A retired lane's
+// prefix decides the verdict only against this golden, so the memo and the
+// persistent store keep verdict-grade results under keys that include it.
+func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, golden *FPTrace) ([]bool, error) {
+	if golden.Err != nil || len(golden.CaseFPs) != len(st.Cases) {
+		return nil, fmt.Errorf("testbench: verify: golden is not a clean run of the stimulus (err %v, %d of %d cases)",
+			golden.Err, len(golden.CaseFPs), len(st.Cases))
+	}
+	trs, err := runFingerprintGang(ctx, srcs, top, st, backend, base, GangSoA, golden)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.Err == nil && FPAgrees(tr, golden)
+	}
+	return out, nil
+}
+
+// runFingerprintGang runs the batch with full traces (ref == nil) or
+// verdict-grade traces cut against the golden ref.
+func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) ([]*FPTrace, error) {
 	out := make([]*FPTrace, len(srcs))
 	if len(srcs) == 0 {
 		return out, nil
@@ -342,7 +399,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		if base == nil {
 			base = d
 		}
-		e := fpClaim(d, st)
+		e := fpClaim(fpKey{d: d, st: st, ref: ref})
 		if !e.claim() {
 			// Resolved, or in flight elsewhere — possibly by an earlier
 			// lane of this very batch (duplicate designs). Collect after
@@ -353,7 +410,17 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		// The claim is this key's single flight across tiers: consult the
 		// persistent store before the lane joins a gang, so a warm store
 		// keeps the candidate out of the lockstep walk entirely.
-		if tr := storeLookup(ctx, d, st); tr != nil {
+		tr := storeLookup(ctx, e.key)
+		if tr == nil && ref != nil {
+			// A published full trace decides any verdict: the golden's own
+			// run, for one, answers every candidate that compiles to it.
+			// It is stored under the verdict key too, so a store-backed
+			// rerun finds it whatever its memo still holds.
+			if tr = fpPeek(fpKey{d: d, st: st}); tr != nil {
+				storePut(ctx, e.key, tr)
+			}
+		}
+		if tr != nil {
 			e.publish(tr)
 			out[i] = tr
 			continue
@@ -361,7 +428,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		lanes = append(lanes, gangLane{src: src, d: d, e: e})
 		laneIdx = append(laneIdx, i)
 	}
-	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode); err != nil {
+	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode, ref); err != nil {
 		abortLanes(lanes)
 		return nil, err
 	}
@@ -370,7 +437,7 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 		// Lanes whose entry published (clean runs and deterministic
 		// errors; never ErrSimPanic aborts) flow through to the store.
 		if lanes[k].tr != nil && lanes[k].e != nil && lanes[k].e.done() {
-			storePut(ctx, lanes[k].d, st, lanes[k].tr)
+			storePut(ctx, lanes[k].e.key, lanes[k].tr)
 		}
 	}
 	for _, w := range waits {
@@ -419,27 +486,29 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 // runGangLanes is runGangLanesCtx without cancellation (tests drive it
 // directly with memo-bypassing lanes).
 func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) {
-	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode); err != nil {
+	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode, nil); err != nil {
 		panic(err) // unreachable: a background context never cancels
 	}
 }
 
 // runGangLanesCtx computes lanes[k].tr for every lane, publishing each
-// lane's memo entry (when present) as it resolves. Lanes that cannot join
-// the lockstep run — no schedule, or a binding failure — fall back to the
-// solo path, which reproduces the name-keyed behavior byte-for-byte. The
+// lane's memo entry (when present) as it resolves. With a golden ref, the
+// lockstep lanes stop at their first case that disagrees with it. Lanes
+// that cannot join the lockstep run — no schedule, or a binding failure —
+// fall back to the solo path, which reproduces the name-keyed behavior
+// byte-for-byte (a full trace, which decides any verdict). The
 // walk observes ctx between test cases; on cancellation it returns the
 // ctx error with unresolved lanes left untouched for the caller to abort.
 // A panic anywhere in the lockstep walk is confined: every unresolved lane
 // re-runs solo, isolating the crash to the candidate that caused it.
-func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) error {
+func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) error {
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: %v", errGangCrashed, r)
 			}
 		}()
-		return runGangLockstep(ctx, lanes, top, st, backend, base, mode)
+		return runGangLockstep(ctx, lanes, top, st, backend, base, mode, ref)
 	}()
 	if err == nil || !errors.Is(err, errGangCrashed) {
 		return err // nil, or a context error the caller unwinds
@@ -466,8 +535,10 @@ func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stim
 var errGangCrashed = errors.New("gang walk crashed")
 
 // runGangLockstep is the lockstep walk proper: bind every lane, then drive
-// all lanes through the shared schedule case by case.
-func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) error {
+// all lanes through the shared schedule case by case. With a golden ref, a
+// lane retires (error-free) at the end of its first case whose fingerprint
+// differs from ref's, leaving a trace that stops at that case.
+func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) error {
 	sched := st.schedule()
 
 	var g laneGang
@@ -532,6 +603,10 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 	for k := range caseFPs {
 		caseFPs[k] = fpBlock[k*len(st.Cases) : k*len(st.Cases) : (k+1)*len(st.Cases)]
 	}
+	var retired []bool
+	if ref != nil {
+		retired = make([]bool, len(gangOf))
+	}
 	for ci := range st.Cases {
 		// The per-case check bounds how long a cancel can go unobserved:
 		// one case, tens of steps.
@@ -566,10 +641,18 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 		g.EndCase()
 		// Gang lane ids are assigned in AddLane order, so id == k. A lane
 		// records the case fingerprint only if it survived the whole case,
-		// exactly like the solo per-case append.
+		// exactly like the solo per-case append. The divergence check runs
+		// here, once per case: a mirror reads its leader's hash, so leader
+		// and mirrors retire together.
 		for k := range gangOf {
-			if g.Err(k) == nil {
-				caseFPs[k] = append(caseFPs[k], g.Hash(k))
+			if g.Err(k) != nil || (retired != nil && retired[k]) {
+				continue
+			}
+			fp := g.Hash(k)
+			caseFPs[k] = append(caseFPs[k], fp)
+			if ref != nil && fp != ref.CaseFPs[ci] {
+				retired[k] = true
+				g.Retire(k)
 			}
 		}
 	}

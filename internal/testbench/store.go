@@ -13,6 +13,9 @@ package testbench
 // What is persisted: clean traces and deterministic runtime errors (ErrRun),
 // exactly the set the memo publishes. ErrSimPanic traces — transient
 // crashes — are never written, mirroring the memo's abort discipline.
+// Verdict-grade traces (VerifyGang) may stop short of the stimulus; they
+// live under their own schedule hash, which also covers the golden they
+// were cut against, and only verdict-grade lookups accept a short record.
 
 import (
 	"context"
@@ -24,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/resultstore"
-	"repro/internal/sim"
 )
 
 // --- Active store ------------------------------------------------------------
@@ -175,17 +177,33 @@ func (st *Stimulus) contentHash() string {
 	return st.chash
 }
 
-// storeKeyFor derives the persistent-store key for a (design, stimulus)
-// pair, or ok=false when either side has no content address (design
-// compiled outside the cache, irregular stimulus).
-func storeKeyFor(d *sim.Design, st *Stimulus) (resultstore.Key, bool) {
-	dh := d.CanonicalHash()
+// storeKeyFor derives the persistent-store key for a memo key, or ok=false
+// when either side has no content address (design compiled outside the
+// cache, irregular stimulus). A verdict-grade key's schedule hash is the
+// stimulus hash re-hashed with SHA-256 over the golden's case fingerprints:
+// a prefix cut against one golden must never answer for another, even when
+// two tasks share an interface and therefore a stimulus.
+func storeKeyFor(k fpKey) (resultstore.Key, bool) {
+	dh := k.d.CanonicalHash()
 	if dh == "" {
 		return resultstore.Key{}, false
 	}
-	sh := st.contentHash()
+	sh := k.st.contentHash()
 	if sh == "" {
 		return resultstore.Key{}, false
+	}
+	if k.ref != nil {
+		h := sha256.New()
+		h.Write([]byte("vfocus-verdict-v1\x00"))
+		h.Write([]byte(sh))
+		var scratch [8]byte
+		binary.LittleEndian.PutUint64(scratch[:], uint64(len(k.ref.CaseFPs)))
+		h.Write(scratch[:])
+		for _, fp := range k.ref.CaseFPs {
+			binary.LittleEndian.PutUint64(scratch[:], fp)
+			h.Write(scratch[:])
+		}
+		sh = hex.EncodeToString(h.Sum(nil))
 	}
 	return resultstore.Key{DesignHash: dh, ScheduleHash: sh}, true
 }
@@ -239,9 +257,10 @@ func encodeFPTrace(tr *FPTrace) []byte {
 }
 
 // decodeFPTrace parses a stored record back into a trace bound to ifc.
-// Structural damage returns ok=false and the caller treats it as a miss.
+// Structural damage — including an ErrRun flag without an error, which no
+// encoder writes — returns ok=false and the caller treats it as a miss.
 func decodeFPTrace(data []byte, ifc Interface) (*FPTrace, bool) {
-	if len(data) < 6 || data[0] != fpWireVersion || data[1]&^byte(3) != 0 {
+	if len(data) < 6 || data[0] != fpWireVersion || data[1]&^byte(3) != 0 || data[1] == 2 {
 		return nil, false
 	}
 	flags := data[1]
@@ -266,17 +285,39 @@ func decodeFPTrace(data []byte, ifc Interface) (*FPTrace, bool) {
 	return tr, true
 }
 
+// decodeStored decodes a record read under key k and rejects one that no
+// run under k could have written: more cases than the stimulus holds, or —
+// outside verdict-grade keys — a clean record that stops short of the last
+// case (a verdict prefix must never reach ranking as a full trace). A
+// verdict-grade clean record holds at least one case, since a lane retires
+// only after a case it finished. A rejected record is a miss.
+func decodeStored(data []byte, k fpKey) (*FPTrace, bool) {
+	tr, ok := decodeFPTrace(data, k.st.Ifc)
+	if !ok {
+		return nil, false
+	}
+	n, want := len(tr.CaseFPs), len(k.st.Cases)
+	switch {
+	case n > want:
+		return nil, false
+	case tr.Err == nil && n < want && (k.ref == nil || n == 0):
+		return nil, false
+	}
+	return tr, true
+}
+
 // --- Lookup / publish ---------------------------------------------------------
 
-// storeLookup consults the persistent store for (d, st). It returns a
-// decoded, publishable trace on a hit and nil otherwise. Adapter errors
-// and panics degrade to a miss: the caller simply simulates.
-func storeLookup(ctx context.Context, d *sim.Design, st *Stimulus) *FPTrace {
+// storeLookup consults the persistent store for key. It returns a decoded,
+// publishable trace on a hit and nil otherwise. Adapter errors, panics and
+// records that fail decodeStored degrade to a miss: the caller simply
+// simulates.
+func storeLookup(ctx context.Context, key fpKey) *FPTrace {
 	box := curStore.Load()
 	if box == nil {
 		return nil
 	}
-	k, ok := storeKeyFor(d, st)
+	k, ok := storeKeyFor(key)
 	if !ok {
 		return nil
 	}
@@ -292,10 +333,10 @@ func storeLookup(ctx context.Context, d *sim.Design, st *Stimulus) *FPTrace {
 		statMisses.Add(1)
 		return nil
 	}
-	tr, ok := decodeFPTrace(data, st.Ifc)
+	tr, ok := decodeStored(data, key)
 	if !ok {
-		// Structurally invalid despite the adapter's integrity checks
-		// (e.g. a foreign writer): drop it and recompute.
+		// Invalid despite the adapter's integrity checks (e.g. a foreign
+		// writer, or a record of the wrong grade): drop it and recompute.
 		statMisses.Add(1)
 		return nil
 	}
@@ -307,7 +348,7 @@ func storeLookup(ctx context.Context, d *sim.Design, st *Stimulus) *FPTrace {
 // best-effort: errors and panics are counted, never surfaced — the run
 // already has its result. Traces the memo would not publish (ErrSimPanic)
 // are not persisted either.
-func storePut(ctx context.Context, d *sim.Design, st *Stimulus, tr *FPTrace) {
+func storePut(ctx context.Context, key fpKey, tr *FPTrace) {
 	box := curStore.Load()
 	if box == nil {
 		return
@@ -316,7 +357,7 @@ func storePut(ctx context.Context, d *sim.Design, st *Stimulus, tr *FPTrace) {
 	if data == nil {
 		return
 	}
-	k, ok := storeKeyFor(d, st)
+	k, ok := storeKeyFor(key)
 	if !ok {
 		return
 	}

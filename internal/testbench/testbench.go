@@ -962,7 +962,7 @@ func RunFingerprint(src *ast.Source, top string, st *Stimulus, backend Backend) 
 func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
 	if backend != BackendInterpreter {
 		if d, err := sim.CompileCached(src, top); err == nil {
-			e := fpClaim(d, st)
+			e := fpClaim(fpKey{d: d, st: st})
 			if e.claim() {
 				return runFingerprintOwned(ctx, e, src, top, st, backend)
 			}
@@ -997,7 +997,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	// The claim is held, so this is the key's single flight across every
 	// tier: probe the persistent store first and publish a hit without
 	// simulating at all.
-	if tr := storeLookup(ctx, e.key.d, st); tr != nil {
+	if tr := storeLookup(ctx, e.key); tr != nil {
 		e.publish(tr)
 		published = true
 		return tr, nil
@@ -1009,7 +1009,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
 		e.publish(tr)
 		published = true
-		storePut(ctx, e.key.d, st, tr)
+		storePut(ctx, e.key, tr)
 	}
 	return tr, nil
 }
