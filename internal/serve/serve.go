@@ -141,7 +141,9 @@ func (s *Server) Shutdown(drain time.Duration) {
 // SubmitRequest is the POST /jobs body. TaskID names the golden design
 // (and its interface) from the benchmark suite. The buggy candidate pool
 // is either supplied verbatim in Candidates or generated server-side from
-// the simulated LLM (Samples completions of Model at Seed).
+// the simulated LLM (Samples completions of Model at Seed). The json tags
+// name the body's keys; handleSubmit decodes it with decodeSubmit, which
+// accepts only those keys, spelled exactly.
 type SubmitRequest struct {
 	ID         string   `json:"id,omitempty"`
 	TaskID     string   `json:"task_id"`
@@ -319,8 +321,17 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readSubmitBody(w, r)
+	if errors.Is(err, errBodyTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	req, err := decodeSubmit(body)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -353,7 +364,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[id] = rec
 	s.mu.Unlock()
 
-	err := s.sched.Submit(sched.Job{
+	err = s.sched.Submit(sched.Job{
 		ID: id,
 		Run: func(ctx context.Context) error {
 			rec.setStatus(StatusRunning)

@@ -1,0 +1,439 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
+)
+
+// maxSubmitBytes bounds a POST /jobs body. The largest job the daemon
+// itself would build is MaxSamples (200) candidates of tens of KB each, so
+// 8 MiB admits every legitimate pool while refusing hostile bodies before
+// they are buffered.
+const maxSubmitBytes = 8 << 20
+
+// errBodyTooLarge marks a body refused with 413.
+var errBodyTooLarge = errors.New("request body too large")
+
+// readSubmitBody reads a submit body once, into one buffer, never past
+// maxSubmitBytes. A declared Content-Length is read with io.ReadFull into an
+// exact-size buffer (and refused before any read or allocation when over
+// the limit); a body of unknown length goes through http.MaxBytesReader.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 {
+		if n > maxSubmitBytes {
+			return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+		return buf, nil
+	}
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	// Grow by doubling, but never past maxSubmitBytes+1: the one spare byte
+	// lets MaxBytesReader see an over-limit body at exactly the limit.
+	buf := make([]byte, 0, 4096)
+	for {
+		if len(buf) == cap(buf) {
+			next := make([]byte, len(buf), min(2*cap(buf), maxSubmitBytes+1))
+			copy(next, buf)
+			buf = next
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		var tooBig *http.MaxBytesError
+		switch {
+		case err == io.EOF:
+			return buf, nil
+		case errors.As(err, &tooBig):
+			return nil, fmt.Errorf("%w: over %d bytes", errBodyTooLarge, tooBig.Limit)
+		case err != nil:
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+	}
+}
+
+// decodeSubmit parses a POST /jobs body in one pass. It accepts exactly one
+// JSON object, optionally surrounded by whitespace, whose keys are the
+// SubmitRequest fields' exact JSON names, each at most once; a null value
+// leaves its field absent. Integers follow the RFC 8259 integer grammar and
+// must fit their field; strings take the RFC 8259 escapes and must be valid
+// UTF-8 with no lone surrogates. Everything else is an error naming the
+// problem and its byte offset. Whatever it accepts, encoding/json decodes to
+// the same SubmitRequest (FuzzDecodeSubmit holds it to that).
+func decodeSubmit(data []byte) (SubmitRequest, error) {
+	d := submitDecoder{data: data}
+	var req SubmitRequest
+	if err := d.object(&req); err != nil {
+		return SubmitRequest{}, err
+	}
+	return req, nil
+}
+
+type submitDecoder struct {
+	data []byte
+	pos  int
+}
+
+func (d *submitDecoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+}
+
+func (d *submitDecoder) skipSpace() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// expect consumes c after optional whitespace.
+func (d *submitDecoder) expect(c byte, what string) error {
+	if d.peek() != c {
+		return d.unexpected(what)
+	}
+	d.pos++
+	return nil
+}
+
+// unexpected reports the byte at the cursor where what was wanted.
+func (d *submitDecoder) unexpected(what string) error {
+	if d.pos >= len(d.data) {
+		return d.errorf("unexpected end of body, want %s", what)
+	}
+	return d.errorf("unexpected %q, want %s", d.data[d.pos], what)
+}
+
+// peek returns the next non-space byte without consuming it (0 at EOF).
+func (d *submitDecoder) peek() byte {
+	d.skipSpace()
+	if d.pos >= len(d.data) {
+		return 0
+	}
+	return d.data[d.pos]
+}
+
+func (d *submitDecoder) object(req *SubmitRequest) error {
+	if len(d.data) == 0 {
+		return errors.New("empty body")
+	}
+	if err := d.expect('{', "'{'"); err != nil {
+		return err
+	}
+	var seen [len(submitKeys)]bool
+	if d.peek() == '}' {
+		d.pos++
+	} else {
+		for {
+			if err := d.member(req, &seen); err != nil {
+				return err
+			}
+			if d.peek() == '}' {
+				d.pos++
+				break
+			}
+			if err := d.expect(',', "',' or '}'"); err != nil {
+				return err
+			}
+		}
+	}
+	d.skipSpace()
+	if d.pos < len(d.data) {
+		return d.errorf("trailing data after the object")
+	}
+	return nil
+}
+
+// submitKeys are the accepted keys, in SubmitRequest field order.
+var submitKeys = [...]string{"id", "task_id", "candidates", "samples", "seed", "model", "gang_size"}
+
+func (d *submitDecoder) member(req *SubmitRequest, seen *[len(submitKeys)]bool) error {
+	if err := d.expect('"', "a key"); err != nil {
+		return err
+	}
+	// Keys are matched undecoded: no accepted key contains an escape, so
+	// any key that does is unknown.
+	start := d.pos - 1
+	end := closingQuote(d.data, d.pos)
+	if end < 0 {
+		d.pos = start
+		return d.errorf("unterminated key")
+	}
+	key := d.data[d.pos:end]
+	d.pos = end + 1
+	field := -1
+	for i, k := range submitKeys {
+		if string(key) == k {
+			field = i
+			break
+		}
+	}
+	if field < 0 {
+		d.pos = start
+		return d.errorf("unknown key %q (keys are %s)", key, strings.Join(submitKeys[:], ", "))
+	}
+	if seen[field] {
+		d.pos = start
+		return d.errorf("duplicate key %q", key)
+	}
+	seen[field] = true
+	if err := d.expect(':', "':'"); err != nil {
+		return err
+	}
+	if d.null() {
+		return nil
+	}
+	var n int64
+	var err error
+	switch name := submitKeys[field]; name {
+	case "id":
+		req.ID, err = d.str(name)
+	case "task_id":
+		req.TaskID, err = d.str(name)
+	case "candidates":
+		req.Candidates, err = d.strs(name)
+	case "samples":
+		n, err = d.integer(name, strconv.IntSize)
+		req.Samples = int(n)
+	case "seed":
+		req.Seed, err = d.integer(name, 64)
+	case "model":
+		req.Model, err = d.str(name)
+	case "gang_size":
+		n, err = d.integer(name, strconv.IntSize)
+		req.GangSize = int(n)
+	}
+	return err
+}
+
+// null consumes a null literal after optional whitespace.
+func (d *submitDecoder) null() bool {
+	d.skipSpace()
+	if len(d.data)-d.pos >= 4 && string(d.data[d.pos:d.pos+4]) == "null" {
+		d.pos += 4
+		return true
+	}
+	return false
+}
+
+func (d *submitDecoder) strs(name string) ([]string, error) {
+	if d.peek() != '[' {
+		return nil, d.unexpected(name + " as an array of strings")
+	}
+	d.pos++
+	out := []string{}
+	if d.peek() == ']' {
+		d.pos++
+		return out, nil
+	}
+	for {
+		s, err := d.str(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+		if d.peek() == ']' {
+			d.pos++
+			return out, nil
+		}
+		if err := d.expect(',', "',' or ']'"); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// str decodes one string value with a single allocation. It finds the
+// closing quote and rejects control bytes and invalid UTF-8; then it copies
+// an escape-free string whole, or copies the runs between escapes in bulk
+// into a builder sized to the raw length (an upper bound: every escape
+// decodes to fewer bytes than it spells).
+func (d *submitDecoder) str(name string) (string, error) {
+	if d.peek() != '"' {
+		return "", d.unexpected(name + " as a string")
+	}
+	d.pos++
+	start := d.pos
+	end := closingQuote(d.data, start)
+	if end < 0 {
+		d.pos = start - 1
+		return "", d.errorf("%s: unterminated string", name)
+	}
+	raw := d.data[start:end]
+	if i := controlAt(raw); i >= 0 {
+		d.pos = start + i
+		return "", d.errorf("%s: raw control byte %#02x in string", name, raw[i])
+	}
+	// Escapes are ASCII, so they never split a multi-byte sequence: the raw
+	// bytes are valid UTF-8 exactly when every run between escapes is.
+	if !utf8.Valid(raw) {
+		d.pos = start - 1
+		return "", d.errorf("%s: invalid UTF-8 in string", name)
+	}
+	d.pos = end + 1
+	if bytes.IndexByte(raw, '\\') < 0 {
+		return string(raw), nil
+	}
+	var b strings.Builder
+	b.Grow(len(raw))
+	for off := 0; ; {
+		i := bytes.IndexByte(raw[off:], '\\')
+		if i < 0 {
+			b.Write(raw[off:])
+			return b.String(), nil
+		}
+		b.Write(raw[off : off+i])
+		off += i
+		n, err := unescape(&b, raw[off:])
+		if err != nil {
+			d.pos = start + off
+			return "", d.errorf("%s: %v", name, err)
+		}
+		off += n
+	}
+}
+
+// closingQuote returns the index of the quote closing the string whose
+// body starts at data[start], or -1: the first quote not escaped by an odd
+// run of backslashes.
+func closingQuote(data []byte, start int) int {
+	for i := start; ; i++ {
+		j := bytes.IndexByte(data[i:], '"')
+		if j < 0 {
+			return -1
+		}
+		i += j
+		k := i
+		for k > start && data[k-1] == '\\' {
+			k--
+		}
+		if (i-k)%2 == 0 {
+			return i
+		}
+	}
+}
+
+// controlAt returns the index of the first byte below 0x20 in s, or -1,
+// testing eight bytes at a time.
+func controlAt(s []byte) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := binary.LittleEndian.Uint64(s[i:])
+		if (x-0x20*ones)&^x&highs != 0 {
+			break
+		}
+	}
+	for ; i < len(s); i++ {
+		if s[i] < 0x20 {
+			return i
+		}
+	}
+	return -1
+}
+
+// unescape writes the escape sequence at the start of esc (which begins
+// with a backslash) to b and returns its length in bytes.
+func unescape(b *strings.Builder, esc []byte) (int, error) {
+	if len(esc) < 2 {
+		return 0, errors.New("truncated escape")
+	}
+	switch c := esc[1]; c {
+	case '"', '\\', '/':
+		b.WriteByte(c)
+	case 'b':
+		b.WriteByte('\b')
+	case 'f':
+		b.WriteByte('\f')
+	case 'n':
+		b.WriteByte('\n')
+	case 'r':
+		b.WriteByte('\r')
+	case 't':
+		b.WriteByte('\t')
+	case 'u':
+		r, ok := hex4(esc[2:])
+		if !ok {
+			return 0, errors.New("malformed \\u escape")
+		}
+		if !utf16.IsSurrogate(r) {
+			b.WriteRune(r)
+			return 6, nil
+		}
+		if r < 0xdc00 && len(esc) >= 12 && esc[6] == '\\' && esc[7] == 'u' {
+			if lo, ok := hex4(esc[8:]); ok && lo >= 0xdc00 && lo <= 0xdfff {
+				b.WriteRune(utf16.DecodeRune(r, lo))
+				return 12, nil
+			}
+		}
+		return 0, fmt.Errorf("lone surrogate \\u%04x", r)
+	default:
+		return 0, fmt.Errorf("invalid escape %q", esc[:2])
+	}
+	return 2, nil
+}
+
+// hex4 parses the four hex digits at the start of h.
+func hex4(h []byte) (rune, bool) {
+	if len(h) < 4 {
+		return 0, false
+	}
+	var r rune
+	for _, c := range h[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
+}
+
+// integer parses an RFC 8259 integer (no fraction, no exponent) that fits
+// a signed integer of the given bit size.
+func (d *submitDecoder) integer(name string, bits int) (int64, error) {
+	d.skipSpace()
+	start := d.pos
+	neg := d.pos < len(d.data) && d.data[d.pos] == '-'
+	if neg {
+		d.pos++
+	}
+	digits := d.pos
+	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
+		d.pos++
+	}
+	lit := d.data[start:d.pos]
+	switch {
+	case d.pos == digits:
+		d.pos = start
+		return 0, d.errorf("%s: want an integer", name)
+	case d.data[digits] == '0' && d.pos-digits > 1:
+		d.pos = start
+		return 0, d.errorf("%s: leading zero in %s", name, lit)
+	case d.pos < len(d.data) && strings.IndexByte(".eE", d.data[d.pos]) >= 0:
+		d.pos = start
+		return 0, d.errorf("%s: want an integer, not a fraction or exponent", name)
+	}
+	v, err := strconv.ParseInt(string(lit), 10, bits)
+	if err != nil {
+		d.pos = start
+		return 0, d.errorf("%s: %s does not fit a %d-bit integer", name, lit, bits)
+	}
+	return v, nil
+}
