@@ -104,6 +104,7 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	var (
 		traces []*testbench.Trace
 		fps    []*testbench.FPTrace
+		plan   *testbench.GangPlan
 		run    func(b int) error
 		nUnits int
 	)
@@ -130,10 +131,21 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 		}
 	} else {
 		nUnits = (len(jobs) + gang - 1) / gang
-		fps = make([]*testbench.FPTrace, len(jobs))
 		mode := testbench.GangSoA
 		if cfg.PerLaneGang {
 			mode = testbench.GangPerLane
+		}
+		// Answer what the fingerprint memo and the persistent store already
+		// hold before compiling anything: the plan reads each job's store
+		// record once and keeps the remaining jobs claimed until a batch
+		// simulates them.
+		plan = testbench.PlanGang(ctx, jobs, eval.TopModule, st, cfg.Backend, mode)
+		defer plan.Release()
+		pending := 0
+		for j := range jobs {
+			if plan.Pending(j) {
+				pending++
+			}
 		}
 		// The compiled golden anchors every gang: it is the delta-compilation
 		// base for candidate lanes AND the owner of the shared SoA program.
@@ -142,52 +154,46 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 		// on whichever candidate happens to lead the batch) is what lets the
 		// name-blind sharing criterion coalesce those processes into one
 		// gang-program walk. Parse and compile are both process-wide caches,
-		// so this costs one lookup per rank call.
+		// so this costs one lookup per rank call that simulates anything.
 		var base *sim.Design
-		if cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
+		if pending > 0 && cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
 			if d, derr := sim.CompileCached(cfg.Golden, eval.TopModule); derr == nil {
 				base = d
 			}
 		}
-		// Gang-aware batching: order jobs by behavior class before slicing
-		// into gangs, so alpha-equivalent candidates (register renames,
-		// repeated mutations — the bulk of an LLM pool's redundancy) land in
-		// the same gang, where the SoA backend dedups whole lanes and shares
-		// kernels. Each lane's fingerprints are independent of its batch, so
-		// any ordering yields bit-identical decisions; sorting is stable on
-		// first-seen order, keeping results deterministic. The delta compile
-		// feeds the same process-wide cache the gang's bind step uses, so
-		// this costs one cache lookup per job per rank call.
+		// Gang-aware batching: answered jobs go first (they need no compile
+		// and no lane), then pending jobs ordered by behavior class, so
+		// alpha-equivalent candidates (register renames, repeated mutations —
+		// the bulk of an LLM pool's redundancy) land in the same gang, where
+		// the SoA backend dedups whole lanes and shares kernels. Each lane's
+		// fingerprints are independent of its batch, so any ordering yields
+		// bit-identical decisions; ties keep first-seen order, so batches are
+		// deterministic. The delta compile feeds the same process-wide cache
+		// the gang's bind step uses.
+		order := make([]int, len(jobs))
+		for j := range order {
+			order[j] = j
+		}
 		if base != nil && len(jobs) > gang {
 			type jobKey struct {
-				h uint64
-				j int
+				pending bool
+				h       uint64
 			}
 			keys := make([]jobKey, len(jobs))
 			for j, src := range jobs {
-				keys[j] = jobKey{j: j}
-				if d, derr := sim.CompileDeltaCached(base, src, eval.TopModule); derr == nil {
-					keys[j].h = d.GangClassHash()
+				if keys[j].pending = plan.Pending(j); keys[j].pending {
+					if d, derr := sim.CompileDeltaCached(base, src, eval.TopModule); derr == nil {
+						keys[j].h = d.GangClassHash()
+					}
 				}
 			}
-			sort.Slice(keys, func(a, b int) bool {
-				if keys[a].h != keys[b].h {
-					return keys[a].h < keys[b].h
+			sort.SliceStable(order, func(a, b int) bool {
+				ka, kb := keys[order[a]], keys[order[b]]
+				if ka.pending != kb.pending {
+					return kb.pending
 				}
-				return keys[a].j < keys[b].j
+				return ka.h < kb.h
 			})
-			sorted := make([]*ast.Source, len(jobs))
-			inv := make([]int, len(jobs))
-			for k := range keys {
-				sorted[k] = jobs[keys[k].j]
-				inv[keys[k].j] = k
-			}
-			jobs = sorted
-			for i, src := range srcs {
-				if src != nil {
-					jobOf[i] = inv[jobOf[i]]
-				}
-			}
 		}
 		run = func(b int) error {
 			lo := b * gang
@@ -195,31 +201,30 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 			if hi > len(jobs) {
 				hi = len(jobs)
 			}
+			batch := order[lo:hi]
 			// Per-candidate crashes are already confined inside the gang
 			// (crashed walks re-run unresolved lanes solo); this recover is
 			// the last line for anything outside that, erroring only this
-			// batch's candidates instead of unwinding the worker.
+			// batch's unresolved candidates instead of unwinding the worker.
 			defer func() {
 				if r := recover(); r != nil {
-					perr := fmt.Errorf("%w: %v", testbench.ErrSimPanic, r)
-					for j := lo; j < hi; j++ {
-						if fps[j] == nil {
-							fps[j] = &testbench.FPTrace{Ifc: st.Ifc, Err: perr}
-						}
-					}
+					plan.Fail(batch, fmt.Errorf("%w: %v", testbench.ErrSimPanic, r))
 				}
 			}()
 			faultinject.Fire(faultinject.PointRankBatch, "")
-			batch, err := testbench.RunFingerprintGangModeCtx(ctx, jobs[lo:hi], eval.TopModule, st, cfg.Backend, base, mode)
-			if err != nil {
-				return err
-			}
-			copy(fps[lo:hi], batch)
-			return nil
+			return plan.Run(ctx, batch, base)
 		}
 	}
 	if err := runUnits(ctx, nUnits, cfg.Workers, cfg.OnBatch, run); err != nil {
 		return nil, err
+	}
+	if plan != nil {
+		// Jobs in flight under other callers are collected last, once this
+		// call holds no unresolved claim of its own.
+		var err error
+		if fps, err = plan.Finish(ctx); err != nil {
+			return nil, err
+		}
 	}
 
 	// Pass 3a: attach results in candidate order and count cluster sizes,

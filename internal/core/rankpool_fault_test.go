@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/serve/faultinject"
@@ -203,5 +204,59 @@ func TestRankPoolDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankPoolBatchPanicReleasesClaims crashes the second gang batch before
+// it runs. Its jobs were claimed when the call started, so the last-line
+// recovery must release those claims: the batch's candidates come back with
+// ErrSimPanic, every other candidate is clean, and a re-run of the pool is
+// not left waiting on a claim nobody will resolve.
+func TestRankPoolBatchPanicReleasesClaims(t *testing.T) {
+	defer faultinject.Reset()
+	task, golden, _ := gatePool(t)
+	srcs := gateExprs(t, gateExprPool)
+	const seed = 9115
+	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, GangSize: 2, Golden: golden}
+	clean, err := RankPool(context.Background(), srcs, freshStimulus(task, seed), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := freshStimulus(task, seed)
+	faultinject.Arm(faultinject.PointRankBatch, "", 2, func() { panic("injected batch crash") })
+	faulted, err := RankPool(context.Background(), srcs, st, cfg)
+	if err != nil {
+		t.Fatalf("faulted RankPool returned pool-level error: %v", err)
+	}
+	crashed := 0
+	for i, fp := range faulted.FPs {
+		switch {
+		case fp.Err != nil && errors.Is(fp.Err, testbench.ErrSimPanic):
+			crashed++
+		case fp.Err != nil || fp.Fingerprint() != clean.FPs[i].Fingerprint():
+			t.Fatalf("candidate %d outside the crashed batch diverged: %v", i, fp.Err)
+		}
+	}
+	if crashed != cfg.GangSize {
+		t.Fatalf("%d candidates crashed, want the batch's %d", crashed, cfg.GangSize)
+	}
+
+	faultinject.Reset()
+	done := make(chan *RankPoolResult, 1)
+	go func() {
+		res, err := RankPool(context.Background(), srcs, st, cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && !reflect.DeepEqual(res.Clusters, clean.Clusters) {
+			t.Fatalf("re-run clusters %v, want %v", res.Clusters, clean.Clusters)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("re-run after a crashed batch waited on a leaked claim")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/resultstore"
+	"repro/internal/sim"
 	"repro/internal/testbench"
 )
 
@@ -38,6 +39,8 @@ type storeProcReport struct {
 	Clusters []storeProcCluster   `json:"clusters"`
 	Stats    testbench.StoreStats `json:"stats"`
 	StoreLen int                  `json:"store_len"`
+	// Compiles counts process-wide compile-cache misses during the rank.
+	Compiles uint64 `json:"compiles"`
 }
 
 // storeProcChildMain ranks the standard benchmark pool against a disk store
@@ -77,14 +80,16 @@ func storeProcChildMain(t *testing.T, dir string) {
 		cands = append(cands, c)
 	}
 	res := &Result{Task: task, FinalIndex: -1, Candidates: cands}
+	_, missesBefore := sim.DefaultCache.Stats()
 	if err := pipe.rank(context.Background(), res); err != nil {
 		t.Fatalf("child: rank: %v", err)
 	}
+	_, missesAfter := sim.DefaultCache.Stats()
 	if len(res.Clusters) == 0 {
 		t.Fatal("child: ranking produced no clusters")
 	}
 
-	rep := storeProcReport{Stats: testbench.ReadStoreStats()}
+	rep := storeProcReport{Stats: testbench.ReadStoreStats(), Compiles: missesAfter - missesBefore}
 	for _, cl := range res.Clusters {
 		rep.Clusters = append(rep.Clusters, storeProcCluster{
 			Members:     cl.Members,
@@ -140,10 +145,10 @@ func storeProcRunChild(t *testing.T, dir string) storeProcReport {
 
 // TestCrossProcessStoreDeterminism proves the headline property of the disk
 // store: a second, completely fresh process pointed at the same store
-// directory ranks the identical pool with ZERO simulations — every
-// fingerprint comes off disk — and produces bit-identical clusters. The two
-// runs share no process state; only the content-addressed files connect
-// them.
+// directory ranks the identical pool with ZERO simulations and no candidate
+// compiled — every fingerprint comes off disk — and produces bit-identical
+// clusters. The two runs share no process state; only the content-addressed
+// files connect them.
 func TestCrossProcessStoreDeterminism(t *testing.T) {
 	if os.Getenv(storeProcChildEnv) == "1" {
 		storeProcChildMain(t, os.Getenv(storeProcDirEnv))
@@ -172,6 +177,11 @@ func TestCrossProcessStoreDeterminism(t *testing.T) {
 	}
 	if warm.Stats.Hits == 0 {
 		t.Fatal("warm process reported zero store hits")
+	}
+	// Store hits are answered before compiling: the warm process may
+	// compile the golden (the delta base) but no candidate.
+	if warm.Compiles > 1 {
+		t.Fatalf("warm process compiled %d designs; want at most 1 (cold compiled %d)", warm.Compiles, cold.Compiles)
 	}
 	if !reflect.DeepEqual(cold.Clusters, warm.Clusters) {
 		t.Fatalf("clusters diverged across processes:\ncold: %+v\nwarm: %+v",

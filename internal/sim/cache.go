@@ -47,16 +47,17 @@ func CanonicalKey(src *ast.Source) string {
 	return k
 }
 
-// contentHash folds a compile-cache key — canonical source hash plus top
-// module — into the single hex digest a Design carries as its persistent
-// content address. Delta-compiled and fresh-compiled designs of the same
-// source share it, which is exactly right: the gang equivalence gates hold
-// their fingerprints bit-identical.
-func contentHash(key cacheKey) string {
+// ContentHash folds a design's compile-cache identity — its CanonicalKey and
+// top module — into the single hex digest that addresses it in the
+// persistent fingerprint store. It needs no compiled design: a store hit is
+// answered before the candidate is compiled. Delta-compiled and
+// fresh-compiled designs of one source share it, which is exactly right: the
+// gang equivalence gates hold their fingerprints bit-identical.
+func ContentHash(canonKey, top string) string {
 	h := sha256.New()
-	h.Write([]byte(key.hash))
+	h.Write([]byte(canonKey))
 	h.Write([]byte{0})
-	h.Write([]byte(key.top))
+	h.Write([]byte(top))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -172,13 +173,7 @@ func (c *CompileCache) Get(src *ast.Source, top string) (*Design, error) {
 	if e := c.touch(key); e != nil {
 		return e.resolve()
 	}
-	return c.get(key, func() (*Design, error) {
-		d, err := Compile(src, top)
-		if err == nil {
-			d.canonHash = contentHash(key)
-		}
-		return d, err
-	})
+	return c.get(key, func() (*Design, error) { return Compile(src, top) })
 }
 
 // GetDelta is Get with a delta-compilation base: a cache miss compiles
@@ -192,13 +187,7 @@ func (c *CompileCache) GetDelta(base *Design, src *ast.Source, top string) (*Des
 	if e := c.touch(key); e != nil {
 		return e.resolve()
 	}
-	return c.get(key, func() (*Design, error) {
-		d, err := CompileDelta(base, src, top)
-		if err == nil {
-			d.canonHash = contentHash(key)
-		}
-		return d, err
-	})
+	return c.get(key, func() (*Design, error) { return CompileDelta(base, src, top) })
 }
 
 // touch returns the resident entry for key freshened to the LRU front, or

@@ -112,13 +112,6 @@ type Design struct {
 	// precomputed at compile time for the ranking batcher (GangClassHash).
 	gangClassHash uint64
 
-	// canonHash is the content address of this design for the persistent
-	// result store: a hash over (canonical source key, top module). Set by
-	// the compile cache, whose key computes both halves anyway; designs
-	// compiled directly (tests, tools) leave it "" and simply skip the
-	// store. See CanonicalHash.
-	canonHash string
-
 	// gangProcs and gangNetIdx retain the elaborated process list (aligned
 	// with procs) and the net index map, so the shared gang program
 	// (gangrf.go) can be lowered lazily from the same sources the solo
@@ -151,13 +144,6 @@ type procArt struct {
 
 // Top returns the top module name the design was compiled for.
 func (d *Design) Top() string { return d.top }
-
-// CanonicalHash returns the design's content address — a stable hex hash
-// over (canonical source, top module) that identifies it across processes
-// and machines — or "" when the design was compiled outside the cache and
-// has none. It keys the persistent fingerprint store: two designs with the
-// same CanonicalHash are behaviorally identical.
-func (d *Design) CanonicalHash() string { return d.canonHash }
 
 // InputHandle resolves a top-level input port name to a handle usable with
 // the Engine's handle-bound stimulus methods (SetInputH, SetInputUintH,

@@ -14,15 +14,18 @@ import (
 
 // --- Fingerprint memo --------------------------------------------------------
 //
-// A compiled fingerprint run is a pure function of (Design, Stimulus): the
-// design fixes behavior, the stimulus fixes drives, and FPTrace records
-// nothing else. Both keys are process-wide cached objects (sim.DefaultCache,
-// the stimulus memo), so identical pairs recur constantly — the same
-// candidate ranked under three pipeline variants, verified against the same
-// dense stimulus across runs, re-simulated per bench iteration. The memo is
-// single-flight (claim/publish/wait) so concurrent gangs and solo runs never
-// duplicate a run, and LRU-bounded with in-flight entries pinned, following
-// the discipline of the compile and bind caches.
+// A compiled fingerprint run is a pure function of (design content,
+// Stimulus): the design fixes behavior, the stimulus fixes drives, and
+// FPTrace records nothing else. The memo keys the design by content — the
+// candidate's sim.CanonicalKey and top module, the same identity the compile
+// cache uses — so a lookup needs no compiled design: memo and store hits are
+// answered before the candidate is compiled, and an entry outlives the
+// compile-cache eviction of its design. Identical pairs recur constantly —
+// the same candidate ranked under three pipeline variants, verified against
+// the same dense stimulus across runs, re-simulated per bench iteration. The
+// memo is single-flight (claim/publish/wait) so concurrent gangs and solo
+// runs never duplicate a run, and LRU-bounded with in-flight entries pinned,
+// following the discipline of the compile and bind caches.
 //
 // Verification runs are verdict-grade: a lane stops at the first case whose
 // fingerprint differs from the golden's, so its trace is a prefix that
@@ -30,9 +33,15 @@ import (
 // golden in their key (ref); full-trace entries have ref == nil.
 
 type fpKey struct {
-	d   *sim.Design
-	st  *Stimulus
-	ref *FPTrace // golden a verdict-grade run is cut against; nil: full trace
+	canon string // sim.CanonicalKey of the candidate source
+	top   string
+	st    *Stimulus
+	ref   *FPTrace // golden a verdict-grade run is cut against; nil: full trace
+}
+
+// memoKey is the memo key of src's run under st (ref as in fpKey).
+func memoKey(src *ast.Source, top string, st *Stimulus, ref *FPTrace) fpKey {
+	return fpKey{canon: sim.CanonicalKey(src), top: top, st: st, ref: ref}
 }
 
 // fpEntry is one single-flight memo slot. claim marks the caller as the
@@ -86,6 +95,20 @@ func (e *fpEntry) abort() {
 	if ready != nil {
 		close(ready)
 	}
+}
+
+// drop is abort for a candidate that does not compile: it also removes the
+// entry from the memo, since such a candidate has no trace to publish. A
+// waiter woken by the drop adopts the orphaned entry, fails the same compile
+// and drops it in turn.
+func (e *fpEntry) drop() {
+	fpMu.Lock()
+	if fpMemo[e.key] == e {
+		fpUnlink(e)
+		delete(fpMemo, e.key)
+	}
+	fpMu.Unlock()
+	e.abort()
 }
 
 // wait blocks until the entry publishes, its claim frees up, or ctx is
@@ -167,8 +190,8 @@ func fpPushFront(e *fpEntry) {
 
 // DefaultFPMemoCap is the memory tier's default entry bound. A
 // verification-grade FPTrace is a few hundred uint64s, so the memo tops
-// out around a few megabytes; like the bind memo, its strong design keys
-// pin at most one LRU's worth of designs.
+// out around a few megabytes. Its keys are content hashes, so it pins no
+// compiled design.
 const DefaultFPMemoCap = 4096
 
 // fpMemoCap bounds retained traces; guarded by fpMu, sized by SetFPMemoCap.
@@ -362,108 +385,211 @@ func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulu
 }
 
 // runFingerprintGang runs the batch with full traces (ref == nil) or
-// verdict-grade traces cut against the golden ref.
+// verdict-grade traces cut against the golden ref, as one GangPlan.
 func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) ([]*FPTrace, error) {
-	out := make([]*FPTrace, len(srcs))
-	if len(srcs) == 0 {
-		return out, nil
+	p := planGang(ctx, srcs, top, st, backend, mode, ref)
+	defer p.Release()
+	all := make([]int, len(srcs))
+	for j := range all {
+		all[j] = j
+	}
+	if err := p.Run(ctx, all, base); err != nil {
+		return nil, err
+	}
+	return p.Finish(ctx)
+}
+
+// GangPlan is a fingerprint batch split, before any candidate compiles, into
+// the jobs the memo and the persistent store already answer and the jobs
+// that still have to be simulated. PlanGang claims each job's memo entry: a
+// published entry or a store hit resolves the job on the spot, a job whose
+// entry another caller is computing is left for Finish, and every other job
+// stays claimed by the plan until Run simulates it. So a job's store record
+// is read once per plan, and only the jobs Run simulates are compiled.
+//
+// Run never waits on a claim, and Finish waits only once every claim the
+// plan held is published or released: two plans that each hold a claim the
+// other needs cannot deadlock. Release frees the claims of jobs that never
+// ran (cancellation, errors); call it when done with the plan.
+type GangPlan struct {
+	srcs    []*ast.Source
+	top     string
+	st      *Stimulus
+	backend Backend
+	mode    GangMode
+	ref     *FPTrace
+
+	out   []*FPTrace // resolved traces, aligned with srcs
+	owned []*fpEntry // claims the plan holds for jobs it has yet to run
+	wait  []*fpEntry // entries in flight under another caller or an earlier job
+}
+
+// PlanGang plans srcs' full-trace fingerprint runs under st (see GangPlan).
+// Interpreter runs bypass the memo and the store: every job is pending.
+func PlanGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, mode GangMode) *GangPlan {
+	return planGang(ctx, srcs, top, st, backend, mode, nil)
+}
+
+func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, mode GangMode, ref *FPTrace) *GangPlan {
+	p := &GangPlan{
+		srcs: srcs, top: top, st: st, backend: backend, mode: mode, ref: ref,
+		out:   make([]*FPTrace, len(srcs)),
+		owned: make([]*fpEntry, len(srcs)),
+		wait:  make([]*fpEntry, len(srcs)),
 	}
 	if backend == BackendInterpreter {
-		for i, src := range srcs {
-			tr, err := runFingerprintSoloCtx(ctx, src, top, st, backend)
-			if err != nil {
-				return nil, err
+		return p
+	}
+	for j, src := range srcs {
+		e := fpClaim(memoKey(src, top, st, ref))
+		switch {
+		case e.done():
+			p.out[j] = e.tr
+		case !e.claim():
+			// In flight elsewhere, or a duplicate of an earlier job of this
+			// plan: collected by Finish, after this plan's own runs.
+			p.wait[j] = e
+		default:
+			if p.out[j] = lookupClaimed(ctx, e); p.out[j] == nil {
+				p.owned[j] = e
 			}
-			out[i] = tr
 		}
-		return out, nil
 	}
-	type waiter struct {
-		i int
-		e *fpEntry
+	return p
+}
+
+// lookupClaimed answers a claimed entry from the tiers below the memo and
+// publishes the answer, or returns nil: the persistent store, then — for a
+// verdict-grade key — a full trace already published under the plain key,
+// which decides any verdict (the golden's own run, for one, answers every
+// candidate that compiles to it). Such a trace is stored under the verdict
+// key too, so a store-backed rerun finds it whatever its memo still holds.
+func lookupClaimed(ctx context.Context, e *fpEntry) *FPTrace {
+	tr := storeLookup(ctx, e.key)
+	if tr == nil && e.key.ref != nil {
+		plain := e.key
+		plain.ref = nil
+		if tr = fpPeek(plain); tr != nil {
+			storePut(ctx, e.key, tr)
+		}
 	}
-	var waits []waiter
-	lanes := make([]gangLane, 0, len(srcs))
-	laneIdx := make([]int, 0, len(srcs))
-	for i, src := range srcs {
-		d, err := sim.CompileDeltaCached(base, src, top)
-		if err != nil {
-			tr, serr := runFingerprintSoloCtx(ctx, src, top, st, backend)
-			if serr != nil {
-				abortLanes(lanes)
-				return nil, serr
+	if tr != nil {
+		e.publish(tr)
+	}
+	return tr
+}
+
+// Pending reports whether job j is still the plan's to simulate.
+func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == nil }
+
+// Run simulates the pending jobs among jobs as one lockstep gang; base seeds
+// delta compilation (nil: the first pending job that compiles). A job that
+// does not compile releases its claim and runs solo, leaving no memo entry
+// and no store record. Run may be called concurrently on disjoint job sets.
+// On cancellation it returns ctx's error, leaving unfinished jobs claimed
+// for Release.
+func (p *GangPlan) Run(ctx context.Context, jobs []int, base *sim.Design) error {
+	lanes := make([]gangLane, 0, len(jobs))
+	laneJob := make([]int, 0, len(jobs))
+	defer func() {
+		// On every exit, a panic included, resolved lanes leave the claims
+		// the plan still holds: finishLane has published or aborted them.
+		for k, j := range laneJob {
+			if lanes[k].tr != nil {
+				p.out[j], p.owned[j] = lanes[k].tr, nil
 			}
-			out[i] = tr
+		}
+	}()
+	for _, j := range jobs {
+		if !p.Pending(j) {
+			continue
+		}
+		src := p.srcs[j]
+		var d *sim.Design
+		if p.backend != BackendInterpreter {
+			var err error
+			if d, err = sim.CompileDeltaCached(base, src, p.top); err != nil {
+				// No trace to memoize: the solo run reproduces the
+				// error trace, and the compile cache makes it cheap.
+				d = nil
+				p.owned[j].drop()
+				p.owned[j] = nil
+			}
+		}
+		if d == nil {
+			tr, err := runFingerprintSoloCtx(ctx, src, p.top, p.st, p.backend)
+			if err != nil {
+				return err
+			}
+			p.out[j] = tr
 			continue
 		}
 		if base == nil {
 			base = d
 		}
-		e := fpClaim(fpKey{d: d, st: st, ref: ref})
-		if !e.claim() {
-			// Resolved, or in flight elsewhere — possibly by an earlier
-			// lane of this very batch (duplicate designs). Collect after
-			// the gang runs so intra-batch duplicates cannot deadlock.
-			waits = append(waits, waiter{i: i, e: e})
-			continue
-		}
-		// The claim is this key's single flight across tiers: consult the
-		// persistent store before the lane joins a gang, so a warm store
-		// keeps the candidate out of the lockstep walk entirely.
-		tr := storeLookup(ctx, e.key)
-		if tr == nil && ref != nil {
-			// A published full trace decides any verdict: the golden's own
-			// run, for one, answers every candidate that compiles to it.
-			// It is stored under the verdict key too, so a store-backed
-			// rerun finds it whatever its memo still holds.
-			if tr = fpPeek(fpKey{d: d, st: st}); tr != nil {
-				storePut(ctx, e.key, tr)
-			}
-		}
-		if tr != nil {
-			e.publish(tr)
-			out[i] = tr
-			continue
-		}
-		lanes = append(lanes, gangLane{src: src, d: d, e: e})
-		laneIdx = append(laneIdx, i)
+		lanes = append(lanes, gangLane{src: src, d: d, e: p.owned[j]})
+		laneJob = append(laneJob, j)
 	}
-	if err := runGangLanesCtx(ctx, lanes, top, st, backend, base, mode, ref); err != nil {
-		abortLanes(lanes)
-		return nil, err
+	if err := runGangLanesCtx(ctx, lanes, p.top, p.st, p.backend, base, p.mode, p.ref); err != nil {
+		return err
 	}
 	for k := range lanes {
-		out[laneIdx[k]] = lanes[k].tr
 		// Lanes whose entry published (clean runs and deterministic
 		// errors; never ErrSimPanic aborts) flow through to the store.
-		if lanes[k].tr != nil && lanes[k].e != nil && lanes[k].e.done() {
-			storePut(ctx, lanes[k].e.key, lanes[k].tr)
+		if e := lanes[k].e; e.done() {
+			storePut(ctx, e.key, lanes[k].tr)
 		}
 	}
-	for _, w := range waits {
-		tr, adopted, err := w.e.wait(ctx)
+	return nil
+}
+
+// Fail resolves the pending jobs among jobs to an error trace carrying err
+// and releases their claims: the caller's last line against a panic that
+// escaped Run or struck before it.
+func (p *GangPlan) Fail(jobs []int, err error) {
+	for _, j := range jobs {
+		if !p.Pending(j) {
+			continue
+		}
+		if e := p.owned[j]; e != nil {
+			e.abort()
+			p.owned[j] = nil
+		}
+		p.out[j] = &FPTrace{Ifc: p.st.Ifc, Err: err}
+	}
+}
+
+// Finish collects the jobs left to other callers — adopting and computing
+// any whose owner released its claim — and returns every job's trace,
+// aligned with srcs. Call it after Run has covered every job.
+func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
+	for j, e := range p.wait {
+		if e == nil {
+			continue
+		}
+		tr, adopted, err := e.wait(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if adopted {
 			// The claim's previous owner aborted (cancelled or crashed
-			// elsewhere); this batch inherits the slot and computes solo.
-			if tr, err = runFingerprintOwned(ctx, w.e, srcs[w.i], top, st, backend); err != nil {
+			// elsewhere); this plan inherits the slot and computes solo.
+			if tr, err = runFingerprintOwned(ctx, e, p.srcs[j], p.top, p.st, p.backend); err != nil {
 				return nil, err
 			}
 		}
-		out[w.i] = tr
+		p.out[j], p.wait[j] = tr, nil
 	}
-	return out, nil
+	return p.out, nil
 }
 
-// abortLanes releases the memo claims of every unresolved lane after a
-// cancelled batch. Lanes that already finished keep their published
-// entries (they are complete, valid results).
-func abortLanes(lanes []gangLane) {
-	for k := range lanes {
-		if lanes[k].tr == nil && lanes[k].e != nil {
-			lanes[k].e.abort()
+// Release frees the claims of jobs the plan never ran. It is idempotent, and
+// a no-op once every job has run.
+func (p *GangPlan) Release() {
+	for j, e := range p.owned {
+		if e != nil {
+			e.abort()
+			p.owned[j] = nil
 		}
 	}
 }

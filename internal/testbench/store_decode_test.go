@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/resultstore"
-	"repro/internal/sim"
 )
 
 // decodeStim is a stimulus of four cases; decodeStored reads only its
@@ -24,13 +23,10 @@ func TestStoreRejectsWrongGradeRecords(t *testing.T) {
 	installStore(t, mem)
 	st := NewGenerator(8201).Verification(combIfc())
 	n := len(st.Cases)
-	d, err := sim.CompileCached(mustParse(t, xorSrc), "top_module")
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := mustParse(t, xorSrc)
 	golden := &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, n)}
-	plain := fpKey{d: d, st: st}
-	verdict := fpKey{d: d, st: st, ref: golden}
+	plain := memoKey(src, "top_module", st, nil)
+	verdict := memoKey(src, "top_module", st, golden)
 	fps := func(k int) []uint64 { return make([]uint64, k) }
 	runErr := &storedRunErr{msg: "run failed: loop"}
 
@@ -75,7 +71,7 @@ func TestStoreRejectsWrongGradeRecords(t *testing.T) {
 	kp, _ := storeKeyFor(plain)
 	kv, _ := storeKeyFor(verdict)
 	other := &FPTrace{Ifc: st.Ifc, CaseFPs: append(fps(n-1), 1)}
-	ko, _ := storeKeyFor(fpKey{d: d, st: st, ref: other})
+	ko, _ := storeKeyFor(memoKey(src, "top_module", st, other))
 	if kp == kv || kv == ko {
 		t.Fatalf("store keys collide: full %v, verdict %v, other golden %v", kp, kv, ko)
 	}

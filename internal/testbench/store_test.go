@@ -3,6 +3,7 @@ package testbench
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/resultstore"
 	"repro/internal/serve/faultinject"
+	"repro/internal/sim"
 	"repro/internal/verilog/ast"
 )
 
@@ -332,4 +334,62 @@ func TestFPMemoEvictionSmallCap(t *testing.T) {
 		t.Fatal("resident entry missed the memo")
 	}
 	sameTraces(t, "resident entry", cached, first[2])
+}
+
+// TestFPMemoSurvivesCompileCacheEviction pins the memo's content keys: a
+// published trace stays a hit after the compile cache has evicted the
+// design it was simulated on, so re-running that candidate neither
+// recompiles into a memo miss nor simulates again.
+func TestFPMemoSurvivesCompileCacheEviction(t *testing.T) {
+	st := NewGenerator(7811).Ranking(combIfc())
+	x := mustParse(t, xorSrc)
+	first := RunFingerprint(x, "top_module", st, BackendCompiled)
+
+	// More distinct designs than the process-wide compile cache holds.
+	for i := 0; i < 1100; i++ {
+		src := mustParse(t, fmt.Sprintf("module top_module(input [15:0] a, output [15:0] y);\n    assign y = a + 16'd%d;\nendmodule\n", i))
+		if _, err := sim.CompileCached(src, "top_module"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pre := ReadStoreStats()
+	again := RunFingerprint(x, "top_module", st, BackendCompiled)
+	if sims := ReadStoreStats().Sims - pre.Sims; sims != 0 {
+		t.Fatalf("re-run after compile-cache eviction simulated %d times, want 0", sims)
+	}
+	sameTraces(t, "post-eviction re-run", again, first)
+}
+
+// TestCompileFailureLeavesNoMemoEntry runs a candidate that does not
+// compile, solo and in a gang next to one that does: its memo claim is
+// taken before compiling, and the failed compile must release it without a
+// memo entry or a store record, while the error trace equals the solo one.
+func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
+	mem := resultstore.NewMemory(64)
+	installStore(t, mem)
+	st := NewGenerator(7813).Ranking(combIfc())
+	bad := mustParse(t, "module other(input a, output y);\n    assign y = a;\nendmodule\n")
+	good := mustParse(t, xorSrc)
+
+	solo := runFingerprintSolo(bad, "top_module", st, BackendCompiled)
+	if solo.Err == nil {
+		t.Fatal("a design without the top module compiled")
+	}
+	sameTraces(t, "RunFingerprint", RunFingerprint(bad, "top_module", st, BackendCompiled), solo)
+	gang := RunFingerprintGang([]*ast.Source{bad, good}, "top_module", st, BackendCompiled, nil)
+	sameTraces(t, "gang lane", gang[0], solo)
+	if gang[1].Err != nil {
+		t.Fatalf("compiling lane errored: %v", gang[1].Err)
+	}
+
+	fpMu.Lock()
+	_, resident := fpMemo[memoKey(bad, "top_module", st, nil)]
+	fpMu.Unlock()
+	if resident {
+		t.Error("failed compile left a memo entry")
+	}
+	if n, _ := mem.Len(); n != 1 {
+		t.Errorf("store holds %d records, want 1 (the compiling lane only)", n)
+	}
 }

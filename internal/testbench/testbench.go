@@ -939,13 +939,14 @@ func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Tra
 // exactly as in RunBackend, and every fingerprint equals the one the printed
 // trace of the same run would produce.
 //
-// Compiled runs are memoized process-wide by (design, stimulus) identity —
-// both are themselves process-wide cached objects, and the experiment
-// drivers re-run the same candidate under the same stimulus across ranking
-// variants, refinement passes, verification pools and bench iterations. The
-// returned trace is shared and pre-warmed; callers treat it as read-only
-// (exactly as ranking already shares one FPTrace across duplicate
-// candidates).
+// Compiled runs are memoized process-wide by (design content, stimulus):
+// the candidate's canonical source key and top module, and the stimulus — a
+// process-wide cached object. The experiment drivers re-run the same
+// candidate under the same stimulus across ranking variants, refinement
+// passes, verification pools and bench iterations. A memo or store hit costs
+// no compilation. The returned trace is shared and pre-warmed; callers treat
+// it as read-only (exactly as ranking already shares one FPTrace across
+// duplicate candidates).
 func RunFingerprint(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
 	tr, err := RunFingerprintCtx(context.Background(), src, top, st, backend)
 	if err != nil {
@@ -960,47 +961,44 @@ func RunFingerprint(src *ast.Source, top string, st *Stimulus, backend Backend) 
 // observes ctx between test cases, and on cancellation returns ctx's error
 // with any memo claim released so the next caller recomputes the entry.
 func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
-	if backend != BackendInterpreter {
-		if d, err := sim.CompileCached(src, top); err == nil {
-			e := fpClaim(fpKey{d: d, st: st})
-			if e.claim() {
-				return runFingerprintOwned(ctx, e, src, top, st, backend)
-			}
-			tr, adopted, err := e.wait(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if adopted {
-				// The previous owner aborted; this caller inherits the
-				// claim and computes the entry itself.
-				return runFingerprintOwned(ctx, e, src, top, st, backend)
-			}
-			return tr, nil
-		}
-		// Compile errors skip the memo; the solo path reproduces the
-		// error trace and the compile cache makes the retry cheap.
+	if backend == BackendInterpreter {
+		return runFingerprintSoloCtx(ctx, src, top, st, backend)
 	}
-	return runFingerprintSoloCtx(ctx, src, top, st, backend)
+	e := fpClaim(memoKey(src, top, st, nil))
+	if !e.claim() {
+		tr, adopted, err := e.wait(ctx)
+		if err != nil || !adopted {
+			return tr, err
+		}
+		// The previous owner aborted; this caller inherits the claim and
+		// computes the entry itself.
+	}
+	return runFingerprintOwned(ctx, e, src, top, st, backend)
 }
 
-// runFingerprintOwned computes a claimed memo entry's trace solo and then
-// resolves the claim: clean runs and deterministic run errors publish,
-// while cancellation and recovered crashes abort — releasing the claim and
-// waking waiters — so the memo never retains a transient fault.
+// runFingerprintOwned resolves a claimed memo entry: from the persistent
+// store when it holds the trace, else by compiling and running solo. Clean
+// runs and deterministic run errors publish, while cancellation and
+// recovered crashes abort — releasing the claim and waking waiters — so the
+// memo never retains a transient fault. A candidate that does not compile
+// drops its entry: its error trace is neither memoized nor stored.
 func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
-	published := false
+	resolved := false
 	defer func() {
-		if !published {
+		if !resolved {
 			e.abort()
 		}
 	}()
 	// The claim is held, so this is the key's single flight across every
-	// tier: probe the persistent store first and publish a hit without
-	// simulating at all.
-	if tr := storeLookup(ctx, e.key); tr != nil {
-		e.publish(tr)
-		published = true
+	// tier: a store hit publishes without compiling or simulating at all.
+	if tr := lookupClaimed(ctx, e); tr != nil {
+		resolved = true
 		return tr, nil
+	}
+	if _, err := sim.CompileCached(src, top); err != nil {
+		e.drop()
+		resolved = true
+		return runFingerprintSoloCtx(ctx, src, top, st, backend)
 	}
 	tr, err := runFingerprintSoloCtx(ctx, src, top, st, backend)
 	if err != nil {
@@ -1008,7 +1006,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	}
 	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
 		e.publish(tr)
-		published = true
+		resolved = true
 		storePut(ctx, e.key, tr)
 	}
 	return tr, nil

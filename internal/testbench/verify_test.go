@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/verilog/ast"
 )
 
@@ -161,14 +160,10 @@ func TestVerifyGangVerdicts(t *testing.T) {
 			wg.Wait()
 
 			// The verdict-grade entries live under the golden's key only.
-			d, err := sim.CompileCached(srcs[1], "top_module")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fpPeek(fpKey{d: d, st: vst, ref: golden}) == nil {
+			if fpPeek(memoKey(srcs[1], "top_module", vst, golden)) == nil {
 				t.Error("verdict-grade entry missing from the memo")
 			}
-			if fpPeek(fpKey{d: d, st: vst}) != nil {
+			if fpPeek(memoKey(srcs[1], "top_module", vst, nil)) != nil {
 				t.Error("verdict-grade run published under the full-trace key")
 			}
 
