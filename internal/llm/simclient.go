@@ -344,16 +344,15 @@ func (c *SimClient) reasoningText(task eval.Task, tokens int, rng *xrng.Rand) st
 // printModuleSource renders a source unit with the top module replaced by
 // mod (supporting multi-module goldens).
 func printModuleSource(src *ast.Source, mod *ast.Module) string {
-	var b strings.Builder
+	var b []byte
 	for _, m := range src.Modules {
 		if m.Name == mod.Name {
-			b.WriteString(printer.PrintModule(mod))
-		} else {
-			b.WriteString(printer.PrintModule(m))
+			m = mod
 		}
-		b.WriteByte('\n')
+		b = printer.AppendModule(b, m)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // truncateCode produces a syntactically broken completion (the model ran out

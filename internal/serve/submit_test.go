@@ -271,6 +271,44 @@ func TestSubmitBodyLimit413(t *testing.T) {
 	}
 }
 
+// TestDeepCandidateRankedInvalid submits candidates nested 10^6 deep, 2 MB
+// each and within the body limit, which used to overflow the parser's stack
+// and kill the daemon with every job in flight. They now rank as invalid:
+// the job completes with the clusters of its well-formed candidates, and a
+// concurrent well-formed job completes bit-identically.
+func TestDeepCandidateRankedInvalid(t *testing.T) {
+	_, ts, client := newTestServer(t, Config{Workers: 2, QueueCap: 4, RankWorkers: 1})
+	const deep = 1_000_000
+	mk := func(rhs string) string {
+		return "module top_module(\n    input a,\n    input b,\n    output y\n);\n    assign y = " + rhs + ";\nendmodule\n"
+	}
+	hostile := append(gateCandidates(),
+		mk(strings.Repeat("(", deep)+"a"+strings.Repeat(")", deep)),
+		mk(strings.Repeat("~", deep)+"b"))
+	jobs := map[string][]string{"deep": hostile, "good": gateCandidates()}
+	for id, codes := range jobs {
+		if got, resp := submitJob(t, client, ts.URL, SubmitRequest{ID: id, TaskID: gateTaskID, Candidates: codes, Seed: 7}); got == "" {
+			t.Fatalf("%s job rejected: HTTP %d", id, resp.StatusCode)
+		}
+	}
+	want := directClusters(t, 7, gateCandidates())
+	for id := range jobs {
+		evs := streamEvents(t, client, ts.URL, id)
+		if fin := terminal(evs); fin == nil || fin.Status != StatusCompleted {
+			t.Fatalf("%s terminal = %+v, want completed", id, fin)
+		}
+		got := clusterEvents(evs)
+		if len(got) != len(want) {
+			t.Fatalf("%s clusters: %d, want %d", id, len(got), len(want))
+		}
+		for i, cl := range want {
+			if got[i].Fingerprint != fmt.Sprintf("%016x", cl.Fingerprint) || !reflect.DeepEqual(got[i].Members, cl.Members) {
+				t.Fatalf("%s cluster %d = %+v, want %+v", id, i, got[i], cl)
+			}
+		}
+	}
+}
+
 // repeatByte is an endless reader of one byte.
 type repeatByte byte
 

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
 	"testing"
 
+	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
+	"repro/internal/verilog/printer"
 )
 
 // compileMust compiles src for tests.
@@ -391,5 +396,130 @@ func TestDeltaEngineTickZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("delta-compiled engine allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// allocParam is a parameterized design whose processes read scope
+// parameters, so signing them exercises the sorted parameter fold, and whose
+// case arms print inline.
+const allocParam = `
+module top_module (
+    input clk,
+    input [7:0] d,
+    input [1:0] sel,
+    output reg [7:0] q,
+    output [7:0] y
+);
+    parameter W = 8;
+    localparam IDLE = 2'd0;
+    localparam RUN = 2'd1;
+    assign y = (sel == RUN) ? d + W : q ^ {W{1'b1}};
+    always @(posedge clk)
+        case (sel)
+            IDLE: q <= 0;
+            RUN: begin q <= q + d; end
+            default: if (q[0]) q <= d; else q <= ~d;
+        endcase
+endmodule
+`
+
+// TestCanonicalKeyAllocs asserts that keying a fresh AST allocates only the
+// hex key and its memo insert: the source is printed into a pooled buffer
+// and hashed in place, with no printed string and no []byte copy.
+func TestCanonicalKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool and allocation accounting")
+	}
+	const runs = 200
+	srcs := make([]*ast.Source, runs+1)
+	for i := range srcs {
+		src, err := parser.Parse(allocSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = src
+	}
+	sum := sha256.Sum256([]byte(printer.Print(srcs[0])))
+	want := hex.EncodeToString(sum[:])
+	keyMemoMu.Lock()
+	keyMemo = make(map[*ast.Source]string)
+	keyMemoMu.Unlock()
+	CanonicalKey(srcs[0]) // grow the pooled buffer
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if got := CanonicalKey(srcs[i]); got != want {
+			t.Fatalf("CanonicalKey = %s, want %s (SHA-256 of the printed source)", got, want)
+		}
+		i = (i + 1) % len(srcs)
+	})
+	if allocs > 2 {
+		t.Fatalf("keying a fresh AST allocates %.1f objects, want at most 2 (hex key + memo insert)", allocs)
+	}
+}
+
+// refProcSig is the string-building process signature the compiler's
+// buffer-reusing procSig must reproduce bit for bit.
+func refProcSig(p *process) uint64 {
+	scope := func(h uint64, sc *scope) uint64 {
+		if sc == nil {
+			return sigUint(h, 0)
+		}
+		h = sigString(h, sc.prefix)
+		names := make([]string, 0, len(sc.params))
+		for name := range sc.params {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			v := sc.params[name]
+			h = sigString(h, name)
+			h = sigUint(h, uint64(v.Width()))
+			h = sigString(h, v.String())
+		}
+		return h
+	}
+	h := scope(FNVOffset64, p.scope)
+	if p.cont {
+		h = sigUint(h, 1)
+		h = sigString(h, printer.PrintExpr(p.lhs))
+		h = sigString(h, printer.PrintExpr(p.rhs))
+		return scope(h, p.rhsScope)
+	}
+	h = sigUint(h, 2)
+	return sigString(h, printer.PrintStmt(p.body, 0))
+}
+
+// TestProcSigAllocs asserts that signing processes on a warm compiler
+// allocates nothing, and that the signatures equal the string-built ones
+// delta-compiled artifacts were keyed by.
+func TestProcSigAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool and allocation accounting")
+	}
+	var procs []*process
+	for _, src := range []string{allocComb, allocSeq, allocParam} {
+		parsed, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(parsed, "top_module")
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs = append(procs, s.procs...)
+	}
+	c := &compiler{}
+	for _, p := range procs {
+		if got, want := c.procSig(p), refProcSig(p); got != want {
+			t.Fatalf("procSig = %#x, want %#x (string-built reference)", got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range procs {
+			c.procSig(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("procSig on a warm compiler allocates %.1f objects per pass, want 0", allocs)
 	}
 }

@@ -23,12 +23,20 @@ var (
 
 const keyMemoCap = 4096
 
+// keyBufPool recycles the buffers CanonicalKey prints into. Buffers that
+// grew past keyBufMaxPooled are dropped rather than pooled, so one huge
+// candidate cannot pin its print buffer for the life of the process.
+var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const keyBufMaxPooled = 64 << 10
+
 // CanonicalKey returns a canonical content hash of a design: the SHA-256 of
-// its printed source. Two ASTs that print identically — same code modulo the
-// formatting and comments the printer normalizes away — share a key, so
-// duplicate candidates (common under the paper's n-sample generation) can be
-// recognized before any simulation work. ASTs are assumed immutable once
-// handed to the simulator, so the key is memoized per AST.
+// its printed source, hashed straight from a reused print buffer. Two ASTs
+// that print identically — same code modulo the formatting and comments the
+// printer normalizes away — share a key, so duplicate candidates (common
+// under the paper's n-sample generation) can be recognized before any
+// simulation work. ASTs are assumed immutable once handed to the simulator,
+// so the key is memoized per AST.
 func CanonicalKey(src *ast.Source) string {
 	keyMemoMu.Lock()
 	if k, ok := keyMemo[src]; ok {
@@ -36,7 +44,13 @@ func CanonicalKey(src *ast.Source) string {
 		return k
 	}
 	keyMemoMu.Unlock()
-	sum := sha256.Sum256([]byte(printer.Print(src)))
+	bp := keyBufPool.Get().(*[]byte)
+	buf := printer.AppendSource((*bp)[:0], src)
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= keyBufMaxPooled {
+		*bp = buf
+		keyBufPool.Put(bp)
+	}
 	k := hex.EncodeToString(sum[:])
 	keyMemoMu.Lock()
 	if len(keyMemo) >= keyMemoCap {

@@ -34,7 +34,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/verilog/ast"
@@ -222,6 +222,11 @@ type compiler struct {
 	frameWords int32
 	consts     []constPatch
 	forceBoxed bool
+
+	// Scratch reused across procSig calls, so signing a process allocates
+	// nothing once the buffers have grown.
+	sigBuf   []byte
+	sigNames []string
 }
 
 type constPatch struct {
@@ -249,6 +254,15 @@ func sigString(h uint64, s string) uint64 {
 	h = sigUint(h, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * FNVPrime64
+	}
+	return h
+}
+
+// sigBytes is sigString over a byte slice: the two agree on equal contents.
+func sigBytes(h uint64, b []byte) uint64 {
+	h = sigUint(h, uint64(len(b)))
+	for _, c := range b {
+		h = (h ^ uint64(c)) * FNVPrime64
 	}
 	return h
 }
@@ -282,40 +296,46 @@ func layoutSigOf(s *Simulator, forceBoxed bool) uint64 {
 // scopeSig folds a scope's identity and parameter environment: lowering
 // resolves identifiers and elaboration-time constants through it, so a
 // process artifact only transfers between designs whose scopes agree.
-func scopeSig(h uint64, sc *scope) uint64 {
+func (c *compiler) scopeSig(h uint64, sc *scope) uint64 {
 	if sc == nil {
 		return sigUint(h, 0)
 	}
 	h = sigString(h, sc.prefix)
-	names := make([]string, 0, len(sc.params))
+	names := c.sigNames[:0]
 	for name := range sc.params {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		v := sc.params[name]
 		h = sigString(h, name)
 		h = sigUint(h, uint64(v.Width()))
-		h = sigString(h, v.String())
+		c.sigBuf = v.appendBits(c.sigBuf[:0])
+		h = sigBytes(h, c.sigBuf)
 	}
+	c.sigNames = names[:0]
 	return h
 }
 
-// procSigOf canonically hashes one process: its printed body (the printer is
+// procSig canonically hashes one process: its printed body (the printer is
 // a tested normalizer, so formatting differences vanish) plus the scopes and
 // parameters lowering reads. Sensitivity lists are deliberately excluded —
 // they determine fanout, which compileFrom always recomputes per design.
-func procSigOf(p *process) uint64 {
-	h := scopeSig(FNVOffset64, p.scope)
+// The body is printed into the compiler's scratch buffer and hashed there.
+func (c *compiler) procSig(p *process) uint64 {
+	h := c.scopeSig(FNVOffset64, p.scope)
 	if p.cont {
 		h = sigUint(h, 1)
-		h = sigString(h, printer.PrintExpr(p.lhs))
-		h = sigString(h, printer.PrintExpr(p.rhs))
-		h = scopeSig(h, p.rhsScope)
+		c.sigBuf = printer.AppendExpr(c.sigBuf[:0], p.lhs)
+		h = sigBytes(h, c.sigBuf)
+		c.sigBuf = printer.AppendExpr(c.sigBuf[:0], p.rhs)
+		h = sigBytes(h, c.sigBuf)
+		h = c.scopeSig(h, p.rhsScope)
 		return h
 	}
 	h = sigUint(h, 2)
-	return sigString(h, printer.PrintStmt(p.body, 0))
+	c.sigBuf = printer.AppendStmt(c.sigBuf[:0], p.body, 0)
+	return sigBytes(h, c.sigBuf)
 }
 
 func compileFrom(s *Simulator, forceBoxed bool, base *Design) (*Design, error) {
@@ -363,7 +383,7 @@ func compileFrom(s *Simulator, forceBoxed bool, base *Design) (*Design, error) {
 		if p.initialOnly {
 			continue
 		}
-		sig := procSigOf(p)
+		sig := c.procSig(p)
 		k := len(d.procs)
 		var art procArt
 		if canReuse && k < len(base.procArts) &&

@@ -5,7 +5,7 @@ import "repro/internal/verilog/ast"
 // Gang-compat signatures: alpha-renaming-insensitive hashes deciding when two
 // designs can share one lowered gang program (soa.go).
 //
-// The name-sensitive pair used by delta compilation (layoutSigOf, procSigOf)
+// The name-sensitive pair used by delta compilation (layoutSigOf, procSig)
 // is the wrong sharing key for ranking gangs: LLM candidates habitually
 // rename internal registers (hist vs hist_r vs hist_v) while keeping the
 // circuit identical, and a renamed process prints differently even though it
@@ -28,7 +28,7 @@ import "repro/internal/verilog/ast"
 // width/LSB then come from the layout signature), literal values (numbers
 // fold by value, so 4'd15 and 4'b1111 hash equal, matching numberValue), and
 // assignment/case/select kinds. Sensitivity lists are deliberately excluded,
-// exactly as in procSigOf: activation is per-lane through each lane's own
+// exactly as in procSig: activation is per-lane through each lane's own
 // fanout tables, so only the executed body must agree.
 
 // Node tags folded ahead of each node so that different shapes cannot collide

@@ -203,14 +203,17 @@ func (v Value) Equal(o Value) bool {
 
 // String renders the value as a binary literal, e.g. "4'b10x1".
 func (v Value) String() string {
-	prefix := strconv.Itoa(v.width)
-	out := make([]byte, 0, len(prefix)+2+v.width)
-	out = append(out, prefix...)
-	out = append(out, '\'', 'b')
+	return string(v.appendBits(make([]byte, 0, 12+v.width)))
+}
+
+// appendBits appends the String form of v to dst.
+func (v Value) appendBits(dst []byte) []byte {
+	dst = strconv.AppendInt(dst, int64(v.width), 10)
+	dst = append(dst, '\'', 'b')
 	for i := v.width - 1; i >= 0; i-- {
-		out = append(out, v.Bit(i))
+		dst = append(dst, v.Bit(i))
 	}
-	return string(out)
+	return dst
 }
 
 // Bool3 is the three-valued truth of the value: (true, known) if any bit is

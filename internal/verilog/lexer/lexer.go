@@ -351,16 +351,3 @@ func (l *Lexer) lexNumber(pos token.Pos) token.Token {
 	}
 	return token.Token{Kind: token.Number, Text: l.src[start:l.off], Pos: pos}
 }
-
-// All tokenizes the whole input, returning every token up to and including
-// the first EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}

@@ -152,9 +152,17 @@ func TestEOFForever(t *testing.T) {
 	}
 }
 
-func TestAllIncludesEOF(t *testing.T) {
-	toks := New("a b").All()
-	if len(toks) != 3 || toks[2].Kind != token.EOF {
-		t.Fatalf("All = %v", toks)
+func TestNextEndsWithEOF(t *testing.T) {
+	l := New("a b")
+	var kinds []token.Kind
+	for {
+		tok := l.Next()
+		kinds = append(kinds, tok.Kind)
+		if tok.Kind == token.EOF || len(kinds) > 3 {
+			break
+		}
+	}
+	if len(kinds) != 3 || kinds[0] != token.Ident || kinds[1] != token.Ident || kinds[2] != token.EOF {
+		t.Fatalf("Next sequence = %v, want [Ident Ident EOF]", kinds)
 	}
 }

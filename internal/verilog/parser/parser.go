@@ -54,20 +54,54 @@ func (l ErrorList) Is(target error) bool { return target == ErrSyntax }
 
 const maxErrors = 20
 
+// maxDepth bounds expression and statement nesting. Every recursive walk
+// after the parser (printer, sem, canonical key, compiler, eval) recurses
+// along the tree the parser built, so this one limit keeps all of them off
+// a hostile input's stack.
+const maxDepth = 1024
+
 type parser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	lx     *lexer.Lexer
+	tok    token.Token // current token; the parser needs one of lookahead
+	depth  int
+	halted bool
+	errs   ErrorList
 }
 
 // Parse parses a full compilation unit (one or more modules).
 func Parse(src string) (*ast.Source, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	p := &parser{toks: toks}
-	for _, le := range lx.Errors() {
+	p := newParser(src, nil)
+	out := p.parseSource()
+	// Lexical errors lead the error list and count against its budget, but
+	// the parser pulls tokens lazily and cannot know them up front. Drain
+	// the lexer; if it reported any, parse again with all of them seeded.
+	// The token stream is the same, so the second pass is exactly the
+	// parse an up-front lexer would have produced.
+	for p.lx.Next().Kind != token.EOF {
+	}
+	if lerrs := p.lx.Errors(); len(lerrs) > 0 {
+		p = newParser(src, lerrs)
+		out = p.parseSource()
+	}
+	if len(p.errs) > 0 {
+		return out, fmt.Errorf("%w: %w", ErrSyntax, p.errs)
+	}
+	if len(out.Modules) == 0 {
+		return out, fmt.Errorf("%w: no module found", ErrSyntax)
+	}
+	return out, nil
+}
+
+func newParser(src string, lerrs []*lexer.Error) *parser {
+	p := &parser{lx: lexer.New(src)}
+	for _, le := range lerrs {
 		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
 	}
+	p.tok = p.lx.Next()
+	return p
+}
+
+func (p *parser) parseSource() *ast.Source {
 	out := &ast.Source{}
 	for !p.at(token.EOF) && len(p.errs) < maxErrors {
 		m := p.parseModule()
@@ -76,13 +110,7 @@ func Parse(src string) (*ast.Source, error) {
 		}
 		out.Modules = append(out.Modules, m)
 	}
-	if len(p.errs) > 0 {
-		return out, fmt.Errorf("%w: %s", ErrSyntax, p.errs.Error())
-	}
-	if len(out.Modules) == 0 {
-		return out, fmt.Errorf("%w: no module found", ErrSyntax)
-	}
-	return out, nil
+	return out
 }
 
 // ParseModule parses a source expected to contain exactly one module and
@@ -95,21 +123,36 @@ func ParseModule(src string) (*ast.Module, error) {
 	return s.Modules[0], nil
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.pos] }
-func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
+func (p *parser) cur() token.Token     { return p.tok }
+func (p *parser) at(k token.Kind) bool { return p.tok.Kind == k }
 
 func (p *parser) next() token.Token {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.tok = p.lx.Next()
 	}
 	return t
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
-	if len(p.errs) < maxErrors {
+	if !p.halted && len(p.errs) < maxErrors {
 		p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	}
+}
+
+// deeper opens one nesting level; the caller closes it with p.depth--.
+// Past maxDepth it records the error and halts the parse instead: the
+// current token becomes EOF, so every enclosing loop ends, and the errors
+// the unwinding would report are dropped.
+func (p *parser) deeper() bool {
+	if p.depth < maxDepth {
+		p.depth++
+		return true
+	}
+	p.errorf(p.tok.Pos, "nesting deeper than %d levels", maxDepth)
+	p.halted = true
+	p.tok = token.Token{Kind: token.EOF, Pos: p.tok.Pos}
+	return false
 }
 
 // expect consumes a token of kind k or records an error.
@@ -412,14 +455,14 @@ func (p *parser) parseConnList() []ast.PortConn {
 
 func (p *parser) parseStmt() ast.Stmt {
 	switch p.cur().Kind {
-	case token.KwBegin:
-		return p.parseBlock()
-	case token.KwIf:
-		return p.parseIf()
-	case token.KwCase, token.KwCasez, token.KwCasex:
-		return p.parseCase()
-	case token.KwFor:
-		return p.parseFor()
+	case token.KwBegin, token.KwIf, token.KwCase, token.KwCasez, token.KwCasex, token.KwFor:
+		// Compound statements nest: each opens one level.
+		if !p.deeper() {
+			return &ast.Block{BeginPos: p.tok.Pos}
+		}
+		s := p.parseCompound()
+		p.depth--
+		return s
 	case token.Ident, token.LBrace:
 		return p.parseAssignStmt()
 	case token.Semi:
@@ -432,6 +475,19 @@ func (p *parser) parseStmt() ast.Stmt {
 		p.syncTo(token.Semi, token.KwEnd, token.KwEndmodule)
 		p.accept(token.Semi)
 		return &ast.Block{BeginPos: p.cur().Pos}
+	}
+}
+
+func (p *parser) parseCompound() ast.Stmt {
+	switch p.cur().Kind {
+	case token.KwBegin:
+		return p.parseBlock()
+	case token.KwIf:
+		return p.parseIf()
+	case token.KwFor:
+		return p.parseFor()
+	default:
+		return p.parseCase()
 	}
 }
 
@@ -547,6 +603,9 @@ func (p *parser) parseAssignStmt() ast.Stmt {
 func (p *parser) parseLValue() ast.Expr {
 	if p.at(token.LBrace) {
 		tok := p.next()
+		if !p.deeper() {
+			return placeholder(tok.Pos)
+		}
 		c := &ast.Concat{LbPos: tok.Pos}
 		for {
 			c.Parts = append(c.Parts, p.parseLValue())
@@ -554,6 +613,7 @@ func (p *parser) parseLValue() ast.Expr {
 				break
 			}
 		}
+		p.depth--
 		p.expect(token.RBrace)
 		return c
 	}
@@ -627,9 +687,13 @@ func (p *parser) parseTernary() ast.Expr {
 	if !p.accept(token.Question) {
 		return cond
 	}
+	if !p.deeper() {
+		return cond
+	}
 	then := p.parseTernary()
 	p.expect(token.Colon)
 	els := p.parseTernary()
+	p.depth--
 	return &ast.Ternary{Cond: cond, Then: then, Else: els}
 }
 
@@ -674,7 +738,11 @@ func (p *parser) parseUnary() ast.Expr {
 		return p.parseSelects(p.parsePrimary())
 	}
 	p.next()
+	if !p.deeper() {
+		return placeholder(pos)
+	}
 	x := p.parseUnary()
+	p.depth--
 	return &ast.Unary{OpPos: pos, Op: op, X: x}
 }
 
@@ -682,6 +750,9 @@ func (p *parser) parseUnary() ast.Expr {
 func (p *parser) parseSelects(e ast.Expr) ast.Expr {
 	for p.at(token.LBrack) {
 		p.next()
+		if !p.deeper() {
+			return e
+		}
 		first := p.parseExpr()
 		switch p.cur().Kind {
 		case token.Colon:
@@ -699,6 +770,7 @@ func (p *parser) parseSelects(e ast.Expr) ast.Expr {
 		default:
 			e = &ast.Index{X: e, Idx: first}
 		}
+		p.depth--
 		p.expect(token.RBrack)
 	}
 	return e
@@ -721,7 +793,11 @@ func (p *parser) parsePrimary() ast.Expr {
 		return n
 	case token.LParen:
 		p.next()
+		if !p.deeper() {
+			return placeholder(tok.Pos)
+		}
 		e := p.parseExpr()
+		p.depth--
 		p.expect(token.RParen)
 		return p.parseSelects(e)
 	case token.LBrace:
@@ -741,17 +817,26 @@ func (p *parser) parsePrimary() ast.Expr {
 				p.next()
 			}
 		}
-		return &ast.Number{LitPos: tok.Pos, Text: "0", Width: -1, Val: []uint64{0}, XZ: []uint64{0}}
+		return placeholder(tok.Pos)
 	default:
 		p.errorf(tok.Pos, "unexpected token %s in expression", tok)
 		p.next()
-		return &ast.Number{LitPos: tok.Pos, Text: "0", Width: -1, Val: []uint64{0}, XZ: []uint64{0}}
+		return placeholder(tok.Pos)
 	}
+}
+
+// placeholder stands in for an expression that failed to parse.
+func placeholder(pos token.Pos) ast.Expr {
+	return &ast.Number{LitPos: pos, Text: "0", Width: -1, Val: []uint64{0}, XZ: []uint64{0}}
 }
 
 // parseConcatOrRepl parses {a, b} or {n{v}}.
 func (p *parser) parseConcatOrRepl() ast.Expr {
 	lb := p.expect(token.LBrace)
+	if !p.deeper() {
+		return placeholder(lb.Pos)
+	}
+	defer func() { p.depth-- }()
 	first := p.parseExpr()
 	if p.at(token.LBrace) {
 		// Replication: {count {value}}.

@@ -318,10 +318,68 @@ func TestErrorListBounded(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	var list ErrorList
-	if errors.As(err, &list) {
-		if len(list) > maxErrors {
-			t.Errorf("error list has %d entries, cap is %d", len(list), maxErrors)
-		}
+	if !errors.As(err, &list) {
+		t.Fatalf("Parse error %v does not carry its ErrorList", err)
+	}
+	if len(list) == 0 || len(list) > maxErrors {
+		t.Errorf("error list has %d entries, want 1..%d", len(list), maxErrors)
+	}
+}
+
+// TestParseErrorsLexicalFirst pins the error text: lexical errors lead the
+// list and count against its budget, wherever in the source they occur and
+// however early the parser stops. The expected strings were produced by the
+// parser that lexed the whole source before parsing.
+func TestParseErrorsLexicalFirst(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+		n               int // entries in the ErrorList
+	}{
+		{
+			name: "lexical error after the parser stops",
+			src:  "wire w;\nmodule m(input a); assign y = a ` b; endmodule\n",
+			want: "verilog syntax error: 2:33: unexpected character \"`\"; 1:1: expected 'module', found wire",
+			n:    2,
+		},
+		{
+			name: "25 lexical errors",
+			src:  "module m(input a);\n" + strings.Repeat("` ", 25) + "\nendmodule\n",
+			want: "verilog syntax error: 2:1: unexpected character \"`\"; 2:3: unexpected character \"`\"; 2:5: unexpected character \"`\"; and 22 more",
+			n:    25,
+		},
+		{
+			name: "unterminated block comment at EOF",
+			src:  "module m(input a, output y);\n    assign y = a;\nendmodule\n/* never closed",
+			want: "verilog syntax error: 4:1: unterminated block comment",
+			n:    1,
+		},
+		{
+			name: "lexical error in a second module after the first failed",
+			src:  "module a(input x); assign = ; endmodule\nmodule b(input y); wire w = y ` 1; endmodule\n",
+			want: "verilog syntax error: 2:31: unexpected character \"`\"; 1:27: unexpected token = in expression; 1:29: expected =, found ;; and 4 more",
+			n:    7,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(tc.src)
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			if got := err.Error(); got != tc.want {
+				t.Errorf("error text\n got: %s\nwant: %s", got, tc.want)
+			}
+			if !errors.Is(err, ErrSyntax) {
+				t.Error("error does not wrap ErrSyntax")
+			}
+			var list ErrorList
+			if !errors.As(err, &list) {
+				t.Fatal("error does not carry its ErrorList")
+			}
+			if len(list) != tc.n {
+				t.Errorf("ErrorList has %d entries, want %d", len(list), tc.n)
+			}
+		})
 	}
 }
 
@@ -329,5 +387,38 @@ func TestEmptySensitivityRejected(t *testing.T) {
 	_, err := Parse("module m (input a, output reg y); always y = a; endmodule")
 	if err == nil {
 		t.Error("always without @ must be rejected")
+	}
+}
+
+// TestParseNestingBound checks every nesting construct at the bound (parses)
+// and one past it (a syntax error naming the bound).
+func TestParseNestingBound(t *testing.T) {
+	rep := strings.Repeat
+	assign := func(rhs string) string {
+		return "module m(input [7:0] a, output y); assign y = " + rhs + "; endmodule"
+	}
+	always := func(body string) string {
+		return "module m(input a, output reg y); always @* " + body + " endmodule"
+	}
+	cases := map[string]func(n int) string{
+		"parens":  func(n int) string { return assign(rep("(", n) + "a" + rep(")", n)) },
+		"concat":  func(n int) string { return assign(rep("{", n) + "a" + rep("}", n)) },
+		"unary":   func(n int) string { return assign(rep("~", n) + "a") },
+		"ternary": func(n int) string { return assign(rep("a ? ", n) + "a" + rep(" : a", n)) },
+		"select":  func(n int) string { return assign(rep("a[", n) + "0" + rep("]", n)) },
+		"begin":   func(n int) string { return always(rep("begin ", n) + "y = a;" + rep(" end", n)) },
+		"if":      func(n int) string { return always(rep("if (a) ", n) + "y = a;") },
+		"lvalue":  func(n int) string { return always(rep("{", n) + "y" + rep("}", n) + " = a;") },
+	}
+	for name, gen := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Parse(gen(maxDepth)); err != nil {
+				t.Fatalf("nesting %d deep: %v", maxDepth, err)
+			}
+			_, err := Parse(gen(maxDepth + 1))
+			if !errors.Is(err, ErrSyntax) || !strings.Contains(err.Error(), "nesting deeper than 1024 levels") {
+				t.Fatalf("nesting %d deep: error %v, want the nesting bound", maxDepth+1, err)
+			}
+		})
 	}
 }
