@@ -321,7 +321,7 @@ func (p *Pipeline) sleep(d time.Duration) {
 // generation is deterministic), and parsing is a measurable slice of a
 // pipeline run. Parsed ASTs are treated as immutable everywhere downstream,
 // so sharing them across candidates is safe — and makes the simulator's
-// pointer-keyed canonical-hash memo more effective. Cleared wholesale at the
+// pointer-keyed design-key memo more effective. Cleared wholesale at the
 // cap so it stays bounded.
 var (
 	validateMu   sync.Mutex
@@ -355,7 +355,7 @@ func validate(code string) (*ast.Source, bool) {
 	v := validated{}
 	// ParseCached shares one AST per distinct text with the oracle and the
 	// simulated clients, which also concentrates the simulator's
-	// pointer-keyed canonical-hash memo.
+	// pointer-keyed design-key memo.
 	if src, err := eval.ParseCached(code); err == nil &&
 		src.FindModule(eval.TopModule) != nil && !sem.Check(src).HasErrors() {
 		v = validated{src: src, ok: true}

@@ -53,7 +53,8 @@ type RankPoolResult struct {
 	// size and sorted by (Score desc, Fingerprint asc); Members hold
 	// indices into srcs.
 	Clusters []Cluster
-	// UniqueJobs is the number of canonically distinct designs simulated.
+	// UniqueJobs is the number of behaviourally distinct designs (distinct
+	// sim.NormalKey) in the pool.
 	UniqueJobs int
 }
 
@@ -64,7 +65,7 @@ type RankPoolResult struct {
 // a nil entry marks an ineligible candidate (invalid, filtered) that takes
 // no part in simulation or clustering but keeps indices aligned.
 //
-// Canonically identical candidates share one simulation; unique designs run
+// Candidates with one sim.NormalKey share one simulation; unique designs run
 // gang-batched on a Workers-bounded pool. Results are bit-identical for any
 // worker count and gang size.
 //
@@ -76,7 +77,8 @@ type RankPoolResult struct {
 // to that candidate's trace error; a panic outside the per-candidate
 // recovery errors only its own batch. Neither kills the calling process.
 func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, cfg RankPoolConfig) (*RankPoolResult, error) {
-	// Pass 1: dedup canonically identical candidates, first-seen order.
+	// Pass 1: dedup behaviourally identical candidates — one NormalKey, so
+	// cosmetic variants collapse — in first-seen order.
 	jobOf := make([]int, len(srcs))
 	jobIdx := make(map[string]int, len(srcs))
 	jobs := make([]*ast.Source, 0, len(srcs))
@@ -84,7 +86,7 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 		if src == nil {
 			continue
 		}
-		key := sim.CanonicalKey(src)
+		key := sim.NormalKey(src)
 		j, dup := jobIdx[key]
 		if !dup {
 			j = len(jobs)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/eval"
@@ -146,5 +147,68 @@ func TestStaleFixtureDetected(t *testing.T) {
 	defer rep.Close()
 	if _, err := rep.Generate(ctx, testGenReq(tk, 0)); err == nil {
 		t.Fatal("replay served a stale fixture")
+	}
+}
+
+// TestStampedeNoReLead drives many short stampedes in replay mode, where an
+// attempt is a fast fixture read, so a caller that misses the cache can
+// reach the flight table just as the leader finishes. Each round releases
+// 16 callers on a fresh request through one start barrier and must cost
+// exactly one wire request: the leader caches and leaves the flight table
+// in one step, and a late caller re-checks the cache before leading.
+func TestStampedeNoReLead(t *testing.T) {
+	const rounds, callers = 200, 16
+	tk := eval.Suite()[0]
+	dir := t.TempDir()
+	ctx := context.Background()
+	rec, err := New("deepseek-r1", 1, Options{
+		Mode:       ModeRecord,
+		FixtureDir: dir,
+		Tasks:      eval.Suite()[:1],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the samples that recorded a completion: a recorded transient
+	// replays as a transient, which the retry loop re-reads.
+	var samples []int
+	for sample := 0; len(samples) < rounds; sample++ {
+		if _, err := rec.Generate(ctx, testGenReq(tk, sample)); err == nil {
+			samples = append(samples, sample)
+		} else if !errors.Is(err, llm.ErrTransient) {
+			t.Fatalf("record sample %d: %v", sample, err)
+		}
+	}
+	rec.Close()
+
+	rep, err := New("deepseek-r1", 1, Options{Mode: ModeReplay, FixtureDir: dir, Transport: dialBomb{t}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	for round, sample := range samples {
+		before := rep.ReadStats().WireRequests
+		req := testGenReq(tk, sample)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]error, callers)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[g] = rep.Generate(ctx, req)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d caller %d: %v", round, g, err)
+			}
+		}
+		if got := rep.ReadStats().WireRequests - before; got != 1 {
+			t.Fatalf("round %d (sample %d): %d wire requests for %d callers, want exactly 1", round, sample, got, callers)
+		}
 	}
 }

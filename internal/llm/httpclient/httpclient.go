@@ -286,17 +286,25 @@ func (c *Client) do(ctx context.Context, wr wireRequest) (*wireResponse, error) 
 			}
 			return call.resp, call.err
 		}
+		// A leader caches its response and leaves the flight table in one
+		// critical section, so a caller that missed the cache before that
+		// finds the response here instead of leading a second flight.
+		if resp := c.cache.get(hash); resp != nil {
+			c.mu.Unlock()
+			c.stats.coalesced.Add(1)
+			return resp, nil
+		}
 		call := &flightCall{done: make(chan struct{})}
 		c.inflight[hash] = call
 		c.mu.Unlock()
 
 		resp, err := c.attemptLoop(ctx, wr.VFocus.Op, hash, body)
 		c.mu.Lock()
-		delete(c.inflight, hash)
-		c.mu.Unlock()
 		if err == nil && resp != nil {
 			c.cache.put(hash, resp)
 		}
+		delete(c.inflight, hash)
+		c.mu.Unlock()
 		// A result caused by this caller's own cancellation must not be
 		// published to waiters with live contexts.
 		call.resp, call.err = resp, err

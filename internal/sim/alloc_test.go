@@ -442,7 +442,7 @@ func TestCanonicalKeyAllocs(t *testing.T) {
 	sum := sha256.Sum256([]byte(printer.Print(srcs[0])))
 	want := hex.EncodeToString(sum[:])
 	keyMemoMu.Lock()
-	keyMemo = make(map[*ast.Source]string)
+	keyMemo = make(map[*ast.Source]designKeys)
 	keyMemoMu.Unlock()
 	CanonicalKey(srcs[0]) // grow the pooled buffer
 	i := 0
@@ -454,6 +454,51 @@ func TestCanonicalKeyAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("keying a fresh AST allocates %.1f objects, want at most 2 (hex key + memo insert)", allocs)
+	}
+}
+
+// TestNormalKeyAllocs holds NormalKey to CanonicalKey's budget: keying a
+// fresh AST allocates only the hex key and its memo insert — the normal form
+// prints into a pooled buffer with pooled rename scratch and orders
+// commutative operands in place — and a memo hit allocates nothing, also
+// when the AST's CanonicalKey shares the entry.
+func TestNormalKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool and allocation accounting")
+	}
+	const runs = 200
+	srcs := make([]*ast.Source, runs+1)
+	for i := range srcs {
+		src, err := parser.Parse(allocSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = src
+	}
+	keyMemoMu.Lock()
+	keyMemo = make(map[*ast.Source]designKeys)
+	keyMemoMu.Unlock()
+	want := NormalKey(srcs[0]) // also grows the pooled buffer and scratch
+	if want == CanonicalKey(srcs[0]) {
+		t.Fatal("NormalKey equals CanonicalKey: the domain tag is missing")
+	}
+	i := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		if got := NormalKey(srcs[i]); got != want {
+			t.Fatalf("NormalKey of a fresh parse = %s, want %s", got, want)
+		}
+		i = (i + 1) % len(srcs)
+	})
+	if allocs > 2 {
+		t.Fatalf("keying a fresh AST allocates %.1f objects, want at most 2 (hex key + memo insert)", allocs)
+	}
+	hits := testing.AllocsPerRun(runs, func() {
+		if NormalKey(srcs[0]) != want {
+			t.Fatal("memoized NormalKey changed")
+		}
+	})
+	if hits != 0 {
+		t.Fatalf("a NormalKey memo hit allocates %.1f objects, want 0", hits)
 	}
 }
 

@@ -11,41 +11,76 @@ import (
 	"repro/internal/verilog/printer"
 )
 
-// canonicalKeyMemo caches CanonicalKey by AST identity: printing a design is
+// keyMemo caches both design keys by AST identity: printing a design is
 // comparable in cost to compiling it, and the same parsed candidate is keyed
-// several times per pipeline run (dedup, ranking, refinement checks). The
-// memo is cleared wholesale when it exceeds its cap so it cannot pin an
-// unbounded number of ASTs against the garbage collector.
+// several times per pipeline run (dedup, ranking, refinement checks). Each
+// entry holds whichever of the two keys have been asked for. The memo is
+// cleared wholesale when it exceeds its cap so it cannot pin an unbounded
+// number of ASTs against the garbage collector.
 var (
 	keyMemoMu sync.Mutex
-	keyMemo   = make(map[*ast.Source]string)
+	keyMemo   = make(map[*ast.Source]designKeys)
 )
+
+// designKeys is one keyMemo entry; an empty field is not computed yet.
+type designKeys struct {
+	canon  string // CanonicalKey
+	normal string // NormalKey
+}
 
 const keyMemoCap = 4096
 
-// keyBufPool recycles the buffers CanonicalKey prints into. Buffers that
-// grew past keyBufMaxPooled are dropped rather than pooled, so one huge
-// candidate cannot pin its print buffer for the life of the process.
+// keyBufPool recycles the buffers the keys print into. Buffers that grew
+// past keyBufMaxPooled are dropped rather than pooled, so one huge candidate
+// cannot pin its print buffer for the life of the process.
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const keyBufMaxPooled = 64 << 10
 
+// normalKeyTag opens every NormalKey preimage. A printed source is empty or
+// starts with "module", never with the tag, so no NormalKey equals a
+// CanonicalKey, and results stored under the older text-keyed scheme are
+// never found by it.
+const normalKeyTag = "vfocus-normal-v1\x00"
+
 // CanonicalKey returns a canonical content hash of a design: the SHA-256 of
 // its printed source, hashed straight from a reused print buffer. Two ASTs
 // that print identically — same code modulo the formatting and comments the
-// printer normalizes away — share a key, so duplicate candidates (common
-// under the paper's n-sample generation) can be recognized before any
-// simulation work. ASTs are assumed immutable once handed to the simulator,
-// so the key is memoized per AST.
+// printer normalizes away — share a key. It is the compile cache's key: a
+// compiled Design carries its source's own net names (VCD dumps, name
+// lookups), so only textually equal designs may share one. ASTs are assumed
+// immutable once handed to the simulator, so the key is memoized per AST.
 func CanonicalKey(src *ast.Source) string {
+	return designKey(src, false)
+}
+
+// NormalKey returns the behavioural identity of a design: the SHA-256 of
+// its normal form (printer.AppendNormal) under a domain tag. Cosmetic
+// variants — internal nets renamed, sized literals re-based, operands of
+// +, &, | and ^ swapped — share a NormalKey, and a design's fingerprint is a
+// function of it: the fingerprint memo, the persistent store and the
+// ranking dedup key on it, so a variant whose normal form is already
+// answered is neither compiled nor simulated. Memoized per AST beside
+// CanonicalKey.
+func NormalKey(src *ast.Source) string {
+	return designKey(src, true)
+}
+
+// designKey returns src's normal or canonical key through keyMemo.
+func designKey(src *ast.Source, normal bool) string {
 	keyMemoMu.Lock()
-	if k, ok := keyMemo[src]; ok {
-		keyMemoMu.Unlock()
+	ks := keyMemo[src]
+	keyMemoMu.Unlock()
+	if k := ks.get(normal); k != "" {
 		return k
 	}
-	keyMemoMu.Unlock()
 	bp := keyBufPool.Get().(*[]byte)
-	buf := printer.AppendSource((*bp)[:0], src)
+	var buf []byte
+	if normal {
+		buf = printer.AppendNormal(append((*bp)[:0], normalKeyTag...), src)
+	} else {
+		buf = printer.AppendSource((*bp)[:0], src)
+	}
 	sum := sha256.Sum256(buf)
 	if cap(buf) <= keyBufMaxPooled {
 		*bp = buf
@@ -54,22 +89,35 @@ func CanonicalKey(src *ast.Source) string {
 	k := hex.EncodeToString(sum[:])
 	keyMemoMu.Lock()
 	if len(keyMemo) >= keyMemoCap {
-		keyMemo = make(map[*ast.Source]string, keyMemoCap)
+		keyMemo = make(map[*ast.Source]designKeys, keyMemoCap)
 	}
-	keyMemo[src] = k
+	ks = keyMemo[src] // the other key may have landed meanwhile
+	if normal {
+		ks.normal = k
+	} else {
+		ks.canon = k
+	}
+	keyMemo[src] = ks
 	keyMemoMu.Unlock()
 	return k
 }
 
-// ContentHash folds a design's compile-cache identity — its CanonicalKey and
-// top module — into the single hex digest that addresses it in the
-// persistent fingerprint store. It needs no compiled design: a store hit is
-// answered before the candidate is compiled. Delta-compiled and
+func (ks designKeys) get(normal bool) string {
+	if normal {
+		return ks.normal
+	}
+	return ks.canon
+}
+
+// ContentHash folds a design key — the fingerprint memo's NormalKey — and
+// the top module into the single hex digest that addresses the design in
+// the persistent fingerprint store. It needs no compiled design: a store hit
+// is answered before the candidate is compiled. Delta-compiled and
 // fresh-compiled designs of one source share it, which is exactly right: the
 // gang equivalence gates hold their fingerprints bit-identical.
-func ContentHash(canonKey, top string) string {
+func ContentHash(key, top string) string {
 	h := sha256.New()
-	h.Write([]byte(canonKey))
+	h.Write([]byte(key))
 	h.Write([]byte{0})
 	h.Write([]byte(top))
 	return hex.EncodeToString(h.Sum(nil))

@@ -38,7 +38,6 @@
 package sim
 
 import (
-	"os"
 	"sync"
 )
 
@@ -522,20 +521,6 @@ func (sg *SoAGang) seal() {
 		}
 	}
 
-	if soaSealDebug {
-		sh, so := 0, 0
-		for i := range sg.lanes {
-			for _, c := range sg.lanes[i].class {
-				if c >= 0 {
-					sh++
-				} else {
-					so++
-				}
-			}
-		}
-		println("soa seal: lanes", n, "leaders", len(sg.live), "classes", len(sg.classes),
-			"programs", len(sg.progs), "shared", sh, "solo", so)
-	}
 	sg.touched = sg.touched[:0]
 	sg.iters = growI32(sg.iters, n)
 	if cap(sg.batches) < n {
@@ -884,5 +869,3 @@ func (sg *SoAGang) Close() {
 	sg.live = sg.live[:0]
 	soaGangPool.Put(sg)
 }
-
-var soaSealDebug = os.Getenv("SOA_SEAL_DEBUG") != ""

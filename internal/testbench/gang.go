@@ -16,16 +16,19 @@ import (
 //
 // A compiled fingerprint run is a pure function of (design content,
 // Stimulus): the design fixes behavior, the stimulus fixes drives, and
-// FPTrace records nothing else. The memo keys the design by content — the
-// candidate's sim.CanonicalKey and top module, the same identity the compile
-// cache uses — so a lookup needs no compiled design: memo and store hits are
-// answered before the candidate is compiled, and an entry outlives the
-// compile-cache eviction of its design. Identical pairs recur constantly —
-// the same candidate ranked under three pipeline variants, verified against
-// the same dense stimulus across runs, re-simulated per bench iteration. The
-// memo is single-flight (claim/publish/wait) so concurrent gangs and solo
-// runs never duplicate a run, and LRU-bounded with in-flight entries pinned,
-// following the discipline of the compile and bind caches.
+// FPTrace records nothing else. The memo keys the design by behaviour — the
+// candidate's sim.NormalKey and top module — so a lookup needs no compiled
+// design: memo and store hits are answered before the candidate is
+// compiled, an entry outlives the compile-cache eviction of its design, and
+// cosmetic variants (renamed internal nets, re-based literals, swapped
+// commutative operands) share one entry. FPTrace hashes only output ports,
+// so a variant's trace is its representative's. Identical pairs recur
+// constantly — the same candidate ranked under three pipeline variants,
+// verified against the same dense stimulus across runs, re-simulated per
+// bench iteration. The memo is single-flight (claim/publish/wait) so
+// concurrent gangs and solo runs never duplicate a run, and LRU-bounded
+// with in-flight entries pinned, following the discipline of the compile
+// and bind caches.
 //
 // Verification runs are verdict-grade: a lane stops at the first case whose
 // fingerprint differs from the golden's, so its trace is a prefix that
@@ -33,15 +36,15 @@ import (
 // golden in their key (ref); full-trace entries have ref == nil.
 
 type fpKey struct {
-	canon string // sim.CanonicalKey of the candidate source
-	top   string
-	st    *Stimulus
-	ref   *FPTrace // golden a verdict-grade run is cut against; nil: full trace
+	design string // sim.NormalKey of the candidate source
+	top    string
+	st     *Stimulus
+	ref    *FPTrace // golden a verdict-grade run is cut against; nil: full trace
 }
 
 // memoKey is the memo key of src's run under st (ref as in fpKey).
 func memoKey(src *ast.Source, top string, st *Stimulus, ref *FPTrace) fpKey {
-	return fpKey{canon: sim.CanonicalKey(src), top: top, st: st, ref: ref}
+	return fpKey{design: sim.NormalKey(src), top: top, st: st, ref: ref}
 }
 
 // fpEntry is one single-flight memo slot. claim marks the caller as the

@@ -180,20 +180,20 @@ func (st *Stimulus) contentHash() string {
 
 // storeKeyFor derives the persistent-store key for a memo key, or ok=false
 // when either side has no content address (no source key, irregular
-// stimulus). The design half is sim.ContentHash of the memo key's canonical
-// source key and top module. A verdict-grade key's schedule hash is the
+// stimulus). The design half is sim.ContentHash of the memo key's normal
+// design key and top module. A verdict-grade key's schedule hash is the
 // stimulus hash re-hashed with SHA-256 over the golden's case fingerprints:
 // a prefix cut against one golden must never answer for another, even when
 // two tasks share an interface and therefore a stimulus.
 func storeKeyFor(k fpKey) (resultstore.Key, bool) {
-	if k.canon == "" {
+	if k.design == "" {
 		return resultstore.Key{}, false
 	}
 	sh := k.st.contentHash()
 	if sh == "" {
 		return resultstore.Key{}, false
 	}
-	dh := sim.ContentHash(k.canon, k.top)
+	dh := sim.ContentHash(k.design, k.top)
 	if k.ref != nil {
 		h := sha256.New()
 		h.Write([]byte("vfocus-verdict-v1\x00"))

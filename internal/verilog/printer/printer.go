@@ -3,8 +3,9 @@
 // code, and round-tripping through the parser is covered by tests.
 //
 // The Append* functions append to a caller's buffer, so hot callers (the
-// canonical key, process signatures) can reuse one buffer and never build a
-// string; the Print* functions are their string-returning conveniences.
+// canonical and normal keys, process signatures) can reuse one buffer and
+// never build a string; the Print* functions are their string-returning
+// conveniences. AppendNormal prints the normal form design keys hash.
 package printer
 
 import (
@@ -57,7 +58,8 @@ func AppendStmt(dst []byte, s ast.Stmt, depth int) []byte {
 }
 
 type printer struct {
-	b []byte
+	b    []byte
+	norm *normScope // non-nil while printing a normal form (AppendNormal)
 }
 
 func (p *printer) str(s string) { p.b = append(p.b, s...) }
@@ -127,7 +129,7 @@ func (p *printer) item(item ast.Item) {
 			if i > 0 {
 				p.str(", ")
 			}
-			p.str(name)
+			p.name(name)
 			if i < len(it.Init) && it.Init[i] != nil {
 				p.str(" = ")
 				p.expr(it.Init[i], 0)
@@ -399,14 +401,20 @@ func (p *printer) expr(e ast.Expr, parentPrec int) {
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
-		p.str(x.Name)
+		p.name(x.Name)
 	case *ast.Number:
-		p.str(x.Text)
+		if p.norm == nil || !p.normNumber(x) {
+			p.str(x.Text)
+		}
 	case *ast.Unary:
 		p.str(x.Op.String())
 		// Parenthesize nested unary/binary operands of reductions for clarity.
 		p.expr(x.X, 11+1)
 	case *ast.Binary:
+		if p.norm != nil && commutative(x.Op) {
+			p.normCommutative(x)
+			break
+		}
 		p.expr(x.X, prec)
 		p.str(" ")
 		p.str(x.Op.String())

@@ -153,3 +153,33 @@ func TestPrintStmtAndExpr(t *testing.T) {
 		t.Errorf("PrintStmt = %q", got)
 	}
 }
+
+// TestAppendNormalForm pins the normal form's spelling: the internal net
+// becomes sentinel 0 (the port and the parameter keep their names), the
+// sized literal prints as width and hex value, and the + operands print
+// bracketed, longer first.
+func TestAppendNormalForm(t *testing.T) {
+	src, err := parser.Parse(`
+module m (
+    input [3:0] a,
+    output [3:0] y
+);
+    parameter P = 2;
+    wire [3:0] t;
+    assign t = a + 4'b0011;
+    assign y = t << P;
+endmodule
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "module m (\n    input [3:0] a,\n    output [3:0] y\n);\n" +
+		"    parameter P = 2;\n" +
+		"    wire [3:0] \x010\x01;\n" +
+		"    assign \x010\x01 = +\x024'h3\x03\x02a\x03;\n" +
+		"    assign y = \x010\x01 << P;\n" +
+		"endmodule\n"
+	if got := string(printer.AppendNormal(nil, src)); got != want {
+		t.Fatalf("normal form:\n%q\nwant\n%q", got, want)
+	}
+}
