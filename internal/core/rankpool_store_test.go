@@ -31,7 +31,11 @@ func gateExprs(t *testing.T, exprs []string) []*ast.Source {
 // new pointer: the same content, so the same store keys, but a cold memo.
 func freshStimulus(task eval.Task, seed int64) *testbench.Stimulus {
 	st := testbench.RankingCached(seed, 0, task.Ifc)
-	return &testbench.Stimulus{Ifc: st.Ifc, Cases: st.Cases}
+	cases := make([]testbench.Case, st.NumCases())
+	for ci := range cases {
+		cases[ci] = st.Case(ci)
+	}
+	return &testbench.Stimulus{Ifc: st.Ifc, Cases: cases}
 }
 
 // countingStore counts Get calls through to the wrapped adapter.

@@ -356,7 +356,7 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 		resp, err := p.judgeWithTransientRetry(ctx, llm.JudgeRequest{
 			TaskID: res.Task.ID,
 			Spec:   res.Task.Spec,
-			Case:   st.Cases[caseIdx],
+			Case:   st.Case(caseIdx),
 		})
 		if err != nil {
 			if errors.Is(err, ErrLLM) {
@@ -463,7 +463,7 @@ func (p *Pipeline) admitRefined(res *Result, ci int, code string) {
 		return
 	}
 	ref := &res.Candidates[res.Clusters[ci].Members[0]]
-	for i := range res.rankingStimulus.Cases {
+	for i := 0; i < res.rankingStimulus.NumCases(); i++ {
 		if !rankedCaseAgrees(&cand, ref, i) {
 			return // covered-case divergence: distrust the rewrite
 		}

@@ -17,7 +17,11 @@ import (
 // the process-wide (design, stimulus) fingerprint memo, so every comparison
 // below is an honest simulation rather than a memo read.
 func freshStimulus(st *testbench.Stimulus) *testbench.Stimulus {
-	return &testbench.Stimulus{Ifc: st.Ifc, Cases: st.Cases}
+	cases := make([]testbench.Case, st.NumCases())
+	for ci := range cases {
+		cases[ci] = st.Case(ci)
+	}
+	return &testbench.Stimulus{Ifc: st.Ifc, Cases: cases}
 }
 
 // fpEqual requires two fingerprint traces to agree exactly, including error

@@ -6,9 +6,9 @@ package exp
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/eval"
@@ -45,21 +45,31 @@ type Oracle struct {
 	// differential referee.
 	PerLaneGang bool
 
-	mu       sync.Mutex
-	tasks    map[string]eval.Task
-	stimul   map[string]*testbench.Stimulus
-	golden   map[string]*testbench.FPTrace
-	goldenTr map[string]*testbench.Trace
-	goldenD  map[string]*sim.Design // compiled golden: delta-compilation base
+	tasks map[string]eval.Task // read-only after NewOracle
+
+	mu       sync.Mutex // guards prepared and verdicts
+	prepared map[string]*oracleTask
 	verdicts map[verdictKey]bool
 }
 
-// verdictKey caches verification results by task and candidate text hash
-// (candidate generation is deterministic, so identical code recurs across
-// pipeline variants).
+// oracleTask is one task's verification setup, prepared at most once: the
+// first caller builds it under once while concurrent callers wait on the
+// once, not on the oracle's lock.
+type oracleTask struct {
+	once     sync.Once
+	st       *testbench.Stimulus
+	golden   *testbench.FPTrace
+	goldenTr *testbench.Trace // retained only on the legacy path
+	goldenD  *sim.Design      // compiled golden: delta-compilation base
+	err      error
+}
+
+// verdictKey caches verification results by task and the SHA-256 of the
+// candidate text (candidate generation is deterministic, so identical code
+// recurs across pipeline variants).
 type verdictKey struct {
 	taskID string
-	code   uint64
+	code   [sha256.Size]byte
 }
 
 // NewOracle builds an oracle over the given tasks.
@@ -67,10 +77,7 @@ func NewOracle(tasks []eval.Task, seed int64) *Oracle {
 	o := &Oracle{
 		seed:     seed,
 		tasks:    make(map[string]eval.Task, len(tasks)),
-		stimul:   make(map[string]*testbench.Stimulus, len(tasks)),
-		golden:   make(map[string]*testbench.FPTrace, len(tasks)),
-		goldenTr: make(map[string]*testbench.Trace, len(tasks)),
-		goldenD:  make(map[string]*sim.Design, len(tasks)),
+		prepared: make(map[string]*oracleTask, len(tasks)),
 		verdicts: make(map[verdictKey]bool),
 	}
 	for _, t := range tasks {
@@ -79,39 +86,57 @@ func NewOracle(tasks []eval.Task, seed int64) *Oracle {
 	return o
 }
 
-// prepare lazily computes the verification stimulus and the golden
-// fingerprints (plus the golden printed trace on the legacy path).
-func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace, *testbench.Trace, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if st, ok := o.stimul[taskID]; ok {
-		return st, o.golden[taskID], o.goldenTr[taskID], nil
-	}
+// prepare returns the task's verification stimulus and golden fingerprints
+// (plus the golden printed trace on the legacy path), computing them once
+// per task. The stimulus generation, golden simulation and golden compile
+// run outside o.mu, so verdict lookups for other tasks never wait on them.
+func (o *Oracle) prepare(taskID string) (*oracleTask, error) {
 	task, ok := o.tasks[taskID]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: unknown task %q", ErrExperiment, taskID)
+		return nil, fmt.Errorf("%w: unknown task %q", ErrExperiment, taskID)
 	}
+	o.mu.Lock()
+	ot := o.prepared[taskID]
+	if ot == nil {
+		ot = &oracleTask{}
+		o.prepared[taskID] = ot
+	}
+	o.mu.Unlock()
+	ot.once.Do(func() { ot.err = o.build(ot, task) })
+	if ot.err != nil {
+		// Failures are not kept: the next call prepares afresh.
+		o.mu.Lock()
+		if o.prepared[taskID] == ot {
+			delete(o.prepared, taskID)
+		}
+		o.mu.Unlock()
+		return nil, ot.err
+	}
+	return ot, nil
+}
+
+// build fills ot for task. Every field it sets is published by ot.once.
+func (o *Oracle) build(ot *oracleTask, task eval.Task) error {
 	st := testbench.VerificationCached(o.seed+int64(task.Index), task.Ifc)
 	src, err := eval.ParseCached(task.Golden)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
+		return fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
 	}
 	var golden *testbench.FPTrace
-	var goldenTr *testbench.Trace
 	if o.LegacyTraces {
-		goldenTr = testbench.RunBackend(src, eval.TopModule, st, o.Backend)
+		goldenTr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
 		if goldenTr.Err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: golden simulation: %v", ErrExperiment, goldenTr.Err)
+			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, goldenTr.Err)
 		}
 		// The cached trace is compared by many goroutines at once, so its
 		// lazy fingerprint memo must be filled before publication.
 		goldenTr.Warm()
-		o.goldenTr[taskID] = goldenTr
+		ot.goldenTr = goldenTr
 		golden = goldenTr.FP() // same values, no second simulation
 	} else {
 		golden = testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
 		if golden.Err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
+			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
 		}
 	}
 	golden.Fingerprint() // warm the memo before concurrent reads
@@ -120,12 +145,11 @@ func (o *Oracle) prepare(taskID string) (*testbench.Stimulus, *testbench.FPTrace
 		// batches: mutants share its netlist layout, so their unmutated
 		// processes splice in instead of re-lowering.
 		if d, derr := sim.CompileCached(src, eval.TopModule); derr == nil {
-			o.goldenD[taskID] = d
+			ot.goldenD = d
 		}
 	}
-	o.stimul[taskID] = st
-	o.golden[taskID] = golden
-	return st, golden, goldenTr, nil
+	ot.st, ot.golden = st, golden
+	return nil
 }
 
 // Verify reports whether candidate code is functionally correct for the
@@ -151,9 +175,11 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	keys := make([]verdictKey, len(codes))
 	pending := make([]int, 0, len(codes)) // first index per unresolved unique key
 	seen := make(map[verdictKey]bool, len(codes))
-	o.mu.Lock()
 	for i, code := range codes {
-		keys[i] = verdictKey{taskID: taskID, code: hashCode(code)}
+		keys[i] = verdictKey{taskID: taskID, code: sha256.Sum256([]byte(code))}
+	}
+	o.mu.Lock()
+	for i := range codes {
 		if _, hit := o.verdicts[keys[i]]; !hit && !seen[keys[i]] {
 			seen[keys[i]] = true
 			pending = append(pending, i)
@@ -162,19 +188,20 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	o.mu.Unlock()
 
 	if len(pending) > 0 {
-		st, golden, goldenTr, err := o.prepare(taskID)
+		ot, err := o.prepare(taskID)
 		if err != nil {
 			return nil, err
 		}
+		st, golden := ot.st, ot.golden
 		verdicts := make([]bool, len(pending))
-		if o.LegacyTraces && goldenTr != nil {
+		if o.LegacyTraces && ot.goldenTr != nil {
 			for k, i := range pending {
 				src := mustParse(codes[i])
 				if src == nil {
 					continue // unparseable: verdict stays false
 				}
 				tr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, goldenTr)
+				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, ot.goldenTr)
 			}
 		} else {
 			gangSrcs := make([]*ast.Source, 0, len(pending))
@@ -185,9 +212,7 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 					gangAt = append(gangAt, k)
 				}
 			}
-			o.mu.Lock()
-			base := o.goldenD[taskID]
-			o.mu.Unlock()
+			base := ot.goldenD
 			var gv []bool
 			if o.PerLaneGang {
 				trs := testbench.RunFingerprintGangMode(gangSrcs, eval.TopModule, st, o.Backend, base, testbench.GangPerLane)
@@ -225,10 +250,4 @@ func mustParse(code string) *ast.Source {
 		return nil
 	}
 	return src
-}
-
-func hashCode(code string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(code))
-	return h.Sum64()
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"repro/internal/xrng"
 	"strings"
 	"sync"
@@ -103,6 +104,98 @@ func TestOracleCacheConsistencyUnderConcurrency(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestOracleConcurrentVerifyBatch: barrier-started VerifyBatch calls over
+// shared tasks, on the default and the legacy-trace oracle, see one
+// preparation per task and return exactly a sequential oracle's verdicts.
+func TestOracleConcurrentVerifyBatch(t *testing.T) {
+	suite := eval.Suite()
+	tasks := []eval.Task{suite[20], suite[58], suite[86], suite[120]}
+	rng := xrng.New(7)
+	pools := make(map[string][]string, len(tasks))
+	for _, task := range tasks {
+		golden, err := parser.Parse(task.Golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := golden.FindModule(eval.TopModule)
+		pool := []string{task.Golden, printer.PrintModule(mutate.Cosmetic(top, rng))}
+		for trial := 0; trial < 3; trial++ {
+			if mut, _ := mutate.Semantic(top, rng, mutate.Config{Count: 1}); mut != nil {
+				pool = append(pool, printer.PrintModule(mut))
+			}
+		}
+		pools[task.ID] = pool
+	}
+	seq := NewOracle(tasks, 5)
+	want := make(map[string][]bool, len(tasks))
+	for _, task := range tasks {
+		v, err := seq.VerifyBatch(task.ID, pools[task.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[task.ID] = v
+	}
+
+	for _, legacy := range []bool{false, true} {
+		conc := NewOracle(tasks, 5)
+		conc.LegacyTraces = legacy
+		const callers = 16
+		gate := make(chan struct{})
+		prepared := make([][]*oracleTask, callers)
+		errs := make(chan error, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-gate
+				for k := range tasks {
+					task := tasks[(c+k)%len(tasks)]
+					got, err := conc.VerifyBatch(task.ID, pools[task.ID])
+					if err != nil {
+						errs <- err
+						return
+					}
+					for i := range got {
+						if got[i] != want[task.ID][i] {
+							errs <- fmt.Errorf("legacy=%v %s candidate %d: concurrent verdict %v, sequential %v",
+								legacy, task.ID, i, got[i], want[task.ID][i])
+							return
+						}
+					}
+				}
+				for _, task := range tasks {
+					ot, err := conc.prepare(task.ID)
+					if err != nil {
+						errs <- err
+						return
+					}
+					prepared[c] = append(prepared[c], ot)
+				}
+			}(c)
+		}
+		close(gate)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if t.Failed() {
+			return
+		}
+		for c := range prepared {
+			for k, ot := range prepared[c] {
+				if ot != prepared[0][k] || ot.goldenTr != prepared[0][k].goldenTr {
+					t.Fatalf("legacy=%v %s: caller %d saw a second preparation", legacy, tasks[k].ID, c)
+				}
+				if legacy != (ot.goldenTr != nil) {
+					t.Fatalf("legacy=%v %s: golden trace retained = %v", legacy, tasks[k].ID, ot.goldenTr != nil)
+				}
+			}
+		}
 	}
 }
 

@@ -52,15 +52,15 @@ endmodule
 	run() // warm the compile cache and engine pool
 
 	recorded := 0
-	for _, c := range st.Cases {
+	for _, c := range stimCases(st) {
 		recorded += len(c.Steps) * len(ifc.Outputs)
 	}
 	// Floor: 1 string per recorded output. Bookkeeping (per-case slices,
 	// trace assembly, fingerprint scratch) rides within the 2x factor.
-	budget := float64(2*recorded + 16*len(st.Cases) + 64)
+	budget := float64(2*recorded + 16*st.NumCases() + 64)
 	allocs := testing.AllocsPerRun(10, run)
 	t.Logf("full run: %.0f allocs for %d recorded outputs over %d cases (budget %.0f)",
-		allocs, recorded, len(st.Cases), budget)
+		allocs, recorded, st.NumCases(), budget)
 	if allocs > budget {
 		t.Fatalf("one testbench run allocates %.0f objects, budget %.0f", allocs, budget)
 	}
@@ -122,11 +122,11 @@ endmodule
 	const budget = 8.0
 	allocs := testing.AllocsPerRun(10, run)
 	steps := 0
-	for _, c := range st.Cases {
+	for _, c := range stimCases(st) {
 		steps += len(c.Steps)
 	}
 	t.Logf("fingerprint run: %.0f allocs over %d cases / %d steps (budget %.0f)",
-		allocs, len(st.Cases), steps, budget)
+		allocs, st.NumCases(), steps, budget)
 	if allocs > budget {
 		t.Fatalf("one fingerprint run allocates %.0f objects, budget %.0f", allocs, budget)
 	}
@@ -195,7 +195,7 @@ endmodule
 	}
 	drive() // warm queue buffers
 	allocs := testing.AllocsPerRun(20, drive)
-	t.Logf("warm scheduled case: %.0f allocs (%d steps), fp=%#x", allocs, len(st.Cases[0].Steps), last)
+	t.Logf("warm scheduled case: %.0f allocs (%d steps), fp=%#x", allocs, len(st.Case(0).Steps), last)
 	if allocs != 0 {
 		t.Fatalf("warm scheduled fingerprint case allocates %.0f objects, want 0", allocs)
 	}

@@ -9,9 +9,10 @@ import (
 // order) into one FNV-1a hash — a stable identity for the whole stream.
 func stimulusDigest(st *Stimulus) uint64 {
 	h := fnvOffset64
-	for ci := range st.Cases {
-		for si := range st.Cases[ci].Steps {
-			step := &st.Cases[ci].Steps[si]
+	for ci := 0; ci < st.NumCases(); ci++ {
+		c := st.Case(ci)
+		for si := range c.Steps {
+			step := &c.Steps[si]
 			for _, name := range step.driveOrder() {
 				h = fnvString(h, name)
 				h = fnvByte(h, '=')
@@ -66,6 +67,36 @@ func TestStimulusStreamLocked(t *testing.T) {
 	for i, d := range digests {
 		if d != lockedSeqVerifyDigest {
 			t.Fatalf("concurrent regeneration %d drifted: %#x", i, d)
+		}
+	}
+}
+
+// TestStimulusCacheSingleFlight: callers that miss the stimulus memo at the
+// same moment share one build. The fingerprint memo keys runs by *Stimulus,
+// so a second build under the same key would make its holders miss every
+// memo entry written under the first.
+func TestStimulusCacheSingleFlight(t *testing.T) {
+	const rounds, callers = 50, 16
+	ifc := seqIfc()
+	for round := 0; round < rounds; round++ {
+		seed := int64(1)<<40 + int64(round) // a key no other test builds
+		gate := make(chan struct{})
+		got := make([]*Stimulus, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-gate
+				got[i] = VerificationCached(seed, ifc)
+			}(i)
+		}
+		close(gate)
+		wg.Wait()
+		for i, st := range got {
+			if st != got[0] {
+				t.Fatalf("round %d: caller %d got stimulus %p, caller 0 got %p", round, i, st, got[0])
+			}
 		}
 	}
 }

@@ -227,7 +227,7 @@ func TestFPCaseAgreesMirrorsCaseAgrees(t *testing.T) {
 	if Agrees(trX, trO) != FPAgrees(fpX, fpO) {
 		t.Fatal("whole-run agreement diverges between paths")
 	}
-	for i := range st.Cases {
+	for i := 0; i < st.NumCases(); i++ {
 		if CaseAgrees(trX, trO, i) != FPCaseAgrees(fpX, fpO, i) {
 			t.Fatalf("case %d agreement diverges between paths", i)
 		}

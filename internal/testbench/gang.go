@@ -372,9 +372,9 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 // prefix decides the verdict only against this golden, so the memo and the
 // persistent store keep verdict-grade results under keys that include it.
 func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, golden *FPTrace) ([]bool, error) {
-	if golden.Err != nil || len(golden.CaseFPs) != len(st.Cases) {
+	if golden.Err != nil || len(golden.CaseFPs) != st.NumCases() {
 		return nil, fmt.Errorf("testbench: verify: golden is not a clean run of the stimulus (err %v, %d of %d cases)",
-			golden.Err, len(golden.CaseFPs), len(st.Cases))
+			golden.Err, len(golden.CaseFPs), st.NumCases())
 	}
 	trs, err := runFingerprintGang(ctx, srcs, top, st, backend, base, GangSoA, golden)
 	if err != nil {
@@ -727,16 +727,17 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 	// One backing block for every lane's per-case fingerprints: the lane
 	// count and case count are both fixed here, so n+1 small slices flatten
 	// to two allocations.
+	nCases := st.NumCases()
 	caseFPs := make([][]uint64, len(gangOf))
-	fpBlock := make([]uint64, len(gangOf)*len(st.Cases))
+	fpBlock := make([]uint64, len(gangOf)*nCases)
 	for k := range caseFPs {
-		caseFPs[k] = fpBlock[k*len(st.Cases) : k*len(st.Cases) : (k+1)*len(st.Cases)]
+		caseFPs[k] = fpBlock[k*nCases : k*nCases : (k+1)*nCases]
 	}
 	var retired []bool
 	if ref != nil {
 		retired = make([]bool, len(gangOf))
 	}
-	for ci := range st.Cases {
+	for ci := 0; ci < nCases; ci++ {
 		// The per-case check bounds how long a cancel can go unobserved:
 		// one case, tens of steps.
 		if err := ctx.Err(); err != nil {

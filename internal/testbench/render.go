@@ -73,7 +73,8 @@ func RenderVerilog(st *Stimulus, dutModule string) string {
 	if ifc.Sequential() {
 		fmt.Fprintf(&b, "        %s = 0;\n", ifc.Clock)
 	}
-	for ci, c := range st.Cases {
+	for ci := 0; ci < st.NumCases(); ci++ {
+		c := st.Case(ci)
 		fmt.Fprintf(&b, "        case_i = %d;\n", ci)
 		for si, step := range c.Steps {
 			fmt.Fprintf(&b, "        step_i = %d;\n", si)

@@ -29,11 +29,11 @@ func TestRenderVerilogComb(t *testing.T) {
 		t.Error("combinational bench must not wait on a clock")
 	}
 	// One display per step.
-	if got := strings.Count(out, "$display"); got != len(st.Cases)+0 {
+	if got := strings.Count(out, "$display"); got != st.NumCases()+0 {
 		// each comb case has exactly one step, plus the format line itself
 		// appears once per step.
-		if got != len(st.Cases) {
-			t.Errorf("%d $display calls for %d cases", got, len(st.Cases))
+		if got != st.NumCases() {
+			t.Errorf("%d $display calls for %d cases", got, st.NumCases())
 		}
 	}
 }

@@ -10,22 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Schedule is the compiled form of a Stimulus: the drive order fixed once,
-// every stimulus value flattened into two reusable word planes, and per-case
-// step extents precomputed. Where the interpreted path walks
-// map[string]sim.Value steps — sorting names, hashing strings, and boxing
-// values on every drive — the scheduled path is a loop over int-indexed
-// records: zero map lookups, zero driveOrder allocations, zero formatting.
+// Schedule is the plane form of a Stimulus: the drive order fixed once,
+// every stimulus value flattened into two word planes, and per-case step
+// extents precomputed. Where the map form walks map[string]sim.Value steps —
+// sorting names, hashing strings, and boxing values on every drive — the
+// scheduled path is a loop over int-indexed records: zero map lookups, zero
+// driveOrder allocations, zero formatting.
 //
 // A Schedule captures only the design-independent half of a run. The
 // design-dependent half — which net each drive position and output column
 // lands on — is resolved once per run into a binding (see Schedule.bind),
 // because handles belong to a design, not to a stimulus.
 //
-// Schedules require a *regular* stimulus: every step of every case drives
-// the same input names at the same widths. Generator-built stimuli are
-// regular by construction; hand-built irregular stimuli fall back to the
-// interpreted path (Stimulus.schedule returns nil).
+// The generator writes its stimuli as Schedules directly. Hand-built
+// stimuli are compiled by buildSchedule, which requires a *regular*
+// stimulus: every step of every case drives the same input names at the
+// same widths. Irregular ones keep the map form (Stimulus.schedule returns
+// nil).
 type Schedule struct {
 	names    []string // drive order: sorted input names, incl. reset, excl. clock
 	widths   []int32  // stimulus value width per drive position
@@ -33,6 +34,43 @@ type Schedule struct {
 	rowWords int      // total words per step row
 	stepOff  []int32  // per case: index of its first step row; len NumCases+1
 	val, xz  []uint64 // flattened stimulus planes, stepOff[c]*rowWords + position offsets
+}
+
+// numCases returns the number of test cases.
+func (sc *Schedule) numCases() int { return len(sc.stepOff) - 1 }
+
+// row returns the val words of step row r.
+func (sc *Schedule) row(r int) []uint64 {
+	return sc.val[r*sc.rowWords : (r+1)*sc.rowWords]
+}
+
+// allocRows sizes zeroed planes for nCases cases of stepsPerCase rows each.
+func (sc *Schedule) allocRows(nCases, stepsPerCase int) {
+	sc.stepOff = make([]int32, nCases+1)
+	for c := range sc.stepOff {
+		sc.stepOff[c] = int32(c * stepsPerCase)
+	}
+	n := nCases * stepsPerCase * sc.rowWords
+	planes := make([]uint64, 2*n)
+	sc.val, sc.xz = planes[:n:n], planes[n:]
+}
+
+// swapCases exchanges the rows of cases i and j, which must have equal
+// step counts (every case of a generated stimulus does).
+func (sc *Schedule) swapCases(i, j int) {
+	a, b := int(sc.stepOff[i])*sc.rowWords, int(sc.stepOff[j])*sc.rowWords
+	n := int(sc.stepOff[i+1]-sc.stepOff[i]) * sc.rowWords
+	for k := 0; k < n; k++ {
+		sc.val[a+k], sc.val[b+k] = sc.val[b+k], sc.val[a+k]
+		sc.xz[a+k], sc.xz[b+k] = sc.xz[b+k], sc.xz[a+k]
+	}
+}
+
+// truncate keeps the first keep cases.
+func (sc *Schedule) truncate(keep int) {
+	sc.stepOff = sc.stepOff[:keep+1]
+	n := int(sc.stepOff[keep]) * sc.rowWords
+	sc.val, sc.xz = sc.val[:n], sc.xz[:n]
 }
 
 // buildSchedule compiles st into a Schedule, or returns nil when the
@@ -136,10 +174,14 @@ func stepCountFitsInt32(st *Stimulus) bool {
 	return true
 }
 
-// schedule returns the stimulus's compiled schedule, building it at most
-// once (the stimulus cache shares Stimulus values across goroutines, so the
-// build is Once-guarded). Returns nil for irregular stimuli.
+// schedule returns the stimulus's plane form: the generator's planes, or
+// the schedule compiled from Cases at most once (the stimulus cache shares
+// Stimulus values across goroutines, so the build is Once-guarded). Returns
+// nil for irregular stimuli.
 func (st *Stimulus) schedule() *Schedule {
+	if st.planes != nil {
+		return st.planes
+	}
 	st.schedOnce.Do(func() { st.sched = buildSchedule(st) })
 	return st.sched
 }

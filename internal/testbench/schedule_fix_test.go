@@ -190,7 +190,6 @@ func TestBindMemoLRUEviction(t *testing.T) {
 func TestBuildScheduleStepOverflowRejected(t *testing.T) {
 	const stepsPerCase = 100000
 	proto := Step{Inputs: map[string]sim.Value{"a": sim.NewKnown(2, 1), "b": sim.NewKnown(1, 0)}}
-	proto.finalize()
 	shared := make([]Step, stepsPerCase)
 	for i := range shared {
 		shared[i] = proto

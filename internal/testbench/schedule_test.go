@@ -17,10 +17,11 @@ func runBackendLegacy(t *testing.T, src string, st *Stimulus, backend Backend) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, len(st.Cases))}
+	ms := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}
+	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, ms.NumCases())}
 	cr := caseRunner{} // sched nil: every case takes the legacy path
-	tr.Err = forEachCase(context.Background(), parsed, "top_module", st, backend, &cr, func(s sim.Instance, ci int) error {
-		ct, cerr := runCase(s, st, &st.Cases[ci])
+	tr.Err = forEachCase(context.Background(), parsed, "top_module", ms, backend, &cr, func(s sim.Instance, ci int) error {
+		ct, cerr := runCase(s, ms, nil, ci)
 		if cerr != nil {
 			return cerr
 		}
@@ -182,13 +183,14 @@ func TestScheduleRoundTrip(t *testing.T) {
 		t.Fatal("no schedule")
 	}
 	row := 0
-	for ci := range st.Cases {
-		for si := range st.Cases[ci].Steps {
+	for ci := 0; ci < st.NumCases(); ci++ {
+		c := st.Case(ci)
+		for si := range c.Steps {
 			off := row * sc.rowWords
 			for i, name := range sc.names {
 				nw := int(sc.wordsOf[i])
 				got := sim.ValueView(int(sc.widths[i]), sc.val[off:off+nw], sc.xz[off:off+nw])
-				want := st.Cases[ci].Steps[si].Inputs[name]
+				want := c.Steps[si].Inputs[name]
 				if !got.Equal(want) {
 					t.Fatalf("case %d step %d %s: %s vs %s", ci, si, name, got, want)
 				}

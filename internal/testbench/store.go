@@ -298,7 +298,7 @@ func decodeStored(data []byte, k fpKey) (*FPTrace, bool) {
 	if !ok {
 		return nil, false
 	}
-	n, want := len(tr.CaseFPs), len(k.st.Cases)
+	n, want := len(tr.CaseFPs), k.st.NumCases()
 	switch {
 	case n > want:
 		return nil, false

@@ -22,7 +22,7 @@ func TestStoreRejectsWrongGradeRecords(t *testing.T) {
 	mem := resultstore.NewMemory(64)
 	installStore(t, mem)
 	st := NewGenerator(8201).Verification(combIfc())
-	n := len(st.Cases)
+	n := st.NumCases()
 	src := mustParse(t, xorSrc)
 	golden := &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, n)}
 	plain := memoKey(src, "top_module", st, nil)
@@ -82,7 +82,7 @@ func TestStoreRejectsWrongGradeRecords(t *testing.T) {
 // the key could have written, re-encoding to the exact input bytes.
 func FuzzDecodeStored(f *testing.F) {
 	st := decodeStim()
-	golden := &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, len(st.Cases))}
+	golden := &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, st.NumCases())}
 	for _, tr := range []*FPTrace{
 		{CaseFPs: []uint64{1, 2, 3, 4}},
 		{CaseFPs: []uint64{1, 2}},
@@ -103,7 +103,7 @@ func FuzzDecodeStored(f *testing.F) {
 		if !ok {
 			return
 		}
-		n, want := len(tr.CaseFPs), len(st.Cases)
+		n, want := len(tr.CaseFPs), st.NumCases()
 		switch {
 		case n > want:
 			t.Fatalf("accepted %d cases for a %d-case stimulus", n, want)

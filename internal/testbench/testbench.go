@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,29 +77,16 @@ func (ifc *Interface) DataInputs() []PortSpec {
 // tick), then record all outputs.
 type Step struct {
 	Inputs map[string]sim.Value
-
-	// sortedNames caches the deterministic drive order (generator-built
-	// stimuli fill it once; hand-built steps fall back to sorting per run).
-	sortedNames []string
 }
 
 // driveOrder returns the input names in deterministic (sorted) order.
 func (st *Step) driveOrder() []string {
-	if st.sortedNames != nil {
-		return st.sortedNames
-	}
 	names := make([]string, 0, len(st.Inputs))
 	for name := range st.Inputs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// finalize precomputes the drive order (called by the generator, which owns
-// the stimulus before any concurrent use).
-func (st *Step) finalize() {
-	st.sortedNames = st.driveOrder()
 }
 
 // Case is one test case: a single vector for combinational circuits or a
@@ -110,12 +98,21 @@ type Case struct {
 
 // Stimulus is a full printing testbench: a set of test cases for one
 // interface.
+//
+// A stimulus takes one of two forms. Generated stimuli hold only their
+// compiled planes (Cases is nil); Case rebuilds one case's map form on
+// demand. Hand-built stimuli set Cases, and their planes are compiled from
+// it on first run.
 type Stimulus struct {
 	Ifc   Interface
 	Cases []Case
 
-	// sched caches the compiled Schedule (built on first run; Once-guarded
-	// because cached stimuli are shared across ranking workers).
+	// planes is the schedule a generator wrote directly; nil for hand-built
+	// stimuli. Immutable once the stimulus is returned.
+	planes *Schedule
+
+	// sched caches the Schedule compiled from Cases (built on first run;
+	// Once-guarded because stimuli are shared across ranking workers).
 	schedOnce sync.Once
 	sched     *Schedule
 
@@ -126,7 +123,36 @@ type Stimulus struct {
 }
 
 // NumCases returns the number of test cases.
-func (st *Stimulus) NumCases() int { return len(st.Cases) }
+func (st *Stimulus) NumCases() int {
+	if st.planes != nil {
+		return st.planes.numCases()
+	}
+	return len(st.Cases)
+}
+
+// Case returns test case ci in map form. For a generated stimulus it is
+// rebuilt from the planes on every call, so callers that exchange single
+// cases (judge requests, rendered benches) pay for one case, not the whole
+// stimulus.
+func (st *Stimulus) Case(ci int) Case {
+	sc := st.planes
+	if sc == nil {
+		return st.Cases[ci]
+	}
+	first := int(sc.stepOff[ci])
+	c := Case{Steps: make([]Step, int(sc.stepOff[ci+1])-first)}
+	off := first * sc.rowWords
+	for si := range c.Steps {
+		in := make(map[string]sim.Value, len(sc.names))
+		for i, name := range sc.names {
+			nw := int(sc.wordsOf[i])
+			in[name] = sim.NewFromPlanes(int(sc.widths[i]), sc.val[off:off+nw], sc.xz[off:off+nw])
+			off += nw
+		}
+		c.Steps[si].Inputs = in
+	}
+	return c
+}
 
 // Generator builds stimulus deterministically from a seed.
 type Generator struct {
@@ -142,23 +168,6 @@ type Generator struct {
 	// perfect testbench would contain, modeling weak LLM-generated
 	// testbenches (0 = as dense as configured).
 	Imperfection float64
-
-	// Allocation pools for generated values. Generated Values are immutable
-	// downstream (the schedule compiler copies them into planes, solo runs
-	// copy them into engines), so random val planes are carved from a
-	// chunked word arena, xz planes alias one shared all-zeros block, and
-	// the constant values the patterns repeat (all-zeros, all-ones) are
-	// cached per width. Stimulus generation is the dominant cost of a
-	// memo-cold ranking call, and it is almost entirely these allocations.
-	arena    []uint64
-	chunk    int               // last arena chunk size (grows geometrically)
-	constVal map[int]sim.Value // width -> all-zeros value
-	constNot map[int]sim.Value // width -> all-ones value
-	// Shared step-input maps for the value-identical steps of sequential
-	// stimulus (reset, directed even/odd). Valid because a generator serves
-	// one interface and finalized steps are read-only.
-	resetInputs map[string]sim.Value
-	altInputs   [2]map[string]sim.Value
 }
 
 // NewGenerator returns a generator with the given seed and defaults
@@ -178,15 +187,18 @@ func NewGenerator(seed int64) *Generator {
 // stage.
 func (g *Generator) Ranking(ifc Interface) *Stimulus {
 	st := g.generate(ifc, g.MaxCombVectors, g.SeqCases, g.SeqSteps)
-	if g.Imperfection > 0 && len(st.Cases) > 1 {
-		keep := int(float64(len(st.Cases)) * (1 - g.Imperfection))
+	if n := st.NumCases(); g.Imperfection > 0 && n > 1 {
+		keep := int(float64(n) * (1 - g.Imperfection))
 		if keep < 1 {
 			keep = 1
 		}
-		g.rng.Shuffle(len(st.Cases), func(i, j int) {
-			st.Cases[i], st.Cases[j] = st.Cases[j], st.Cases[i]
-		})
-		st.Cases = st.Cases[:keep]
+		if sc := st.planes; sc != nil {
+			g.rng.Shuffle(n, sc.swapCases)
+			sc.truncate(keep)
+		} else {
+			g.rng.Shuffle(n, func(i, j int) { st.Cases[i], st.Cases[j] = st.Cases[j], st.Cases[i] })
+			st.Cases = st.Cases[:keep]
+		}
 	}
 	return st
 }
@@ -203,32 +215,59 @@ func (g *Generator) Verification(ifc Interface) *Stimulus {
 // interface), and the experiment drivers regenerate identical stimuli over
 // and over: every pipeline variant re-derives the same ranking stimulus,
 // and every fresh oracle re-derives the same dense verification stimulus.
-// A finalized Stimulus is immutable (runs only read it), so a process-wide
+// A generated Stimulus is immutable (runs only read it), so a process-wide
 // memo is safe — the same pattern the compile cache established for
-// elaboration. Cleared wholesale at the cap so it stays bounded.
+// elaboration. Cleared wholesale at the cap so it stays bounded; an entry
+// holds only its planes, so the cap bounds bytes too.
+//
+// Builds are single-flight per key: the fingerprint memo keys runs by
+// *Stimulus, so two concurrent missers that each kept their own build would
+// never share a memo entry.
+
+// stimEntry is one memo slot: the first caller for a key builds under the
+// once, and concurrent callers wait on it for the same pointer.
+type stimEntry struct {
+	once sync.Once
+	st   *Stimulus
+}
 
 var (
 	stimMu   sync.Mutex
-	stimMemo = make(map[string]*Stimulus)
+	stimMemo = make(map[string]*stimEntry)
 )
 
 const stimMemoCap = 4096
 
 func cachedStimulus(key string, build func() *Stimulus) *Stimulus {
-	stimMu.Lock()
-	if st, hit := stimMemo[key]; hit {
+	for {
+		stimMu.Lock()
+		e, hit := stimMemo[key]
+		if !hit {
+			if len(stimMemo) >= stimMemoCap {
+				stimMemo = make(map[string]*stimEntry, stimMemoCap)
+			}
+			e = &stimEntry{}
+			stimMemo[key] = e
+		}
 		stimMu.Unlock()
-		return st
+		e.once.Do(func() {
+			defer func() {
+				if e.st == nil {
+					// The build panicked and spent the once: drop the
+					// entry so waiters and later callers build afresh.
+					stimMu.Lock()
+					if stimMemo[key] == e {
+						delete(stimMemo, key)
+					}
+					stimMu.Unlock()
+				}
+			}()
+			e.st = build()
+		})
+		if e.st != nil {
+			return e.st
+		}
 	}
-	stimMu.Unlock()
-	st := build()
-	stimMu.Lock()
-	if len(stimMemo) >= stimMemoCap {
-		stimMemo = make(map[string]*Stimulus, stimMemoCap)
-	}
-	stimMemo[key] = st
-	stimMu.Unlock()
-	return st
 }
 
 // stimKey identifies a stimulus by everything generation depends on.
@@ -283,224 +322,231 @@ func VerificationCached(seed int64, ifc Interface) *Stimulus {
 	})
 }
 
+// generate writes every case straight into schedule planes, one drive row
+// per step, drawing the RNG in the order the stimulus stream is locked to:
+// case by case, step by step, data inputs in interface order.
 func (g *Generator) generate(ifc Interface, maxComb, seqCases, seqSteps int) *Stimulus {
-	st := &Stimulus{Ifc: ifc}
-	if ifc.Sequential() {
-		for c := 0; c < seqCases; c++ {
-			st.Cases = append(st.Cases, g.seqCase(ifc, seqSteps, c == 0))
-		}
-	} else {
-		st.Cases = g.combCases(ifc, maxComb)
+	lay := newRowLayout(ifc)
+	if !ifc.Sequential() {
+		return &Stimulus{Ifc: ifc, planes: g.combCases(ifc, lay, maxComb)}
 	}
-	// Precompute drive orders, sharing one sorted slice across consecutive
-	// steps with the same key set — generated steps drive the same inputs
-	// every step, so one slice usually serves the whole stimulus.
-	var shared []string
-	for ci := range st.Cases {
-		for si := range st.Cases[ci].Steps {
-			stp := &st.Cases[ci].Steps[si]
-			if sameKeys(shared, stp.Inputs) {
-				stp.sortedNames = shared
-			} else {
-				stp.finalize()
-				shared = stp.sortedNames
+	seqSteps = max(seqSteps, 0)
+	steps := seqSteps
+	if lay.reset >= 0 {
+		steps += 2
+	}
+	if seqCases <= 0 || steps == 0 {
+		// Cases without steps have no rows to schedule.
+		return &Stimulus{Ifc: ifc, Cases: make([]Case, max(seqCases, 0))}
+	}
+	sc := lay.sc
+	sc.allocRows(seqCases, steps)
+	asserted, released := uint64(1), uint64(0)
+	if ifc.ResetActiveLow {
+		asserted, released = 0, 1
+	}
+	row := 0
+	for c := 0; c < seqCases; c++ {
+		// Two reset cycles (data inputs zero), then the data steps. The
+		// first case is a directed all-zeros / all-ones alternation so
+		// basic behaviors always appear in the trace; the rest are random.
+		if lay.reset >= 0 {
+			sc.row(row)[lay.reset] = asserted
+			sc.row(row + 1)[lay.reset] = asserted
+			row += 2
+		}
+		for i := 0; i < seqSteps; i++ {
+			r := sc.row(row)
+			row++
+			if lay.reset >= 0 {
+				r[lay.reset] = released
+			}
+			for k, in := range ifc.Inputs {
+				off := lay.offs[k]
+				switch {
+				case off < 0:
+				case c != 0:
+					g.fillRand(r[off:], in.Width)
+				case i%2 == 1:
+					fillOnes(r[off:], in.Width)
+				}
 			}
 		}
 	}
-	return st
-}
-
-// sameKeys reports whether the map's key set is exactly the given names.
-func sameKeys(names []string, m map[string]sim.Value) bool {
-	if names == nil || len(names) != len(m) {
-		return false
-	}
-	for _, n := range names {
-		if _, ok := m[n]; !ok {
-			return false
-		}
-	}
-	return true
+	return &Stimulus{Ifc: ifc, planes: sc}
 }
 
 // combCases enumerates the input space exhaustively when it is small enough,
-// otherwise samples random vectors (always including the all-zeros and
-// all-ones corners).
-func (g *Generator) combCases(ifc Interface, maxVectors int) []Case {
-	ins := ifc.DataInputs()
+// otherwise samples distinct random vectors (always including the all-zeros
+// and all-ones corners). Each case is one row.
+func (g *Generator) combCases(ifc Interface, lay rowLayout, maxVectors int) *Schedule {
+	sc := lay.sc
 	totalBits := 0
-	for _, in := range ins {
-		totalBits += in.Width
+	for k, in := range ifc.Inputs {
+		if lay.offs[k] >= 0 {
+			totalBits += in.Width
+		}
 	}
-	var cases []Case
 	if totalBits <= 16 && 1<<uint(totalBits) <= maxVectors {
-		for v := uint64(0); v < 1<<uint(totalBits); v++ {
-			cases = append(cases, Case{Steps: []Step{{Inputs: splitVector(ins, v)}}})
+		n := 1 << uint(totalBits)
+		sc.allocRows(n, 1)
+		for v := 0; v < n; v++ {
+			r := sc.row(v)
+			shift := 0
+			for k, in := range ifc.Inputs {
+				if off := lay.offs[k]; off >= 0 {
+					r[off] = uint64(v) >> uint(shift) & lastWordMask(in.Width)
+					shift += in.Width
+				}
+			}
 		}
-		return cases
+		return sc
 	}
-	seen := make(map[string]bool)
-	addVector := func(mk func(PortSpec) sim.Value) {
-		inputs := make(map[string]sim.Value, len(ins))
-		var key strings.Builder
-		for _, in := range ins {
-			v := mk(in)
-			inputs[in.Name] = v
-			key.WriteString(v.String())
-			key.WriteByte('|')
+	limit := max(maxVectors, 2)
+	sc.allocRows(limit, 1)
+	seen := newRowSet(limit)
+	n := 0
+	for kind := 0; kind < 2 || n < maxVectors; kind++ {
+		// The all-zeros corner is the fresh row 0. Later vectors rewrite
+		// every data word, so a slot a rejected duplicate used is simply
+		// overwritten.
+		r := sc.row(n)
+		for k, in := range ifc.Inputs {
+			off := lay.offs[k]
+			switch {
+			case off < 0 || kind == 0:
+			case kind == 1:
+				fillOnes(r[off:], in.Width)
+			default:
+				g.fillRand(r[off:], in.Width)
+			}
 		}
-		if seen[key.String()] {
-			return
+		if seen.add(sc, n) {
+			n++
 		}
-		seen[key.String()] = true
-		cases = append(cases, Case{Steps: []Step{{Inputs: inputs}}})
 	}
-	addVector(func(p PortSpec) sim.Value { return g.zeroValue(p.Width) })
-	addVector(func(p PortSpec) sim.Value { return g.onesValue(p.Width) })
-	for len(cases) < maxVectors {
-		addVector(func(p PortSpec) sim.Value { return g.randValue(p.Width) })
-	}
-	return cases
+	sc.truncate(n)
+	return sc
 }
 
-// seqCase builds one sequential test case: assert reset for two cycles (when
-// the interface has one), then drive random data inputs. The first case uses
-// a short directed pattern (all-zeros then all-ones inputs) so basic
-// behaviors always appear in the trace.
-func (g *Generator) seqCase(ifc Interface, steps int, directed bool) Case {
-	var c Case
-	ins := ifc.DataInputs()
-	mkInputs := func(reset bool, mk func(PortSpec, int) sim.Value, idx int) map[string]sim.Value {
-		inputs := make(map[string]sim.Value, len(ins)+1)
-		if ifc.Reset != "" {
-			if reset != ifc.ResetActiveLow {
-				inputs[ifc.Reset] = g.onesValue(1)
-			} else {
-				inputs[ifc.Reset] = g.zeroValue(1)
-			}
-		}
-		for _, in := range ins {
-			inputs[in.Name] = mk(in, idx)
-		}
-		return inputs
-	}
-	zero := func(p PortSpec, _ int) sim.Value { return g.zeroValue(p.Width) }
-	rnd := func(p PortSpec, _ int) sim.Value { return g.randValue(p.Width) }
-	alt := func(p PortSpec, i int) sim.Value {
-		if i%2 == 0 {
-			return g.zeroValue(p.Width)
-		}
-		return g.onesValue(p.Width)
-	}
+// rowLayout places an interface's generated drives in a schedule row: the
+// data inputs plus, on sequential interfaces, a 1-bit reset, in sorted name
+// order — the order Schedule drives and content-hashes. Port names are
+// unique within an interface.
+type rowLayout struct {
+	sc    *Schedule // names, widths and row geometry; planes not yet allocated
+	offs  []int     // row word offset per ifc.Inputs entry; -1 for clock and reset
+	reset int       // row word offset of the reset; -1 when rows carry none
+}
 
-	// Steps with value-identical inputs share one map: a finalized stimulus
-	// is read-only, and a generator serves a single interface, so the reset
-	// step and the two directed patterns each need exactly one map per
-	// generator instead of one per step. Only random steps still build maps
-	// (and only they draw the RNG, so sharing leaves the stream untouched).
-	if ifc.Reset != "" {
-		if g.resetInputs == nil {
-			g.resetInputs = mkInputs(true, zero, 0)
-		}
-		c.Steps = append(c.Steps, Step{Inputs: g.resetInputs}, Step{Inputs: g.resetInputs})
+// newRowLayout lays out the drive row of ifc.
+func newRowLayout(ifc Interface) rowLayout {
+	type drive struct {
+		name  string
+		width int
+		port  int // ifc.Inputs index; -1 for the reset
 	}
-	for i := 0; i < steps; i++ {
-		if directed {
-			k := i % 2
-			if g.altInputs[k] == nil {
-				g.altInputs[k] = mkInputs(false, alt, k)
-			}
-			c.Steps = append(c.Steps, Step{Inputs: g.altInputs[k]})
+	drives := make([]drive, 0, len(ifc.Inputs)+1)
+	for k, p := range ifc.Inputs {
+		if p.Name != ifc.Clock && p.Name != ifc.Reset {
+			drives = append(drives, drive{p.Name, p.Width, k})
+		}
+	}
+	if ifc.Sequential() && ifc.Reset != "" {
+		drives = append(drives, drive{ifc.Reset, 1, -1})
+	}
+	slices.SortFunc(drives, func(a, b drive) int { return strings.Compare(a.name, b.name) })
+
+	n := len(drives)
+	sc := &Schedule{names: make([]string, n), widths: make([]int32, n), wordsOf: make([]int32, n)}
+	lay := rowLayout{sc: sc, offs: make([]int, len(ifc.Inputs)), reset: -1}
+	for k := range lay.offs {
+		lay.offs[k] = -1
+	}
+	for i, d := range drives {
+		nw := planeWords(d.width)
+		sc.names[i], sc.widths[i], sc.wordsOf[i] = d.name, int32(d.width), int32(nw)
+		if d.port >= 0 {
+			lay.offs[d.port] = sc.rowWords
 		} else {
-			c.Steps = append(c.Steps, Step{Inputs: mkInputs(false, rnd, i)})
+			lay.reset = sc.rowWords
 		}
+		sc.rowWords += nw
 	}
-	return c
+	return lay
 }
 
-// zeroPlanes backs the xz plane of every generated value (generated stimulus
-// is always fully known) and the val plane of cached zero values, up to 4096
-// bits. It is read-only by the Value immutability convention; wider values
-// fall back to the copying constructors.
-var zeroPlanes [64]uint64
-
-// genWords carves n words out of the generator's chunked arena. Chunks grow
-// geometrically from small, so a generator that produces little stimulus
-// (one per seed on the memo-cold path) doesn't pay for a large block.
-func (g *Generator) genWords(n int) []uint64 {
-	if len(g.arena) < n {
-		sz := g.chunk * 2
-		if sz < 256 {
-			sz = 256
-		}
-		if sz < n {
-			sz = n
-		}
-		g.chunk = sz
-		g.arena = make([]uint64, sz)
+// planeWords is the storage word count of a width-bit value (sim's layout:
+// at least one word).
+func planeWords(width int) int {
+	if width <= 0 {
+		return 1
 	}
-	w := g.arena[:n:n]
-	g.arena = g.arena[n:]
-	return w
+	return (width + 63) / 64
 }
 
-// zeroValue returns the cached all-zeros value of the width.
-func (g *Generator) zeroValue(width int) sim.Value {
-	n := (width + 63) / 64
-	if n > len(zeroPlanes) {
-		return sim.NewKnown(width, 0)
-	}
-	v, ok := g.constVal[width]
-	if !ok {
-		v = sim.ValueView(width, zeroPlanes[:n], zeroPlanes[:n])
-		if g.constVal == nil {
-			g.constVal = make(map[int]sim.Value)
-		}
-		g.constVal[width] = v
-	}
-	return v
-}
-
-// onesValue returns the cached all-ones value of the width.
-func (g *Generator) onesValue(width int) sim.Value {
-	v, ok := g.constNot[width]
-	if !ok {
-		v = sim.Not(sim.NewKnown(width, 0))
-		if g.constNot == nil {
-			g.constNot = make(map[int]sim.Value)
-		}
-		g.constNot[width] = v
-	}
-	return v
-}
-
-func (g *Generator) randValue(width int) sim.Value {
-	words := (width + 63) / 64
-	if words > len(zeroPlanes) {
-		planes := make([]uint64, words)
-		for i := range planes {
-			planes[i] = g.rng.Uint64()
-		}
-		return sim.NewFromPlanes(width, planes, make([]uint64, words))
-	}
-	w := g.genWords(words)
-	for i := range w {
-		w[i] = g.rng.Uint64()
-	}
+// lastWordMask keeps the bits of a width-bit value's top storage word.
+func lastWordMask(width int) uint64 {
 	if r := uint(width) & 63; r != 0 {
-		w[words-1] &= 1<<r - 1
+		return 1<<r - 1
 	}
-	return sim.ValueView(width, w, zeroPlanes[:words])
+	return ^uint64(0)
 }
 
-func splitVector(ins []PortSpec, v uint64) map[string]sim.Value {
-	out := make(map[string]sim.Value, len(ins))
-	shift := 0
-	for _, in := range ins {
-		out[in.Name] = sim.NewKnown(in.Width, v>>uint(shift))
-		shift += in.Width
+// fillOnes writes the all-ones value of the width into dst.
+func fillOnes(dst []uint64, width int) {
+	n := planeWords(width)
+	for i := range dst[:n] {
+		dst[i] = ^uint64(0)
 	}
-	return out
+	dst[n-1] &= lastWordMask(width)
+}
+
+// fillRand writes a random value of the width into dst, one RNG draw per
+// storage word.
+func (g *Generator) fillRand(dst []uint64, width int) {
+	n := (width + 63) / 64
+	for i := range dst[:n] {
+		dst[i] = g.rng.Uint64()
+	}
+	if n > 0 {
+		dst[n-1] &= lastWordMask(width)
+	}
+}
+
+// rowSet is an open-addressed set of a schedule's rows, compared word by
+// word: the combinational generator's duplicate-vector check.
+type rowSet struct {
+	slots []int32 // row index + 1; 0 is empty
+}
+
+func newRowSet(rows int) rowSet {
+	size := 4
+	for size < 2*rows {
+		size <<= 1
+	}
+	return rowSet{slots: make([]int32, size)}
+}
+
+// add inserts row i of sc, reporting false when an equal row is present.
+func (s rowSet) add(sc *Schedule, i int) bool {
+	r := sc.row(i)
+	h := uint64(fnvOffset64)
+	for _, w := range r {
+		h = (h ^ w) * fnvPrime64
+	}
+	h ^= h >> 32
+	mask := uint64(len(s.slots) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		j := s.slots[p]
+		if j == 0 {
+			s.slots[p] = int32(i + 1)
+			return true
+		}
+		if slices.Equal(sc.row(int(j)-1), r) {
+			return false
+		}
+	}
 }
 
 // --- Trace capture -----------------------------------------------------------------
@@ -828,16 +874,17 @@ func (is *instSource) release(s sim.Instance) {
 }
 
 // caseRunner carries the per-run schedule state forEachCase threads through
-// a run: the compiled schedule (nil for irregular stimuli) and its handle
+// a run: the stimulus's schedule (nil for irregular stimuli) and its handle
 // binding, resolved on the run's first instance and reused for every case
 // (handles are stable across instances of one design on one backend). A
-// failed binding — a candidate missing an expected port — clears sched, and
-// every case takes the name-keyed legacy path, reproducing the interpreted
-// error behavior byte-for-byte.
+// failed binding — a candidate missing an expected port — leaves fast unset,
+// and every case drives by name instead, reproducing the interpreted error
+// behavior byte-for-byte.
 type caseRunner struct {
 	sched *Schedule
 	bind  binding
-	bound bool
+	bound bool // prepare has run
+	fast  bool // the binding resolved: cases drive through handles
 }
 
 // prepare resolves the binding on the first visited instance. Compiled
@@ -851,18 +898,11 @@ func (cr *caseRunner) prepare(d *sim.Design, s sim.Instance, ifc *Interface) {
 	if cr.sched == nil {
 		return
 	}
-	var b binding
-	var ok bool
 	if d != nil {
-		b, ok = cachedBind(d, cr.sched, s, ifc)
+		cr.bind, cr.fast = cachedBind(d, cr.sched, s, ifc)
 	} else {
-		b, ok = cr.sched.bind(s, ifc)
+		cr.bind, cr.fast = cr.sched.bind(s, ifc)
 	}
-	if !ok {
-		cr.sched = nil
-		return
-	}
-	cr.bind = b
 }
 
 // forEachCase drives the shared per-case instance lifecycle of RunBackend
@@ -884,7 +924,7 @@ func forEachCase(ctx context.Context, src *ast.Source, top string, st *Stimulus,
 		}
 		defer is.release(shared)
 	}
-	for i := range st.Cases {
+	for i := 0; i < st.NumCases(); i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -912,15 +952,15 @@ func forEachCase(ctx context.Context, src *ast.Source, top string, st *Stimulus,
 // trace rather than returned: a failing candidate is simply one that agrees
 // with nobody.
 func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Trace {
-	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, len(st.Cases))}
+	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, st.NumCases())}
 	cr := caseRunner{sched: st.schedule()}
 	tr.Err = forEachCase(context.Background(), src, top, st, backend, &cr, func(s sim.Instance, ci int) error {
 		var ct CaseTrace
 		var err error
-		if cr.sched != nil {
+		if cr.fast {
 			ct, err = runCaseSched(s, st, cr.sched, &cr.bind, ci)
 		} else {
-			ct, err = runCase(s, st, &st.Cases[ci])
+			ct, err = runCase(s, st, cr.sched, ci)
 		}
 		if err != nil {
 			return err
@@ -1027,7 +1067,7 @@ func runFingerprintSolo(src *ast.Source, top string, st *Stimulus, backend Backe
 // per-candidate result instead of taking down its worker.
 func runFingerprintSoloCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (tr *FPTrace, err error) {
 	statSims.Add(1)
-	tr = &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, 0, len(st.Cases))}
+	tr = &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, 0, st.NumCases())}
 	defer func() {
 		if r := recover(); r != nil {
 			tr.Err = fmt.Errorf("%w: %v", ErrSimPanic, r)
@@ -1046,10 +1086,10 @@ func runFingerprintSoloCtx(ctx context.Context, src *ast.Source, top string, st 
 		}
 		var fp uint64
 		var err error
-		if cr.sched != nil {
+		if cr.fast {
 			fp, err = runCaseFPSched(s, st, cr.sched, &cr.bind, ci)
 		} else {
-			fp, err = runCaseFP(s, st, &st.Cases[ci])
+			fp, err = runCaseFP(s, st, cr.sched, ci)
 		}
 		if err != nil {
 			return err
@@ -1073,8 +1113,43 @@ type outputAppender interface {
 	AppendOutput(dst []byte, name string, width int) ([]byte, error)
 }
 
-// runCase drives one test case on one instance and records its outputs.
-func runCase(s sim.Instance, st *Stimulus, c *Case) (CaseTrace, error) {
+// caseSteps returns the step count of case ci.
+func caseSteps(st *Stimulus, sc *Schedule, ci int) int {
+	if sc != nil {
+		return int(sc.stepOff[ci+1] - sc.stepOff[ci])
+	}
+	return len(st.Cases[ci].Steps)
+}
+
+// driveByName drives step si of case ci by input name, in sorted name
+// order: from plane views when the stimulus has a schedule (a candidate
+// whose binding failed), else from the step's map (an irregular hand-built
+// stimulus). The first input the instance rejects ends the drive with its
+// error.
+func driveByName(s sim.Instance, st *Stimulus, sc *Schedule, ci, si int) error {
+	if sc == nil {
+		step := &st.Cases[ci].Steps[si]
+		for _, name := range step.driveOrder() {
+			if err := s.SetInput(name, step.Inputs[name]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	off := (int(sc.stepOff[ci]) + si) * sc.rowWords
+	for i, name := range sc.names {
+		nw := int(sc.wordsOf[i])
+		if err := s.SetInput(name, sim.ValueView(int(sc.widths[i]), sc.val[off:off+nw], sc.xz[off:off+nw])); err != nil {
+			return err
+		}
+		off += nw
+	}
+	return nil
+}
+
+// runCase drives one test case on one instance by input name and records
+// its outputs. sc is the stimulus's schedule, nil for irregular stimuli.
+func runCase(s sim.Instance, st *Stimulus, sc *Schedule, ci int) (CaseTrace, error) {
 	var ct CaseTrace
 	if st.Ifc.Clock != "" {
 		if err := s.SetInputUint(st.Ifc.Clock, 0); err != nil {
@@ -1083,14 +1158,13 @@ func runCase(s sim.Instance, st *Stimulus, c *Case) (CaseTrace, error) {
 	}
 	appender, _ := s.(outputAppender)
 	nOuts := len(st.Ifc.Outputs)
-	steps := make([]StepRecord, 0, len(c.Steps))
-	flat := make([]string, len(c.Steps)*nOuts)
+	nSteps := caseSteps(st, sc, ci)
+	steps := make([]StepRecord, 0, nSteps)
+	flat := make([]string, nSteps*nOuts)
 	var scratch []byte
-	for _, step := range c.Steps {
-		for _, name := range step.driveOrder() {
-			if err := s.SetInput(name, step.Inputs[name]); err != nil {
-				return ct, err
-			}
+	for si := 0; si < nSteps; si++ {
+		if err := driveByName(s, st, sc, ci, si); err != nil {
+			return ct, err
 		}
 		if st.Ifc.Clock != "" {
 			if err := s.Tick(st.Ifc.Clock); err != nil {
@@ -1132,9 +1206,10 @@ type outputHasher interface {
 	HashOutput(h uint64, name string, width int) (uint64, error)
 }
 
-// runCaseFP drives one test case on one instance and folds its outputs into
-// a fingerprint, hashing exactly the bytes runCase would have recorded.
-func runCaseFP(s sim.Instance, st *Stimulus, c *Case) (uint64, error) {
+// runCaseFP drives one test case on one instance by input name and folds
+// its outputs into a fingerprint, hashing exactly the bytes runCase would
+// have recorded.
+func runCaseFP(s sim.Instance, st *Stimulus, sc *Schedule, ci int) (uint64, error) {
 	if st.Ifc.Clock != "" {
 		if err := s.SetInputUint(st.Ifc.Clock, 0); err != nil {
 			return 0, err
@@ -1142,12 +1217,9 @@ func runCaseFP(s sim.Instance, st *Stimulus, c *Case) (uint64, error) {
 	}
 	hasher, _ := s.(outputHasher)
 	h := fnvOffset64
-	for si := range c.Steps {
-		step := &c.Steps[si]
-		for _, name := range step.driveOrder() {
-			if err := s.SetInput(name, step.Inputs[name]); err != nil {
-				return 0, err
-			}
+	for si, n := 0, caseSteps(st, sc, ci); si < n; si++ {
+		if err := driveByName(s, st, sc, ci, si); err != nil {
+			return 0, err
 		}
 		if st.Ifc.Clock != "" {
 			if err := s.Tick(st.Ifc.Clock); err != nil {

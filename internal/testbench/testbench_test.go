@@ -23,6 +23,15 @@ func seqIfc() Interface {
 	}
 }
 
+// stimCases returns every case of st in map form.
+func stimCases(st *Stimulus) []Case {
+	out := make([]Case, st.NumCases())
+	for ci := range out {
+		out[ci] = st.Case(ci)
+	}
+	return out
+}
+
 func TestInterfaceHelpers(t *testing.T) {
 	c := combIfc()
 	if c.Sequential() {
@@ -41,11 +50,11 @@ func TestInterfaceHelpers(t *testing.T) {
 func TestExhaustiveEnumeration(t *testing.T) {
 	g := NewGenerator(1)
 	st := g.Ranking(combIfc()) // 3 input bits -> 8 vectors, under MaxCombVectors
-	if len(st.Cases) != 8 {
-		t.Fatalf("cases = %d, want 8 (exhaustive)", len(st.Cases))
+	if st.NumCases() != 8 {
+		t.Fatalf("cases = %d, want 8 (exhaustive)", st.NumCases())
 	}
 	seen := map[string]bool{}
-	for _, c := range st.Cases {
+	for _, c := range stimCases(st) {
 		if len(c.Steps) != 1 {
 			t.Fatal("combinational case should have one step")
 		}
@@ -67,12 +76,12 @@ func TestRandomSamplingCapped(t *testing.T) {
 		Outputs: []PortSpec{{Name: "y", Width: 32}},
 	}
 	st := g.Ranking(wide)
-	if len(st.Cases) != g.MaxCombVectors {
-		t.Fatalf("cases = %d, want cap %d", len(st.Cases), g.MaxCombVectors)
+	if st.NumCases() != g.MaxCombVectors {
+		t.Fatalf("cases = %d, want cap %d", st.NumCases(), g.MaxCombVectors)
 	}
 	// Corners must be present.
 	has := func(want string) bool {
-		for _, c := range st.Cases {
+		for _, c := range stimCases(st) {
 			if c.Steps[0].Inputs["a"].String() == want {
 				return true
 			}
@@ -90,10 +99,10 @@ func TestRandomSamplingCapped(t *testing.T) {
 func TestSequentialCasesStartWithReset(t *testing.T) {
 	g := NewGenerator(1)
 	st := g.Ranking(seqIfc())
-	if len(st.Cases) == 0 {
+	if st.NumCases() == 0 {
 		t.Fatal("no cases")
 	}
-	for ci, c := range st.Cases {
+	for ci, c := range stimCases(st) {
 		if len(c.Steps) < 3 {
 			t.Fatalf("case %d too short", ci)
 		}
@@ -117,20 +126,20 @@ func TestActiveLowReset(t *testing.T) {
 	ifc.ResetActiveLow = true
 	g := NewGenerator(1)
 	st := g.Ranking(ifc)
-	if u, _ := st.Cases[0].Steps[0].Inputs["reset"].Uint64(); u != 0 {
+	if u, _ := st.Case(0).Steps[0].Inputs["reset"].Uint64(); u != 0 {
 		t.Error("active-low reset should be driven 0 during the preamble")
 	}
-	if u, _ := st.Cases[0].Steps[2].Inputs["reset"].Uint64(); u != 1 {
+	if u, _ := st.Case(0).Steps[2].Inputs["reset"].Uint64(); u != 1 {
 		t.Error("active-low reset should be released to 1")
 	}
 }
 
 func TestImperfectionDropsCases(t *testing.T) {
 	g := NewGenerator(1)
-	full := len(g.Ranking(combIfc()).Cases)
+	full := g.Ranking(combIfc()).NumCases()
 	g2 := NewGenerator(1)
 	g2.Imperfection = 0.5
-	dropped := len(g2.Ranking(combIfc()).Cases)
+	dropped := g2.Ranking(combIfc()).NumCases()
 	if dropped >= full {
 		t.Errorf("imperfection did not drop cases: %d vs %d", dropped, full)
 	}
@@ -142,13 +151,14 @@ func TestImperfectionDropsCases(t *testing.T) {
 func TestGeneratorDeterminism(t *testing.T) {
 	a := NewGenerator(42).Ranking(seqIfc())
 	b := NewGenerator(42).Ranking(seqIfc())
-	if len(a.Cases) != len(b.Cases) {
+	if a.NumCases() != b.NumCases() {
 		t.Fatal("case counts differ")
 	}
-	for ci := range a.Cases {
-		for si := range a.Cases[ci].Steps {
-			for name, v := range a.Cases[ci].Steps[si].Inputs {
-				if !v.Equal(b.Cases[ci].Steps[si].Inputs[name]) {
+	for ci := 0; ci < a.NumCases(); ci++ {
+		ac, bc := a.Case(ci), b.Case(ci)
+		for si := range ac.Steps {
+			for name, v := range ac.Steps[si].Inputs {
+				if !v.Equal(bc.Steps[si].Inputs[name]) {
 					t.Fatalf("case %d step %d input %s differs", ci, si, name)
 				}
 			}
@@ -204,7 +214,7 @@ func TestRunTraceAndAgreement(t *testing.T) {
 	}
 	// They agree where a^bb == a|bb; at least one case must differ.
 	diff := 0
-	for i := range st.Cases {
+	for i := 0; i < st.NumCases(); i++ {
 		if !CaseAgrees(trX1, trOr, i) {
 			diff++
 		}

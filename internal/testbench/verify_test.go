@@ -88,7 +88,7 @@ func TestVerifyGangMatchesFullTraces(t *testing.T) {
 					full[i] = runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
 				}
 				golden := full[0]
-				vst := &Stimulus{Ifc: st.Ifc, Cases: st.Cases} // fresh pointer: memo-cold
+				vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)} // fresh pointer: memo-cold
 				got, err := runFingerprintGang(context.Background(), srcs, "top_module", vst, BackendCompiled, nil, gm.mode, golden)
 				if err != nil {
 					t.Fatal(err)
@@ -124,7 +124,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 				tr := runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
 				want[i] = tr.Err == nil && FPAgrees(tr, golden)
 			}
-			vst := &Stimulus{Ifc: st.Ifc, Cases: st.Cases}
+			vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}
 			for _, backend := range []Backend{BackendCompiled, BackendInterpreter} {
 				got, err := VerifyGang(context.Background(), srcs, "top_module", vst, backend, nil, golden)
 				if err != nil {
@@ -139,7 +139,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 
 			// Concurrent batches over one memo-cold stimulus share each
 			// verdict-grade entry through its single flight.
-			cst := &Stimulus{Ifc: st.Ifc, Cases: st.Cases}
+			cst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
