@@ -26,14 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/testbench"
 	"repro/internal/verilog/ast"
-	"repro/internal/verilog/sem"
 )
 
 // Sentinel errors.
@@ -316,57 +314,16 @@ func (p *Pipeline) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// validateMemo caches parse + semantic-check results by candidate text. The
-// same completion recurs across pipeline variants and runs (candidate
-// generation is deterministic), and parsing is a measurable slice of a
-// pipeline run. Parsed ASTs are treated as immutable everywhere downstream,
-// so sharing them across candidates is safe — and makes the simulator's
-// pointer-keyed design-key memo more effective. Cleared wholesale at the
-// cap so it stays bounded.
-var (
-	validateMu   sync.Mutex
-	validateMemo = make(map[string]validated)
-)
-
-const validateMemoCap = 4096
-
-type validated struct {
-	src *ast.Source
-	ok  bool
-}
-
 // ValidateCandidate parses and semantically checks candidate code through
-// the process-wide validation memo, returning the shared AST and whether
-// the candidate is eligible for ranking. It is the same gate the pipeline
-// applies to generated samples, exported for callers (the daemon) that
-// accept externally supplied candidate pools.
+// the process-wide front-end memo (eval.ValidateCached), returning the
+// shared AST and whether the candidate is eligible for ranking. It is the
+// same gate the pipeline applies to generated samples, exported for callers
+// (the daemon) that accept externally supplied candidate pools. The memo
+// shares one AST per distinct text with the oracle and the simulated
+// clients, which also concentrates the simulator's AST-keyed design-key
+// memo.
 func ValidateCandidate(code string) (*ast.Source, bool) {
-	return validate(code)
-}
-
-// validate parses and semantically checks candidate code.
-func validate(code string) (*ast.Source, bool) {
-	validateMu.Lock()
-	if v, hit := validateMemo[code]; hit {
-		validateMu.Unlock()
-		return v.src, v.ok
-	}
-	validateMu.Unlock()
-	v := validated{}
-	// ParseCached shares one AST per distinct text with the oracle and the
-	// simulated clients, which also concentrates the simulator's
-	// pointer-keyed design-key memo.
-	if src, err := eval.ParseCached(code); err == nil &&
-		src.FindModule(eval.TopModule) != nil && !sem.Check(src).HasErrors() {
-		v = validated{src: src, ok: true}
-	}
-	validateMu.Lock()
-	if len(validateMemo) >= validateMemoCap {
-		validateMemo = make(map[string]validated, validateMemoCap)
-	}
-	validateMemo[code] = v
-	validateMu.Unlock()
-	return v.src, v.ok
+	return eval.ValidateCached(code)
 }
 
 // generateOne samples one candidate. Retry policy depends on the variant:
@@ -386,7 +343,7 @@ func (p *Pipeline) generateOne(ctx context.Context, task eval.Task, sampleIdx in
 		if err != nil {
 			return cand, err
 		}
-		src, ok := validate(resp.Code)
+		src, ok := ValidateCandidate(resp.Code)
 		cand.Code = resp.Code
 		cand.ReasoningTokens = resp.ReasoningTokens
 		cand.Source = src

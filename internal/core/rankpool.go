@@ -54,9 +54,14 @@ type RankPoolResult struct {
 	// indices into srcs.
 	Clusters []Cluster
 	// UniqueJobs is the number of behaviourally distinct designs (distinct
-	// sim.NormalKey) in the pool.
+	// testbench.DesignKey) in the pool.
 	UniqueJobs int
 }
+
+// srcJobsPool recycles RankPool's AST-to-job maps: a daemon job ranks ~120
+// candidates per call, and allocating the map afresh cost more than keying
+// every copy of a text.
+var srcJobsPool = sync.Pool{New: func() any { return make(map[*ast.Source]int) }}
 
 // RankPool simulates a pool of candidate sources under one stimulus and
 // clusters them by strict full-trace agreement — the paper's ranking by
@@ -65,9 +70,9 @@ type RankPoolResult struct {
 // a nil entry marks an ineligible candidate (invalid, filtered) that takes
 // no part in simulation or clustering but keeps indices aligned.
 //
-// Candidates with one sim.NormalKey share one simulation; unique designs run
-// gang-batched on a Workers-bounded pool. Results are bit-identical for any
-// worker count and gang size.
+// Candidates with one testbench.DesignKey share one simulation; unique
+// designs run gang-batched on a Workers-bounded pool. Results are
+// bit-identical for any worker count and gang size.
 //
 // RankPool observes ctx between gang batches and (through the testbench)
 // between test cases, so a cancel lands in bounded time; on cancellation it
@@ -77,24 +82,33 @@ type RankPoolResult struct {
 // to that candidate's trace error; a panic outside the per-candidate
 // recovery errors only its own batch. Neither kills the calling process.
 func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, cfg RankPoolConfig) (*RankPoolResult, error) {
-	// Pass 1: dedup behaviourally identical candidates — one NormalKey, so
-	// cosmetic variants collapse — in first-seen order.
+	// Pass 1: dedup behaviourally identical candidates — one
+	// testbench.DesignKey, so cosmetic variants collapse — in first-seen
+	// order. Copies of one text share one AST (eval's front-end memo), so
+	// each AST is keyed once.
 	jobOf := make([]int, len(srcs))
 	jobIdx := make(map[string]int, len(srcs))
+	jobOfSrc := srcJobsPool.Get().(map[*ast.Source]int)
 	jobs := make([]*ast.Source, 0, len(srcs))
 	for i, src := range srcs {
 		if src == nil {
 			continue
 		}
-		key := sim.NormalKey(src)
-		j, dup := jobIdx[key]
-		if !dup {
-			j = len(jobs)
-			jobIdx[key] = j
-			jobs = append(jobs, src)
+		j, seen := jobOfSrc[src]
+		if !seen {
+			key := testbench.DesignKey(src, eval.TopModule, &st.Ifc)
+			var dup bool
+			if j, dup = jobIdx[key]; !dup {
+				j = len(jobs)
+				jobIdx[key] = j
+				jobs = append(jobs, src)
+			}
+			jobOfSrc[src] = j
 		}
 		jobOf[i] = j
 	}
+	clear(jobOfSrc)
+	srcJobsPool.Put(jobOfSrc)
 	out := &RankPoolResult{UniqueJobs: len(jobs)}
 
 	// Pass 2: simulate each unique design. The fingerprint path batches

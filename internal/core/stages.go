@@ -454,7 +454,7 @@ func (p *Pipeline) simulateRefined(res *Result, code string, src *ast.Source) Ca
 // with its source cluster on every covered test case: any covered-case
 // divergence means the model wandered off and the candidate is rejected.
 func (p *Pipeline) admitRefined(res *Result, ci int, code string) {
-	src, ok := validate(code)
+	src, ok := ValidateCandidate(code)
 	if !ok {
 		return
 	}
@@ -478,7 +478,7 @@ func (p *Pipeline) admitRefined(res *Result, ci int, code string) {
 // whichever top cluster it agrees with and boosts that cluster's score by
 // one (it is one more independent, focused opinion).
 func (p *Pipeline) admitRefinedInter(res *Result, code string) {
-	src, ok := validate(code)
+	src, ok := ValidateCandidate(code)
 	if !ok {
 		return
 	}

@@ -16,53 +16,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/testbench"
-	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
 )
-
-// parseMemo caches parse results by source text. Every simulated client and
-// every oracle re-parses its tasks' goldens, and every fresh oracle
-// re-parses the same deterministic candidate completions; the texts recur
-// for the process lifetime and parsed ASTs are treated as immutable
-// everywhere downstream (mutation always clones first), so one parse per
-// distinct text suffices. Sharing pointers also makes the simulator's
-// pointer-keyed canonical-hash memo more effective. Cleared wholesale at
-// the cap so it stays bounded.
-var (
-	parseMu   sync.Mutex
-	parseMemo = make(map[string]parsed)
-)
-
-const parseMemoCap = 8192
-
-type parsed struct {
-	src *ast.Source
-	err error
-}
-
-// ParseCached parses Verilog with a process-wide memo (parse failures are
-// memoized too). The returned source is shared: callers must treat it as
-// immutable.
-func ParseCached(src string) (*ast.Source, error) {
-	parseMu.Lock()
-	if p, hit := parseMemo[src]; hit {
-		parseMu.Unlock()
-		return p.src, p.err
-	}
-	parseMu.Unlock()
-	p := parsed{}
-	p.src, p.err = parser.Parse(src)
-	parseMu.Lock()
-	if len(parseMemo) >= parseMemoCap {
-		parseMemo = make(map[string]parsed, parseMemoCap)
-	}
-	parseMemo[src] = p
-	parseMu.Unlock()
-	return p.src, p.err
-}
 
 // Category splits the benchmark the way the paper's Table I does.
 type Category int

@@ -22,35 +22,48 @@ const maxSubmitBytes = 8 << 20
 // errBodyTooLarge marks a body refused with 413.
 var errBodyTooLarge = errors.New("request body too large")
 
+// submitPreallocMax bounds the buffer a declared Content-Length buys before
+// a byte of the body has arrived. The daemon sets no read timeout, so a
+// larger declaration must not pin its full size on an idle connection.
+const submitPreallocMax = 1 << 20
+
 // readSubmitBody reads a submit body once, into one buffer, never past
-// maxSubmitBytes. A declared Content-Length is read with io.ReadFull into an
-// exact-size buffer (and refused before any read or allocation when over
-// the limit); a body of unknown length goes through http.MaxBytesReader.
+// maxSubmitBytes. A declared Content-Length over the limit is refused before
+// any read or allocation; one up to submitPreallocMax is read with
+// io.ReadFull into an exact-size buffer. A larger declared body, or one of
+// unknown length (through http.MaxBytesReader), is read into a buffer that
+// grows as bytes arrive, never past the declared length or the limit.
 func readSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 {
-		if n > maxSubmitBytes {
-			return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
-		}
+	n := r.ContentLength
+	if n > maxSubmitBytes {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
+	}
+	if n >= 0 && n <= submitPreallocMax {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r.Body, buf); err != nil {
 			return nil, fmt.Errorf("read body: %w", err)
 		}
 		return buf, nil
 	}
-	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	// Grow by doubling, but never past maxSubmitBytes+1: the one spare byte
-	// lets MaxBytesReader see an over-limit body at exactly the limit.
+	body, limit := r.Body, int(n)
+	if n < 0 {
+		// The one spare byte lets MaxBytesReader see an over-limit body at
+		// exactly the limit.
+		body, limit = http.MaxBytesReader(w, r.Body, maxSubmitBytes), maxSubmitBytes+1
+	}
 	buf := make([]byte, 0, 4096)
-	for {
+	for n < 0 || len(buf) < limit {
 		if len(buf) == cap(buf) {
-			next := make([]byte, len(buf), min(2*cap(buf), maxSubmitBytes+1))
+			next := make([]byte, len(buf), min(2*cap(buf), limit))
 			copy(next, buf)
 			buf = next
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		m, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
 		var tooBig *http.MaxBytesError
 		switch {
+		case err == io.EOF && n >= 0 && len(buf) < limit:
+			return nil, fmt.Errorf("read body: %w", io.ErrUnexpectedEOF)
 		case err == io.EOF:
 			return buf, nil
 		case errors.As(err, &tooBig):
@@ -59,6 +72,7 @@ func readSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 			return nil, fmt.Errorf("read body: %w", err)
 		}
 	}
+	return buf, nil
 }
 
 // decodeSubmit parses a POST /jobs body in one pass. It accepts exactly one

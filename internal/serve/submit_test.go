@@ -9,7 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -267,6 +269,44 @@ func TestSubmitBodyLimit413(t *testing.T) {
 			if got[i].Fingerprint != fmt.Sprintf("%016x", cl.Fingerprint) || !reflect.DeepEqual(got[i].Members, cl.Members) {
 				t.Fatalf("%s cluster %d = %+v, want %+v", id, i, got[i], cl)
 			}
+		}
+	}
+}
+
+// TestSubmitBodyAllocatesReceived holds a declared Content-Length to the
+// bytes that actually arrive: a body that declares 8 MiB but ends after 11
+// bytes allocates under 1 MiB and gets a 400, and declared bodies on the
+// growing path (over 1 MiB) still read back exactly.
+func TestSubmitBodyAllocatesReceived(t *testing.T) {
+	srv, _, _ := newTestServer(t, Config{Workers: 1, QueueCap: 4, RankWorkers: 1})
+	h := srv.Handler()
+	const short = `{"task_id":`
+	req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(short))
+	req.ContentLength = 8 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("declared 8 MiB, sent %d bytes: allocated %d bytes, want under 1 MiB", len(short), got)
+	}
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unexpected EOF") {
+		t.Errorf("declared 8 MiB, sent %d bytes: HTTP %d %q, want 400 unexpected EOF", len(short), rec.Code, rec.Body.String())
+	}
+
+	for _, n := range []int{submitPreallocMax + 1, 3<<20 + 17, maxSubmitBytes} {
+		body := bytes.Repeat([]byte("0123456789abcdef"), n/16+1)
+		req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
+		req.ContentLength = int64(n)
+		got, err := readSubmitBody(httptest.NewRecorder(), req)
+		if err != nil || !bytes.Equal(got, body[:n]) {
+			t.Fatalf("declared %d bytes: read %d bytes, err %v; want the %d declared bytes", n, len(got), err, n)
+		}
+		req = httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body[:n-1]))
+		req.ContentLength = int64(n)
+		if _, err := readSubmitBody(httptest.NewRecorder(), req); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("declared %d bytes, sent one fewer: err %v, want unexpected EOF", n, err)
 		}
 	}
 }

@@ -441,9 +441,7 @@ func TestCanonicalKeyAllocs(t *testing.T) {
 	}
 	sum := sha256.Sum256([]byte(printer.Print(srcs[0])))
 	want := hex.EncodeToString(sum[:])
-	keyMemoMu.Lock()
-	keyMemo = make(map[*ast.Source]designKeys)
-	keyMemoMu.Unlock()
+	resetKeyMemo()
 	CanonicalKey(srcs[0]) // grow the pooled buffer
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -475,9 +473,7 @@ func TestNormalKeyAllocs(t *testing.T) {
 		}
 		srcs[i] = src
 	}
-	keyMemoMu.Lock()
-	keyMemo = make(map[*ast.Source]designKeys)
-	keyMemoMu.Unlock()
+	resetKeyMemo()
 	want := NormalKey(srcs[0]) // also grows the pooled buffer and scratch
 	if want == CanonicalKey(srcs[0]) {
 		t.Fatal("NormalKey equals CanonicalKey: the domain tag is missing")

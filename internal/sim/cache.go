@@ -14,13 +14,34 @@ import (
 // keyMemo caches both design keys by AST identity: printing a design is
 // comparable in cost to compiling it, and the same parsed candidate is keyed
 // several times per pipeline run (dedup, ranking, refinement checks). Each
-// entry holds whichever of the two keys have been asked for. The memo is
-// cleared wholesale when it exceeds its cap so it cannot pin an unbounded
-// number of ASTs against the garbage collector.
+// entry holds whichever of the two keys have been asked for. Candidate ASTs
+// come from the front-end memo (eval.ParseCached), which drops an AST's
+// entry here through DropDesignKeys when it evicts the AST, so this memo
+// keeps no evicted AST alive. ASTs parsed outside that memo (tests, direct
+// parser.Parse callers) and ASTs keyed after their eviction are bounded by a
+// backstop: the memo is cleared wholesale when it reaches keyMemoCap
+// entries.
 var (
 	keyMemoMu sync.Mutex
 	keyMemo   = make(map[*ast.Source]designKeys)
 )
+
+// normalPrints and canonPrints count the keys printed on memo misses.
+var normalPrints, canonPrints atomic.Uint64
+
+// keyPrinting holds the keys being printed, each claimed by the goroutine
+// printing it; keyMemoCond wakes the callers waiting for one. Both are
+// guarded by keyMemoMu.
+var (
+	keyPrinting = make(map[keyClaim]bool)
+	keyMemoCond = sync.NewCond(&keyMemoMu)
+)
+
+// keyClaim names one key of one AST.
+type keyClaim struct {
+	src    *ast.Source
+	normal bool
+}
 
 // designKeys is one keyMemo entry; an empty field is not computed yet.
 type designKeys struct {
@@ -29,6 +50,20 @@ type designKeys struct {
 }
 
 const keyMemoCap = 4096
+
+// DropDesignKeys forgets src's memoized design keys. The front-end memo
+// calls it when it evicts src.
+func DropDesignKeys(src *ast.Source) {
+	keyMemoMu.Lock()
+	delete(keyMemo, src)
+	keyMemoMu.Unlock()
+}
+
+// DesignKeyPrints reports how many NormalKeys and CanonicalKeys have been
+// printed and hashed, that is, computed on a memo miss.
+func DesignKeyPrints() (normal, canonical uint64) {
+	return normalPrints.Load(), canonPrints.Load()
+}
 
 // keyBufPool recycles the buffers the keys print into. Buffers that grew
 // past keyBufMaxPooled are dropped rather than pooled, so one huge candidate
@@ -66,39 +101,62 @@ func NormalKey(src *ast.Source) string {
 	return designKey(src, true)
 }
 
-// designKey returns src's normal or canonical key through keyMemo.
+// designKey returns src's normal or canonical key through keyMemo. A miss
+// is single-flight: the first caller claims the key in keyPrinting, and
+// concurrent callers for the same key wait on keyMemoCond for it. The hit
+// path is one lock and one lookup.
 func designKey(src *ast.Source, normal bool) string {
 	keyMemoMu.Lock()
-	ks := keyMemo[src]
-	keyMemoMu.Unlock()
-	if k := ks.get(normal); k != "" {
+	if k := keyMemo[src].get(normal); k != "" {
+		keyMemoMu.Unlock()
 		return k
 	}
+	claim := keyClaim{src, normal}
+	for keyPrinting[claim] {
+		keyMemoCond.Wait()
+		if k := keyMemo[src].get(normal); k != "" {
+			keyMemoMu.Unlock()
+			return k
+		}
+	}
+	keyPrinting[claim] = true
+	keyMemoMu.Unlock()
+
+	var k string
+	// Publish the key, or only release the claim if printing panicked.
+	defer func() {
+		keyMemoMu.Lock()
+		delete(keyPrinting, claim)
+		if k != "" {
+			if len(keyMemo) >= keyMemoCap {
+				keyMemo = make(map[*ast.Source]designKeys, keyMemoCap)
+			}
+			ks := keyMemo[src] // the other key may have landed meanwhile
+			if normal {
+				ks.normal = k
+			} else {
+				ks.canon = k
+			}
+			keyMemo[src] = ks
+		}
+		keyMemoMu.Unlock()
+		keyMemoCond.Broadcast()
+	}()
 	bp := keyBufPool.Get().(*[]byte)
 	var buf []byte
 	if normal {
 		buf = printer.AppendNormal(append((*bp)[:0], normalKeyTag...), src)
+		normalPrints.Add(1)
 	} else {
 		buf = printer.AppendSource((*bp)[:0], src)
+		canonPrints.Add(1)
 	}
 	sum := sha256.Sum256(buf)
 	if cap(buf) <= keyBufMaxPooled {
 		*bp = buf
 		keyBufPool.Put(bp)
 	}
-	k := hex.EncodeToString(sum[:])
-	keyMemoMu.Lock()
-	if len(keyMemo) >= keyMemoCap {
-		keyMemo = make(map[*ast.Source]designKeys, keyMemoCap)
-	}
-	ks = keyMemo[src] // the other key may have landed meanwhile
-	if normal {
-		ks.normal = k
-	} else {
-		ks.canon = k
-	}
-	keyMemo[src] = ks
-	keyMemoMu.Unlock()
+	k = hex.EncodeToString(sum[:])
 	return k
 }
 

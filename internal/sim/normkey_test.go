@@ -128,10 +128,19 @@ func TestNormalKeyDistinguishes(t *testing.T) {
 	}
 }
 
+// resetKeyMemo empties the design-key memo, so a test starts far from its
+// backstop cap.
+func resetKeyMemo() {
+	keyMemoMu.Lock()
+	keyMemo = make(map[*ast.Source]designKeys)
+	keyMemoMu.Unlock()
+}
+
 // TestDesignKeysConcurrent keys fresh ASTs from several goroutines at once,
 // half asking for NormalKey first and half for CanonicalKey: both keys share
-// one memo entry, so neither may overwrite the other, and every caller must
-// see the same keys a sequential run computes.
+// one memo entry, so neither may overwrite the other, every caller must
+// see the same keys a sequential run computes, and each key is printed once
+// per AST however many callers race for it.
 func TestDesignKeysConcurrent(t *testing.T) {
 	ref, err := parser.Parse(allocSeq)
 	if err != nil {
@@ -139,14 +148,13 @@ func TestDesignKeysConcurrent(t *testing.T) {
 	}
 	wantN, wantC := NormalKey(ref), CanonicalKey(ref)
 	const asts, workers = 16, 8
-	keyMemoMu.Lock()
-	keyMemo = make(map[*ast.Source]designKeys) // far from the wholesale-clear cap
-	keyMemoMu.Unlock()
+	resetKeyMemo() // far from the backstop cap
 	for round := 0; round < asts; round++ {
 		src, err := parser.Parse(allocSeq)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n0, c0 := DesignKeyPrints()
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -167,8 +175,11 @@ func TestDesignKeysConcurrent(t *testing.T) {
 		keyMemoMu.Lock()
 		ks := keyMemo[src]
 		keyMemoMu.Unlock()
-		if ks.normal != wantN || ks.canon != wantC {
-			t.Fatalf("round %d: memo entry lost a key: %+v", round, ks)
+		if ks.normal != wantN || ks.canon != wantC || len(keyPrinting) != 0 {
+			t.Fatalf("round %d: memo entry lost a key or kept a claim: %+v", round, ks)
+		}
+		if n1, c1 := DesignKeyPrints(); n1-n0 != 1 || c1-c0 != 1 {
+			t.Fatalf("round %d: printed %d NormalKeys and %d CanonicalKeys, want one each", round, n1-n0, c1-c0)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // A compiled fingerprint run is a pure function of (design content,
 // Stimulus): the design fixes behavior, the stimulus fixes drives, and
 // FPTrace records nothing else. The memo keys the design by behaviour — the
-// candidate's sim.NormalKey and top module — so a lookup needs no compiled
+// candidate's DesignKey and top module — so a lookup needs no compiled
 // design: memo and store hits are answered before the candidate is
 // compiled, an entry outlives the compile-cache eviction of its design, and
 // cosmetic variants (renamed internal nets, re-based literals, swapped
@@ -36,7 +36,7 @@ import (
 // golden in their key (ref); full-trace entries have ref == nil.
 
 type fpKey struct {
-	design string // sim.NormalKey of the candidate source
+	design string // DesignKey of the candidate source
 	top    string
 	st     *Stimulus
 	ref    *FPTrace // golden a verdict-grade run is cut against; nil: full trace
@@ -44,7 +44,44 @@ type fpKey struct {
 
 // memoKey is the memo key of src's run under st (ref as in fpKey).
 func memoKey(src *ast.Source, top string, st *Stimulus, ref *FPTrace) fpKey {
-	return fpKey{design: sim.NormalKey(src), top: top, st: st, ref: ref}
+	return fpKey{design: DesignKey(src, top, &st.Ifc), top: top, st: st, ref: ref}
+}
+
+// DesignKey is the key under which src's runs against ifc are memoized,
+// stored and deduplicated: its sim.NormalKey when its top module declares
+// every interface input, clock and reset as an input port and every
+// interface output as an output port, else its sim.CanonicalKey. The normal
+// form renames non-port nets, but a testbench resolves an interface name
+// that is not a port against every top-level net, so such a candidate's
+// trace depends on its exact spelling.
+func DesignKey(src *ast.Source, top string, ifc *Interface) string {
+	if bindsPorts(src.FindModule(top), ifc) {
+		return sim.NormalKey(src)
+	}
+	return sim.CanonicalKey(src)
+}
+
+// bindsPorts reports whether m declares every name of ifc as a port of the
+// interface's direction.
+func bindsPorts(m *ast.Module, ifc *Interface) bool {
+	if m == nil {
+		return false
+	}
+	has := func(name string, dir ast.Dir) bool {
+		p := m.PortByName(name)
+		return p != nil && p.Dir == dir
+	}
+	for _, in := range ifc.Inputs {
+		if !has(in.Name, ast.Input) {
+			return false
+		}
+	}
+	for _, out := range ifc.Outputs {
+		if !has(out.Name, ast.Output) {
+			return false
+		}
+	}
+	return (ifc.Clock == "" || has(ifc.Clock, ast.Input)) && (ifc.Reset == "" || has(ifc.Reset, ast.Input))
 }
 
 // fpEntry is one single-flight memo slot. claim marks the caller as the

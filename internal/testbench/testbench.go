@@ -980,7 +980,7 @@ func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Tra
 // trace of the same run would produce.
 //
 // Compiled runs are memoized process-wide by (design content, stimulus):
-// the candidate's sim.NormalKey and top module, and the stimulus — a
+// the candidate's DesignKey and top module, and the stimulus — a
 // process-wide cached object. The experiment drivers re-run the same
 // candidate under the same stimulus across ranking variants, refinement
 // passes, verification pools and bench iterations. A memo or store hit costs
