@@ -48,7 +48,7 @@ func run(args []string) error {
 		backend   = fs.String("backend", "compiled", "simulation backend: compiled|interpreter")
 		legacy    = fs.Bool("legacy-traces", false, "rank and verify on the retained printed-trace path instead of streaming fingerprints (identical results; for differential benchmarking)")
 		soa       = fs.Bool("soa", true, "share struct-of-arrays planes across gang lanes (off: per-lane engines; identical results)")
-		workers   = fs.Int("workers", core.DefaultWorkers(), "task-level worker pool size")
+		workers   = fs.Int("workers", core.DefaultWorkers(), "size of the one worker pool that runs every experiment cell, task-major")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		storeSpec = fs.String("store", "off", "persistent result store: off, mem, disk, an http(s) URL, or a comma-separated tier list (nearest first)")

@@ -108,7 +108,7 @@ func run(args []string) error {
 		scfg.LLMStats = func() map[string]int64 { return llmStats().Map() }
 	}
 	srv := serve.New(scfg)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(*addr)
 
 	errc := make(chan error, 1)
 	go func() {

@@ -231,7 +231,7 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 			return plan.Run(ctx, batch, base)
 		}
 	}
-	if err := runUnits(ctx, nUnits, cfg.Workers, cfg.OnBatch, run); err != nil {
+	if err := RunUnits(ctx, nUnits, cfg.Workers, cfg.OnBatch, run); err != nil {
 		return nil, err
 	}
 	if plan != nil {
@@ -309,11 +309,13 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	return out, nil
 }
 
-// runUnits drives run(0..n-1) on a workers-bounded pool. Feeding stops on
-// the first error or on ctx cancellation; already-started units run to
-// their own ctx checks. The first error wins (a ctx error if nothing else
-// failed first).
-func runUnits(ctx context.Context, n, workers int, onDone func(done, total int), run func(b int) error) error {
+// RunUnits drives run(0..n-1) on a workers-bounded pool, feeding units in
+// index order. Feeding stops on the first error or on ctx cancellation;
+// already-started units run to their own ctx checks. The first error wins
+// (a ctx error if nothing else failed first). onDone, when non-nil, is
+// called under the pool's lock after each successful unit. The ranker runs
+// its gang batches on it, and the experiment drivers their cells.
+func RunUnits(ctx context.Context, n, workers int, onDone func(done, total int), run func(b int) error) error {
 	if workers < 1 {
 		workers = 1
 	}

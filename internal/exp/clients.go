@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"repro/internal/eval"
 	"repro/internal/llm"
 )
@@ -21,4 +23,18 @@ func mintClient(f ClientFactory, profile llm.Profile, seed int64, tasks []eval.T
 		return llm.NewSimClient(profile, seed, tasks)
 	}
 	return f(profile.Name, seed, tasks)
+}
+
+// resolveProfiles looks up every model's profile up front, so a bad name
+// fails before any cell runs.
+func resolveProfiles(models []string) ([]llm.Profile, error) {
+	profiles := make([]llm.Profile, len(models))
+	for mi, model := range models {
+		p, err := llm.ProfileByName(model)
+		if err != nil {
+			return nil, fmt.Errorf("model %s: %w", model, err)
+		}
+		profiles[mi] = p
+	}
+	return profiles, nil
 }

@@ -3,17 +3,15 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/testbench"
-	"repro/internal/verilog/parser"
-	"repro/internal/verilog/sem"
 )
 
 // Fig3Config parameterizes the Fig. 3 reproduction: functional correctness
@@ -30,7 +28,8 @@ type Fig3Config struct {
 	Bins int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds task-level parallelism (defaults to core.DefaultWorkers()).
+	// Workers sizes the one pool that runs every (task, model) cell,
+	// task-major (defaults to core.DefaultWorkers()).
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
@@ -92,96 +91,80 @@ func RunFig3(ctx context.Context, cfg Fig3Config) (*Fig3Result, error) {
 	if cfg.FPMemoCap > 0 {
 		testbench.SetFPMemoCap(cfg.FPMemoCap)
 	}
+	profiles, err := resolveProfiles(cfg.Models)
+	if err != nil {
+		return nil, err
+	}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
 	oracle.LegacyTraces = cfg.LegacyTraces
 	oracle.PerLaneGang = cfg.PerLaneGang
-	res := &Fig3Result{Config: cfg}
-	for _, model := range cfg.Models {
-		series, err := runFig3Model(ctx, cfg, oracle, model)
+
+	// Cells run task-major, (task, model), on one pool.
+	nm := len(cfg.Models)
+	cells := make([]taskFig3, len(cfg.Tasks)*nm)
+	err = core.RunUnits(ctx, len(cells), cfg.Workers, nil, func(c int) error {
+		mi := c % nm
+		out, err := fig3Task(ctx, cfg, oracle, profiles[mi], cfg.Tasks[c/nm])
 		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", model, err)
+			return fmt.Errorf("model %s: %w", cfg.Models[mi], err)
+		}
+		cells[c] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Fig3Result{Config: cfg}
+	for mi, model := range cfg.Models {
+		series := Fig3Series{Model: model}
+		var allNorm []float64
+		var allPassed []bool
+		for c := mi; c < len(cells); c += nm {
+			allNorm = append(allNorm, cells[c].norm...)
+			allPassed = append(allPassed, cells[c].passed...)
+			series.Total += cells[c].total
+			series.Dropped += cells[c].dropped
+		}
+		series.Bins = metrics.BinPassRates(allNorm, allPassed, cfg.Bins)
+		var xs, ys []float64
+		for _, b := range series.Bins {
+			if b.Count == 0 {
+				continue
+			}
+			xs = append(xs, b.Center())
+			ys = append(ys, b.PassRate)
+		}
+		if len(xs) >= 3 {
+			fit, ferr := metrics.FitQuadratic(xs, ys)
+			if ferr == nil {
+				series.Fit = fit
+			}
 		}
 		res.Series = append(res.Series, series)
 	}
 	return res, nil
 }
 
-// taskFig3 is the per-task sample summary.
+// taskFig3 is the per-(task, model) sample summary.
 type taskFig3 struct {
 	norm    []float64
 	passed  []bool
 	total   int
 	dropped int
-	err     error
 }
 
-func runFig3Model(ctx context.Context, cfg Fig3Config, oracle *Oracle, model string) (Fig3Series, error) {
-	profile, err := llm.ProfileByName(model)
-	if err != nil {
-		return Fig3Series{}, err
-	}
-	results := make([]taskFig3, len(cfg.Tasks))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range jobs {
-				results[ti] = fig3Task(ctx, cfg, oracle, profile, cfg.Tasks[ti])
-			}
-		}()
-	}
-	for ti := range cfg.Tasks {
-		jobs <- ti
-	}
-	close(jobs)
-	wg.Wait()
-
-	series := Fig3Series{Model: model}
-	var allNorm []float64
-	var allPassed []bool
-	for _, r := range results {
-		if r.err != nil {
-			return series, r.err
-		}
-		allNorm = append(allNorm, r.norm...)
-		allPassed = append(allPassed, r.passed...)
-		series.Total += r.total
-		series.Dropped += r.dropped
-	}
-	series.Bins = metrics.BinPassRates(allNorm, allPassed, cfg.Bins)
-	var xs, ys []float64
-	for _, b := range series.Bins {
-		if b.Count == 0 {
-			continue
-		}
-		xs = append(xs, b.Center())
-		ys = append(ys, b.PassRate)
-	}
-	if len(xs) >= 3 {
-		fit, ferr := metrics.FitQuadratic(xs, ys)
-		if ferr == nil {
-			series.Fit = fit
-		}
-	}
-	return series, nil
-}
-
-// fig3Task samples one task, verifies every sample, and normalizes lengths.
-func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.Profile, task eval.Task) taskFig3 {
+// fig3Task samples one task, verifies the valid samples as one batch, and
+// normalizes their reasoning lengths.
+func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.Profile, task eval.Task) (taskFig3, error) {
 	var out taskFig3
 	client, err := mintClient(cfg.NewClient, profile, cfg.Seed, []eval.Task{task})
 	if err != nil {
-		out.err = err
-		return out
+		return out, err
 	}
-	type sample struct {
-		tokens int
-		passed bool
-	}
-	var samples []sample
+	var tokens []int
+	var codes []string
 	for i := 0; i < cfg.Samples; i++ {
 		out.total++
 		resp, gerr := client.Generate(ctx, llm.GenerateRequest{
@@ -199,52 +182,31 @@ func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.P
 			out.dropped++ // missing reasoning trace: removed from the graph
 			continue
 		}
-		if _, ok := validateForFig3(resp.Code); !ok {
+		if _, ok := core.ValidateCandidate(resp.Code); !ok {
 			out.dropped++ // syntactically incomplete: removed from the graph
 			continue
 		}
-		pass, verr := oracle.Verify(task.ID, resp.Code)
-		if verr != nil {
-			out.err = verr
-			return out
-		}
-		samples = append(samples, sample{tokens: resp.ReasoningTokens, passed: pass})
+		tokens = append(tokens, resp.ReasoningTokens)
+		codes = append(codes, resp.Code)
 	}
-	if len(samples) < 2 {
-		return out
+	passed, err := oracle.VerifyBatch(task.ID, codes)
+	if err != nil {
+		return out, err
 	}
-	minT, maxT := samples[0].tokens, samples[0].tokens
-	for _, s := range samples {
-		if s.tokens < minT {
-			minT = s.tokens
-		}
-		if s.tokens > maxT {
-			maxT = s.tokens
-		}
+	if len(tokens) < 2 {
+		return out, nil
 	}
+	minT, maxT := slices.Min(tokens), slices.Max(tokens)
 	span := maxT - minT
-	for _, s := range samples {
+	for _, t := range tokens {
 		n := 0.5
 		if span > 0 {
-			n = float64(s.tokens-minT) / float64(span)
+			n = float64(t-minT) / float64(span)
 		}
 		out.norm = append(out.norm, n)
-		out.passed = append(out.passed, s.passed)
 	}
-	return out
-}
-
-// validateForFig3 mirrors the pipeline's validity gate: candidates must
-// parse, define top_module, and pass semantic checks.
-func validateForFig3(code string) (struct{}, bool) {
-	src, err := parser.Parse(code)
-	if err != nil || src.FindModule(eval.TopModule) == nil {
-		return struct{}{}, false
-	}
-	if res := sem.Check(src); res.HasErrors() {
-		return struct{}{}, false
-	}
-	return struct{}{}, true
+	out.passed = passed
+	return out, nil
 }
 
 // Render formats the result as aligned bin tables, one panel per model.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -26,7 +25,8 @@ type Fig4Config struct {
 	Runs int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds task-level parallelism (defaults to core.DefaultWorkers()).
+	// Workers sizes the one pool that runs every (task, run, model, n)
+	// cell, task-major (defaults to core.DefaultWorkers()).
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
@@ -90,93 +90,82 @@ func RunFig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 	if len(cfg.Models) == 0 {
 		cfg.Models = []string{"deepseek-r1", "o3-mini-high", "qwq-32b"}
 	}
+	profiles, err := resolveProfiles(cfg.Models)
+	if err != nil {
+		return nil, err
+	}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
 	oracle.LegacyTraces = cfg.LegacyTraces
 	oracle.PerLaneGang = cfg.PerLaneGang
-	res := &Fig4Result{Config: cfg}
-	for _, model := range cfg.Models {
-		series, err := runFig4Model(ctx, cfg, oracle, model)
+
+	// Cells run task-major, (task, run, model, n), on one pool: one
+	// (task, run, model) client's pools for growing n share most of their
+	// candidates.
+	nm, nn := len(cfg.Models), len(cfg.SampleSizes)
+	cells := make([]fig4Cell, len(cfg.Tasks)*cfg.Runs*nm*nn)
+	cellAt := func(ti, run, mi, ni int) int { return ((ti*cfg.Runs+run)*nm+mi)*nn + ni }
+	err = core.RunUnits(ctx, len(cells), cfg.Workers, nil, func(c int) error {
+		ni, mi := c%nn, c/nn%nm
+		run, ti := c/nn/nm%cfg.Runs, c/nn/nm/cfg.Runs
+		cell, err := fig4Task(ctx, cfg, oracle, profiles[mi], cfg.Tasks[ti], run, cfg.SampleSizes[ni])
 		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", model, err)
+			return fmt.Errorf("model %s: %w", cfg.Models[mi], err)
+		}
+		cells[c] = cell
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Fig4Result{Config: cfg}
+	total := float64(len(cfg.Tasks))
+	for mi, model := range cfg.Models {
+		series := Fig4Series{Model: model}
+		for ni, n := range cfg.SampleSizes {
+			var baseRuns, vrankRuns, vfocusRuns []float64
+			for run := 0; run < cfg.Runs; run++ {
+				var base, vr, vf float64
+				for ti := range cfg.Tasks {
+					c := cells[cellAt(ti, run, mi, ni)]
+					base += c.baseline
+					if c.vrank {
+						vr++
+					}
+					if c.vfocus {
+						vf++
+					}
+				}
+				baseRuns = append(baseRuns, base/total)
+				vrankRuns = append(vrankRuns, vr/total)
+				vfocusRuns = append(vfocusRuns, vf/total)
+			}
+			series.Points = append(series.Points, Fig4Point{
+				N:        n,
+				Baseline: metrics.Summarize(baseRuns),
+				VRank:    metrics.Summarize(vrankRuns),
+				VFocus:   metrics.Summarize(vfocusRuns),
+			})
 		}
 		res.Series = append(res.Series, series)
 	}
 	return res, nil
 }
 
-// fig4Cell is one (task, run, n) outcome.
+// fig4Cell is one (task, run, model, n) outcome.
 type fig4Cell struct {
 	baseline float64 // pass@1 estimator over the pool
 	vrank    bool
 	vfocus   bool
-	err      error
 }
 
-func runFig4Model(ctx context.Context, cfg Fig4Config, oracle *Oracle, model string) (Fig4Series, error) {
-	profile, err := llm.ProfileByName(model)
-	if err != nil {
-		return Fig4Series{}, err
-	}
-	series := Fig4Series{Model: model}
-	for _, n := range cfg.SampleSizes {
-		var (
-			baseRuns, vrankRuns, vfocusRuns []float64
-		)
-		for run := 0; run < cfg.Runs; run++ {
-			cells := make([]fig4Cell, len(cfg.Tasks))
-			var wg sync.WaitGroup
-			jobs := make(chan int)
-			for w := 0; w < cfg.Workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ti := range jobs {
-						cells[ti] = fig4Task(ctx, cfg, oracle, profile, cfg.Tasks[ti], run, n)
-					}
-				}()
-			}
-			for ti := range cfg.Tasks {
-				jobs <- ti
-			}
-			close(jobs)
-			wg.Wait()
-
-			var base, vr, vf float64
-			for _, c := range cells {
-				if c.err != nil {
-					return series, c.err
-				}
-				base += c.baseline
-				if c.vrank {
-					vr++
-				}
-				if c.vfocus {
-					vf++
-				}
-			}
-			total := float64(len(cfg.Tasks))
-			baseRuns = append(baseRuns, base/total)
-			vrankRuns = append(vrankRuns, vr/total)
-			vfocusRuns = append(vfocusRuns, vf/total)
-		}
-		series.Points = append(series.Points, Fig4Point{
-			N:        n,
-			Baseline: metrics.Summarize(baseRuns),
-			VRank:    metrics.Summarize(vrankRuns),
-			VFocus:   metrics.Summarize(vfocusRuns),
-		})
-	}
-	return series, nil
-}
-
-func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.Profile, task eval.Task, run, n int) fig4Cell {
+func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.Profile, task eval.Task, run, n int) (fig4Cell, error) {
 	var cell fig4Cell
 	clientSeed := cfg.Seed + int64(run)*1009
 	client, err := mintClient(cfg.NewClient, profile, clientSeed, []eval.Task{task})
 	if err != nil {
-		cell.err = err
-		return cell
+		return cell, err
 	}
 	runVariant := func(v core.Variant) (*core.Result, error) {
 		pcfg := core.DefaultConfig(v, profile.Name)
@@ -192,18 +181,21 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		return core.New(client, pcfg).Run(ctx, task)
 	}
 
+	// Baseline: verify the raw pool as one gang batch.
 	baseRes, err := runVariant(core.VariantBaseline)
 	if err != nil {
-		cell.err = err
-		return cell
+		return cell, err
+	}
+	pool := make([]string, len(baseRes.Candidates))
+	for i, c := range baseRes.Candidates {
+		pool[i] = c.Code
+	}
+	verdicts, err := oracle.VerifyBatch(task.ID, pool)
+	if err != nil {
+		return cell, err
 	}
 	correct := 0
-	for _, c := range baseRes.Candidates {
-		ok, verr := oracle.Verify(task.ID, c.Code)
-		if verr != nil {
-			cell.err = verr
-			return cell
-		}
+	for _, ok := range verdicts {
 		if ok {
 			correct++
 		}
@@ -221,15 +213,13 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		return oracle.Verify(task.ID, r.Final)
 	}
 	if cell.vrank, err = check(core.VariantVRank); err != nil {
-		cell.err = err
-		return cell
+		return cell, err
 	}
 	// Per the paper, the Fig. 4 VFocus series is pre-ranking + ranking only.
 	if cell.vfocus, err = check(core.VariantPreVRank); err != nil {
-		cell.err = err
-		return cell
+		return cell, err
 	}
-	return cell
+	return cell, nil
 }
 
 // Render formats the curves as one table per model.

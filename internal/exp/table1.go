@@ -3,9 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -26,7 +25,8 @@ type Table1Config struct {
 	Runs int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds task-level parallelism (defaults to core.DefaultWorkers()).
+	// Workers sizes the one pool that runs every (task, run, model) cell,
+	// task-major (defaults to core.DefaultWorkers()).
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled; the
 	// interpreter remains selectable for differential benchmarking).
@@ -70,10 +70,8 @@ type Table1Result struct {
 
 // taskRunOutcome records one task under one run for one model.
 type taskRunOutcome struct {
-	taskID   string
 	category eval.Category
 	correct  int // correct candidates among the baseline pool
-	n        int
 	vrank    bool
 	preVRank bool
 	vfocus   bool
@@ -100,19 +98,46 @@ func RunTable1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 		cfg.Models = []string{"deepseek-r1", "o3-mini-high", "qwq-32b"}
 	}
 
+	profiles, err := resolveProfiles(cfg.Models)
+	if err != nil {
+		return nil, err
+	}
+
 	res := &Table1Result{Config: cfg}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
 	oracle.LegacyTraces = cfg.LegacyTraces
 	oracle.PerLaneGang = cfg.PerLaneGang
 
-	for _, model := range cfg.Models {
-		outcomes, err := runModelOutcomes(ctx, cfg, oracle, model)
+	// Cells run task-major, (task, run, model), on one pool, so a task's
+	// cells share its oracle setup and its cached parses, compiles and
+	// fingerprints before other tasks evict them. Tasks go in ID order,
+	// which is also the order aggregation sums in.
+	tasks := slices.Clone(cfg.Tasks)
+	slices.SortStableFunc(tasks, func(a, b eval.Task) int { return strings.Compare(a.ID, b.ID) })
+	nm := len(cfg.Models)
+	outcomes := make([]taskRunOutcome, len(tasks)*cfg.Runs*nm)
+	err = core.RunUnits(ctx, len(outcomes), cfg.Workers, nil, func(c int) error {
+		mi := c % nm
+		out, err := evalTaskRun(ctx, cfg, oracle, profiles[mi], tasks[c/nm/cfg.Runs], c/nm%cfg.Runs)
 		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", model, err)
+			return fmt.Errorf("model %s: %w", cfg.Models[mi], err)
+		}
+		outcomes[c] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	modelOutcomes := make([]taskRunOutcome, 0, len(outcomes)/nm)
+	for mi, model := range cfg.Models {
+		modelOutcomes = modelOutcomes[:0]
+		for c := mi; c < len(outcomes); c += nm {
+			modelOutcomes = append(modelOutcomes, outcomes[c])
 		}
 		for _, ds := range []string{"Human", "CMB", "SEQ"} {
-			row, err := aggregateRows(model, ds, outcomes, cfg.Samples)
+			row, err := aggregateRows(model, ds, modelOutcomes, cfg.Samples)
 			if err != nil {
 				return nil, err
 			}
@@ -122,62 +147,10 @@ func RunTable1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 	return res, nil
 }
 
-// runModelOutcomes evaluates one model over all runs and tasks.
-func runModelOutcomes(ctx context.Context, cfg Table1Config, oracle *Oracle, model string) ([]taskRunOutcome, error) {
-	profile, err := llm.ProfileByName(model)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		mu       sync.Mutex
-		outcomes []taskRunOutcome
-		firstErr error
-	)
-	type job struct {
-		task eval.Task
-		run  int
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				out, err := evalTaskRun(ctx, cfg, oracle, profile, j.task, j.run)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				outcomes = append(outcomes, out)
-				mu.Unlock()
-			}
-		}()
-	}
-	for run := 0; run < cfg.Runs; run++ {
-		for _, t := range cfg.Tasks {
-			jobs <- job{task: t, run: run}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Deterministic order for reproducible aggregation.
-	sort.Slice(outcomes, func(a, b int) bool {
-		if outcomes[a].taskID != outcomes[b].taskID {
-			return outcomes[a].taskID < outcomes[b].taskID
-		}
-		return outcomes[a].n < outcomes[b].n
-	})
-	return outcomes, nil
-}
-
 // evalTaskRun evaluates one (task, run): baseline correctness counts plus
 // the three frameworks' final picks.
 func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile llm.Profile, task eval.Task, run int) (taskRunOutcome, error) {
-	out := taskRunOutcome{taskID: task.ID, category: task.Category, n: cfg.Samples}
+	out := taskRunOutcome{category: task.Category}
 	clientSeed := cfg.Seed + int64(run)*1009
 	client, err := mintClient(cfg.NewClient, profile, clientSeed, []eval.Task{task})
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,39 @@ func (s *Server) llmDesc() string {
 		return "sim"
 	}
 	return s.cfg.LLMDesc
+}
+
+// Connection deadlines of the daemon's HTTP server. The submit body, the
+// only request body the daemon reads, gets its own read deadline
+// (readSubmitBody), so there is no server-wide ReadTimeout. There is no
+// WriteTimeout: it would cut long NDJSON streams.
+const (
+	// ReadHeaderTimeout bounds how long a client may take to send a
+	// request's headers.
+	ReadHeaderTimeout = 10 * time.Second
+	// IdleTimeout bounds how long a keep-alive connection waits for its
+	// next request.
+	IdleTimeout = 2 * time.Minute
+	// SubmitBodyTimeout bounds reading one POST /jobs body.
+	SubmitBodyTimeout = 30 * time.Second
+)
+
+// The deadlines in force; tests shorten them.
+var (
+	readHeaderTimeout = ReadHeaderTimeout
+	idleTimeout       = IdleTimeout
+	submitBodyTimeout = SubmitBodyTimeout
+)
+
+// HTTPServer returns an http.Server that serves s.Handler() on addr under
+// the daemon's connection deadlines.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // New builds a Server over the benchmark suite.
@@ -324,6 +358,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := readSubmitBody(w, r)
 	if errors.Is(err, errBodyTooLarge) {
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		http.Error(w, err.Error(), http.StatusRequestTimeout)
 		return
 	}
 	if err != nil {

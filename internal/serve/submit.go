@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -23,8 +24,8 @@ const maxSubmitBytes = 8 << 20
 var errBodyTooLarge = errors.New("request body too large")
 
 // submitPreallocMax bounds the buffer a declared Content-Length buys before
-// a byte of the body has arrived. The daemon sets no read timeout, so a
-// larger declaration must not pin its full size on an idle connection.
+// a byte of the body has arrived. The body may take up to SubmitBodyTimeout
+// to arrive, so a larger declaration must not pin its full size meanwhile.
 const submitPreallocMax = 1 << 20
 
 // readSubmitBody reads a submit body once, into one buffer, never past
@@ -33,7 +34,18 @@ const submitPreallocMax = 1 << 20
 // io.ReadFull into an exact-size buffer. A larger declared body, or one of
 // unknown length (through http.MaxBytesReader), is read into a buffer that
 // grows as bytes arrive, never past the declared length or the limit.
-func readSubmitBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// The whole read must finish within submitBodyTimeout. The deadline is
+// cleared once the body is read. After a failed read it stays, so net/http
+// closes the connection instead of draining the rest of a stalled body.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ []byte, err error) {
+	rc := http.NewResponseController(w)
+	if rc.SetReadDeadline(time.Now().Add(submitBodyTimeout)) == nil {
+		defer func() {
+			if err == nil {
+				rc.SetReadDeadline(time.Time{})
+			}
+		}()
+	}
 	n := r.ContentLength
 	if n > maxSubmitBytes {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
