@@ -65,6 +65,16 @@ func ValidateCached(code string) (*ast.Source, bool) {
 	return e.src, true
 }
 
+// InternText returns the front-end memo's resident text equal to b, if
+// there is one, so a caller holding the text as bytes can share the
+// resident string instead of allocating its own. It only looks: one map
+// lookup under the memo's lock that parses nothing, counts neither a hit
+// nor a miss, and leaves the entry's reference bit alone, so asking never
+// changes what the memo keeps or reports.
+func InternText(b []byte) (string, bool) {
+	return frontEnd.intern(b)
+}
+
 // frontEndMemo maps text to its parse and validity under a byte budget,
 // evicting by second chance: a hit only sets the entry's reference bit, so
 // the hit path is one lock and one map lookup with no list relinking; the
@@ -132,6 +142,17 @@ func (f *frontEndMemo) lookup(text string) *frontEntry {
 	f.mu.Unlock()
 	e.fill()
 	return e
+}
+
+// intern returns the resident text equal to b (see InternText).
+func (f *frontEndMemo) intern(b []byte) (string, bool) {
+	f.mu.Lock()
+	e, ok := f.m[string(b)]
+	f.mu.Unlock()
+	if !ok {
+		return "", false
+	}
+	return e.text, true
 }
 
 // fill parses e's text and checks its validity, then releases waiters. A

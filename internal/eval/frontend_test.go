@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -184,5 +185,36 @@ func TestFrontEndMemoConcurrentEviction(t *testing.T) {
 	f.lookup(sizedText(0))
 	if st := f.Stats(); st.Bytes > budget || st.Evictions == 0 {
 		t.Fatalf("stats %+v: want evictions and at most %d bytes resident", st, budget)
+	}
+}
+
+// TestFrontEndMemoIntern: intern answers a resident text with the memo's own
+// string and a non-resident one with a miss, and it changes nothing the memo
+// keeps or counts. An interned lookup sets no reference bit, so the hand
+// still evicts the entry it would have evicted without the lookup.
+func TestFrontEndMemoIntern(t *testing.T) {
+	charge := int64(FrontEndChargePerByte * len(sizedText(0)))
+	f := newFrontEndMemo(3 * charge)
+	for i := 0; i < 3; i++ {
+		f.lookup(sizedText(i))
+	}
+	before := f.Stats()
+	text := []byte(sizedText(0))
+	got, ok := f.intern(text)
+	if !ok || got != sizedText(0) || unsafe.StringData(got) != unsafe.StringData(f.m[sizedText(0)].text) {
+		t.Fatalf("intern(resident) = %q, %v; want the memo's own string", got, ok)
+	}
+	if got, ok := f.intern([]byte(sizedText(9))); ok || got != "" {
+		t.Fatalf("intern(absent) = %q, %v; want a miss", got, ok)
+	}
+	if after := f.Stats(); after != before {
+		t.Fatalf("stats moved from %+v to %+v", before, after)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.intern(text) }); allocs != 0 {
+		t.Errorf("intern allocates %.0f times per call, want 0", allocs)
+	}
+	f.lookup(sizedText(3))
+	if _, ok := f.intern(text); ok {
+		t.Error("the interned oldest entry survived eviction: intern set its reference bit")
 	}
 }

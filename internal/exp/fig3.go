@@ -189,7 +189,7 @@ func fig3Task(ctx context.Context, cfg Fig3Config, oracle *Oracle, profile llm.P
 		tokens = append(tokens, resp.ReasoningTokens)
 		codes = append(codes, resp.Code)
 	}
-	passed, err := oracle.VerifyBatch(task.ID, codes)
+	passed, err := oracle.VerifyBatch(ctx, task.ID, codes)
 	if err != nil {
 		return out, err
 	}

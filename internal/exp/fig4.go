@@ -190,7 +190,7 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 	for i, c := range baseRes.Candidates {
 		pool[i] = c.Code
 	}
-	verdicts, err := oracle.VerifyBatch(task.ID, pool)
+	verdicts, err := oracle.VerifyBatch(ctx, task.ID, pool)
 	if err != nil {
 		return cell, err
 	}
@@ -210,7 +210,11 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		if r.Final == "" {
 			return false, nil
 		}
-		return oracle.Verify(task.ID, r.Final)
+		ok, rerr := oracle.VerifyBatch(ctx, task.ID, []string{r.Final})
+		if rerr != nil {
+			return false, rerr
+		}
+		return ok[0], nil
 	}
 	if cell.vrank, err = check(core.VariantVRank); err != nil {
 		return cell, err

@@ -154,9 +154,9 @@ func (o *Oracle) build(ot *oracleTask, task eval.Task) error {
 
 // Verify reports whether candidate code is functionally correct for the
 // task: it must parse and match the golden behavior on every verification
-// case. It is VerifyBatch over a batch of one.
+// case. It is VerifyBatch over a batch of one, under a background context.
 func (o *Oracle) Verify(taskID, code string) (bool, error) {
-	v, err := o.VerifyBatch(taskID, []string{code})
+	v, err := o.VerifyBatch(context.Background(), taskID, []string{code})
 	if err != nil {
 		return false, err
 	}
@@ -170,7 +170,11 @@ func (o *Oracle) Verify(taskID, code string) (bool, error) {
 // disagrees with the golden. The referee paths keep full traces with
 // identical verdicts: LegacyTraces runs each candidate's printed trace,
 // PerLaneGang runs full fingerprint traces on the per-lane gang model.
-func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
+//
+// A batch with candidates left to verify fails with ctx's error, wrapped in
+// ErrExperiment, once ctx is done: before it starts, or from the gang. A
+// failed batch memoizes no verdict.
+func (o *Oracle) VerifyBatch(ctx context.Context, taskID string, codes []string) ([]bool, error) {
 	out := make([]bool, len(codes))
 	keys := make([]verdictKey, len(codes))
 	pending := make([]int, 0, len(codes)) // first index per unresolved unique key
@@ -188,6 +192,9 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 	o.mu.Unlock()
 
 	if len(pending) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrExperiment, err)
+		}
 		ot, err := o.prepare(taskID)
 		if err != nil {
 			return nil, err
@@ -220,8 +227,8 @@ func (o *Oracle) VerifyBatch(taskID string, codes []string) ([]bool, error) {
 				for j, tr := range trs {
 					gv[j] = tr.Err == nil && testbench.FPAgrees(tr, golden)
 				}
-			} else if gv, err = testbench.VerifyGang(context.TODO(), gangSrcs, eval.TopModule, st, o.Backend, base, golden); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrExperiment, err)
+			} else if gv, err = testbench.VerifyGang(ctx, gangSrcs, eval.TopModule, st, o.Backend, base, golden); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrExperiment, err)
 			}
 			for j, k := range gangAt {
 				verdicts[k] = gv[j]

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"repro/internal/xrng"
 	"strings"
@@ -132,7 +134,7 @@ func TestOracleConcurrentVerifyBatch(t *testing.T) {
 	seq := NewOracle(tasks, 5)
 	want := make(map[string][]bool, len(tasks))
 	for _, task := range tasks {
-		v, err := seq.VerifyBatch(task.ID, pools[task.ID])
+		v, err := seq.VerifyBatch(context.Background(), task.ID, pools[task.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +156,7 @@ func TestOracleConcurrentVerifyBatch(t *testing.T) {
 				<-gate
 				for k := range tasks {
 					task := tasks[(c+k)%len(tasks)]
-					got, err := conc.VerifyBatch(task.ID, pools[task.ID])
+					got, err := conc.VerifyBatch(context.Background(), task.ID, pools[task.ID])
 					if err != nil {
 						errs <- err
 						return
@@ -218,5 +220,34 @@ func TestTable1Render(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestVerifyBatchCancelled: a batch with candidates to verify under a
+// cancelled context fails with an error that is both ErrExperiment and
+// context.Canceled, and memoizes no verdict; the same batch then verifies
+// under a live context. A batch whose verdicts are all memoized needs no
+// work and still answers.
+func TestVerifyBatchCancelled(t *testing.T) {
+	task := eval.Suite()[3]
+	oracle := NewOracle([]eval.Task{task}, 3)
+	pool := []string{task.Golden, "not verilog at all"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, err := oracle.VerifyBatch(ctx, task.ID, pool); !errors.Is(err, context.Canceled) || !errors.Is(err, ErrExperiment) || v != nil {
+		t.Fatalf("cancelled VerifyBatch = %v, %v; want nil and an ErrExperiment wrapping context.Canceled", v, err)
+	}
+	oracle.mu.Lock()
+	memoized := len(oracle.verdicts)
+	oracle.mu.Unlock()
+	if memoized != 0 {
+		t.Fatalf("a cancelled batch memoized %d verdicts, want 0", memoized)
+	}
+	v, err := oracle.VerifyBatch(context.Background(), task.ID, pool)
+	if err != nil || !v[0] || v[1] {
+		t.Fatalf("VerifyBatch after the cancelled call = %v, %v; want [true false]", v, err)
+	}
+	if again, err := oracle.VerifyBatch(ctx, task.ID, pool); err != nil || again[0] != v[0] || again[1] != v[1] {
+		t.Fatalf("memoized batch under a cancelled context = %v, %v; want %v", again, err, v)
 	}
 }

@@ -182,7 +182,7 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 	for i, c := range baseRes.Candidates {
 		pool[i] = c.Code
 	}
-	verdicts, err := oracle.VerifyBatch(task.ID, pool)
+	verdicts, err := oracle.VerifyBatch(ctx, task.ID, pool)
 	if err != nil {
 		return out, err
 	}
@@ -200,7 +200,11 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 		if r.Final == "" {
 			return false, nil
 		}
-		return oracle.Verify(task.ID, r.Final)
+		ok, err := oracle.VerifyBatch(ctx, task.ID, []string{r.Final})
+		if err != nil {
+			return false, err
+		}
+		return ok[0], nil
 	}
 	if out.vrank, err = check(core.VariantVRank); err != nil {
 		return out, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -42,7 +43,7 @@ func TestVerifyBatchVerdictsMatchReferees(t *testing.T) {
 				pool = append(pool, printer.PrintModule(mut))
 			}
 		}
-		want, err := prod.VerifyBatch(task.ID, pool)
+		want, err := prod.VerifyBatch(context.Background(), task.ID, pool)
 		if err != nil {
 			t.Fatalf("%s: %v", task.ID, err)
 		}
@@ -57,7 +58,7 @@ func TestVerifyBatchVerdictsMatchReferees(t *testing.T) {
 			}
 		}
 		for name, ref := range referees {
-			got, err := ref.VerifyBatch(task.ID, pool)
+			got, err := ref.VerifyBatch(context.Background(), task.ID, pool)
 			if err != nil {
 				t.Fatalf("%s %s: %v", task.ID, name, err)
 			}
@@ -111,7 +112,7 @@ func TestVerdictStoreCrossGolden(t *testing.T) {
 	verify := func(pass string) {
 		o := NewOracle(tasks, 21)
 		for _, task := range tasks {
-			got, err := o.VerifyBatch(task.ID, pools[task.ID])
+			got, err := o.VerifyBatch(context.Background(), task.ID, pools[task.ID])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,18 @@
 // Streaming is slow-client-proof by construction: workers append events to
 // a per-job log under a mutex and move on; each streaming handler replays
 // the log and follows at its own pace, so a stalled reader blocks only its
-// own connection, never a worker slot.
+// own connection, never a worker slot. A follower that has caught up makes
+// the log's wake channel and waits on it; appends nobody waits for make
+// none.
+//
+// The request path allocates per job little more than what the job keeps.
+// A submit body is read into a pooled buffer and returned to the pool once
+// decoded. The decoder unescapes each candidate into a reused scratch
+// buffer and shares the front-end memo's string when that text is resident
+// (eval.InternText), as it is for every repeat of a pool, so it copies only
+// new candidates. Each stream connection encodes its events with a
+// hand-written appender into a pooled buffer, byte-identical to
+// json.Encoder and without reflection.
 package serve
 
 import (
@@ -20,6 +31,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,8 +228,9 @@ const (
 )
 
 // jobRecord is the per-job event log and status. wake is a broadcast
-// channel replaced on every append: followers wait on the current channel
-// and re-check the log when it closes.
+// channel made only when a follower has read the whole log and is about to
+// block; the next append closes it and clears it, and the followers re-check
+// the log. Appends that no follower waits for allocate no channel.
 type jobRecord struct {
 	id string
 
@@ -230,7 +243,7 @@ type jobRecord struct {
 }
 
 func newJobRecord(id string) *jobRecord {
-	return &jobRecord{id: id, status: StatusQueued, wake: make(chan struct{})}
+	return &jobRecord{id: id, status: StatusQueued}
 }
 
 func (j *jobRecord) append(ev Event) {
@@ -242,8 +255,18 @@ func (j *jobRecord) append(ev Event) {
 // appendLocked appends ev and wakes followers. Callers hold j.mu.
 func (j *jobRecord) appendLocked(ev Event) {
 	j.events = append(j.events, ev)
-	close(j.wake)
-	j.wake = make(chan struct{})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
+}
+
+// reserve makes room in the log for n more events, so a job that knows how
+// many it will append grows the log once.
+func (j *jobRecord) reserve(n int) {
+	j.mu.Lock()
+	j.events = slices.Grow(j.events, n)
+	j.mu.Unlock()
 }
 
 func (j *jobRecord) setStatus(status string) {
@@ -284,15 +307,22 @@ func (j *jobRecord) finish(err error) {
 	j.mu.Unlock()
 }
 
-// snapshot returns the events at or after index i, plus the wake channel
-// to wait on when the log is exhausted and the job is not final.
-func (j *jobRecord) snapshot(i int) (evs []Event, wake chan struct{}, final bool) {
+// snapshot returns the events at or after index i. When there are none and
+// the job is not final, it also returns the wake channel to wait on, making
+// it if no follower has yet.
+func (j *jobRecord) snapshot(i int) (evs []Event, wake <-chan struct{}, final bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if i < len(j.events) {
-		evs = j.events[i:len(j.events):len(j.events)]
+		return j.events[i:len(j.events):len(j.events)], nil, j.final
 	}
-	return evs, j.wake, j.final
+	if !j.final {
+		if j.wake == nil {
+			j.wake = make(chan struct{})
+		}
+		wake = j.wake
+	}
+	return nil, wake, j.final
 }
 
 // Handler returns the daemon's HTTP routes.
@@ -368,7 +398,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	req, err := decodeSubmit(body)
+	req, err := decodeSubmit(body.bytes)
+	body.release()
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -391,7 +422,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := req.ID
 	if id == "" {
 		s.seq++
-		id = fmt.Sprintf("job-%d", s.seq)
+		id = "job-" + strconv.Itoa(s.seq)
 	}
 	if _, dup := s.jobs[id]; dup {
 		s.mu.Unlock()
@@ -432,7 +463,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{"id": id, "status": StatusQueued})
+	buf := getBuf()
+	*buf = appendAccepted((*buf)[:0], id)
+	w.Write(*buf)
+	putBuf(buf)
 }
 
 // retire moves a finished job into the bounded retention window.
@@ -482,7 +516,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, id string)
 
 // handleStream replays the job's event log as NDJSON and follows until the
 // job reaches a terminal event or the client goes away. Each connection
-// paces itself; a slow reader never blocks the job.
+// paces itself; a slow reader never blocks the job. Each event is encoded
+// by appendEvent into one pooled buffer per connection.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, id string) {
 	rec := s.lookup(id)
 	if rec == nil {
@@ -491,12 +526,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, id string)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	buf := getBuf()
+	defer putBuf(buf)
 	next := 0
 	for {
 		evs, wake, final := rec.snapshot(next)
-		for _, ev := range evs {
-			if err := enc.Encode(ev); err != nil {
+		for i := range evs {
+			*buf = appendEvent((*buf)[:0], &evs[i])
+			if _, err := w.Write(*buf); err != nil {
 				return // client gone
 			}
 		}
@@ -545,6 +582,7 @@ func (s *Server) runJob(ctx context.Context, rec *jobRecord, req SubmitRequest, 
 	if err != nil {
 		return err
 	}
+	rec.reserve(len(pool.Clusters) + 1) // the clusters and the terminal event
 	for ci := range pool.Clusters {
 		cl := &pool.Clusters[ci]
 		rec.append(Event{

@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"repro/internal/eval"
 )
 
 // maxSubmitBytes bounds a POST /jobs body. The largest job the daemon
@@ -28,16 +32,41 @@ var errBodyTooLarge = errors.New("request body too large")
 // to arrive, so a larger declaration must not pin its full size meanwhile.
 const submitPreallocMax = 1 << 20
 
+// bufPool recycles the byte buffers of the request path: submit bodies of
+// declared length up to submitPreallocMax, and the buffers that encode
+// responses and stream events. It holds *[]byte, so a Put allocates
+// nothing.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
+func putBuf(b *[]byte) { bufPool.Put(b) }
+
+// submitBody is one read POST /jobs body. A body of declared length up to
+// submitPreallocMax sits in a bufPool buffer; release returns the buffer,
+// and nothing may alias bytes after that.
+type submitBody struct {
+	bytes  []byte
+	pooled *[]byte // the buffer bytes was read into, or nil
+}
+
+// release returns the body's buffer to bufPool, if it came from there.
+func (b submitBody) release() {
+	if b.pooled != nil {
+		putBuf(b.pooled)
+	}
+}
+
 // readSubmitBody reads a submit body once, into one buffer, never past
 // maxSubmitBytes. A declared Content-Length over the limit is refused before
 // any read or allocation; one up to submitPreallocMax is read with
-// io.ReadFull into an exact-size buffer. A larger declared body, or one of
-// unknown length (through http.MaxBytesReader), is read into a buffer that
-// grows as bytes arrive, never past the declared length or the limit.
-// The whole read must finish within submitBodyTimeout. The deadline is
-// cleared once the body is read. After a failed read it stays, so net/http
-// closes the connection instead of draining the rest of a stalled body.
-func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ []byte, err error) {
+// io.ReadFull into a pooled buffer of at least that size. A larger declared
+// body, or one of unknown length (through http.MaxBytesReader), is read into
+// a buffer that grows as bytes arrive, never past the declared length or the
+// limit. The whole read must finish within submitBodyTimeout. The deadline
+// is cleared once the body is read. After a failed read it stays, so
+// net/http closes the connection instead of draining the rest of a stalled
+// body.
+func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ submitBody, err error) {
 	rc := http.NewResponseController(w)
 	if rc.SetReadDeadline(time.Now().Add(submitBodyTimeout)) == nil {
 		defer func() {
@@ -48,14 +77,19 @@ func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ []byte, err error
 	}
 	n := r.ContentLength
 	if n > maxSubmitBytes {
-		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
+		return submitBody{}, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, n, maxSubmitBytes)
 	}
 	if n >= 0 && n <= submitPreallocMax {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.Body, buf); err != nil {
-			return nil, fmt.Errorf("read body: %w", err)
+		pooled := getBuf()
+		if int64(cap(*pooled)) < n {
+			*pooled = make([]byte, n)
 		}
-		return buf, nil
+		buf := (*pooled)[:n]
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			putBuf(pooled)
+			return submitBody{}, fmt.Errorf("read body: %w", err)
+		}
+		return submitBody{bytes: buf, pooled: pooled}, nil
 	}
 	body, limit := r.Body, int(n)
 	if n < 0 {
@@ -75,16 +109,16 @@ func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ []byte, err error
 		var tooBig *http.MaxBytesError
 		switch {
 		case err == io.EOF && n >= 0 && len(buf) < limit:
-			return nil, fmt.Errorf("read body: %w", io.ErrUnexpectedEOF)
+			return submitBody{}, fmt.Errorf("read body: %w", io.ErrUnexpectedEOF)
 		case err == io.EOF:
-			return buf, nil
+			return submitBody{bytes: buf}, nil
 		case errors.As(err, &tooBig):
-			return nil, fmt.Errorf("%w: over %d bytes", errBodyTooLarge, tooBig.Limit)
+			return submitBody{}, fmt.Errorf("%w: over %d bytes", errBodyTooLarge, tooBig.Limit)
 		case err != nil:
-			return nil, fmt.Errorf("read body: %w", err)
+			return submitBody{}, fmt.Errorf("read body: %w", err)
 		}
 	}
-	return buf, nil
+	return submitBody{bytes: buf}, nil
 }
 
 // decodeSubmit parses a POST /jobs body in one pass. It accepts exactly one
@@ -95,18 +129,50 @@ func readSubmitBody(w http.ResponseWriter, r *http.Request) (_ []byte, err error
 // UTF-8 with no lone surrogates. Everything else is an error naming the
 // problem and its byte offset. Whatever it accepts, encoding/json decodes to
 // the same SubmitRequest (FuzzDecodeSubmit holds it to that).
+//
+// A candidate equal to a text resident in the front-end memo shares the
+// memo's string (eval.InternText); only the others are allocated. No string
+// of the result aliases data.
 func decodeSubmit(data []byte) (SubmitRequest, error) {
-	d := submitDecoder{data: data}
+	return decodeSubmitIntern(data, eval.InternText)
+}
+
+// decodeSubmitIntern is decodeSubmit with its interning lookup given:
+// intern returns a resident string equal to its bytes, or false. A nil
+// intern allocates every candidate.
+func decodeSubmitIntern(data []byte, intern func([]byte) (string, bool)) (SubmitRequest, error) {
+	d := decoderPool.Get().(*submitDecoder)
+	d.data, d.pos, d.intern = data, 0, intern
 	var req SubmitRequest
-	if err := d.object(&req); err != nil {
+	err := d.object(&req)
+	d.reset()
+	decoderPool.Put(d)
+	if err != nil {
 		return SubmitRequest{}, err
 	}
 	return req, nil
 }
 
+// decoderPool recycles submitDecoders with their scratch buffers.
+var decoderPool = sync.Pool{New: func() any { return new(submitDecoder) }}
+
+// submitDecoder is one decode's cursor plus the scratch space a pooled
+// decoder keeps between decodes: unescaped holds the decoding of the last
+// string that had escapes, and cands the candidates decoded so far.
 type submitDecoder struct {
-	data []byte
-	pos  int
+	data   []byte
+	pos    int
+	intern func([]byte) (string, bool)
+
+	unescaped []byte
+	cands     []string
+}
+
+// reset drops what a finished decode references, keeping the scratch
+// buffers' capacity.
+func (d *submitDecoder) reset() {
+	clear(d.cands)
+	d.data, d.intern, d.cands = nil, nil, d.cands[:0]
 }
 
 func (d *submitDecoder) errorf(format string, args ...any) error {
@@ -253,25 +319,33 @@ func (d *submitDecoder) null() bool {
 	return false
 }
 
+// strs decodes the candidates array into d.cands, interning each, and
+// returns an exact-size copy.
 func (d *submitDecoder) strs(name string) ([]string, error) {
 	if d.peek() != '[' {
 		return nil, d.unexpected(name + " as an array of strings")
 	}
 	d.pos++
-	out := []string{}
 	if d.peek() == ']' {
 		d.pos++
-		return out, nil
+		return []string{}, nil
 	}
 	for {
-		s, err := d.str(name)
+		b, err := d.strBytes(name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		s, ok := "", false
+		if d.intern != nil {
+			s, ok = d.intern(b)
+		}
+		if !ok {
+			s = string(b)
+		}
+		d.cands = append(d.cands, s)
 		if d.peek() == ']' {
 			d.pos++
-			return out, nil
+			return slices.Clone(d.cands), nil
 		}
 		if err := d.expect(',', "',' or ']'"); err != nil {
 			return nil, err
@@ -279,51 +353,62 @@ func (d *submitDecoder) strs(name string) ([]string, error) {
 	}
 }
 
-// str decodes one string value with a single allocation. It finds the
-// closing quote and rejects control bytes and invalid UTF-8; then it copies
-// an escape-free string whole, or copies the runs between escapes in bulk
-// into a builder sized to the raw length (an upper bound: every escape
-// decodes to fewer bytes than it spells).
+// str decodes one string value into a new string.
 func (d *submitDecoder) str(name string) (string, error) {
+	b, err := d.strBytes(name)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// strBytes decodes one string value and returns its bytes: the body's own
+// bytes when the string has no escapes, else d.unescaped, valid until the
+// next call. It finds the closing quote and rejects control bytes and
+// invalid UTF-8; then it returns an escape-free string as it is, or copies
+// the runs between escapes in bulk into d.unescaped, decoding each escape
+// straight into it.
+func (d *submitDecoder) strBytes(name string) ([]byte, error) {
 	if d.peek() != '"' {
-		return "", d.unexpected(name + " as a string")
+		return nil, d.unexpected(name + " as a string")
 	}
 	d.pos++
 	start := d.pos
 	end := closingQuote(d.data, start)
 	if end < 0 {
 		d.pos = start - 1
-		return "", d.errorf("%s: unterminated string", name)
+		return nil, d.errorf("%s: unterminated string", name)
 	}
 	raw := d.data[start:end]
 	if i := controlAt(raw); i >= 0 {
 		d.pos = start + i
-		return "", d.errorf("%s: raw control byte %#02x in string", name, raw[i])
+		return nil, d.errorf("%s: raw control byte %#02x in string", name, raw[i])
 	}
 	// Escapes are ASCII, so they never split a multi-byte sequence: the raw
 	// bytes are valid UTF-8 exactly when every run between escapes is.
 	if !utf8.Valid(raw) {
 		d.pos = start - 1
-		return "", d.errorf("%s: invalid UTF-8 in string", name)
+		return nil, d.errorf("%s: invalid UTF-8 in string", name)
 	}
 	d.pos = end + 1
-	if bytes.IndexByte(raw, '\\') < 0 {
-		return string(raw), nil
-	}
-	var b strings.Builder
-	b.Grow(len(raw))
+	out := d.unescaped[:0]
 	for off := 0; ; {
 		i := bytes.IndexByte(raw[off:], '\\')
-		if i < 0 {
-			b.Write(raw[off:])
-			return b.String(), nil
+		if i < 0 && off == 0 {
+			return raw, nil
 		}
-		b.Write(raw[off : off+i])
+		if i < 0 {
+			out = append(out, raw[off:]...)
+			d.unescaped = out
+			return out, nil
+		}
+		out = append(out, raw[off:off+i]...)
 		off += i
-		n, err := unescape(&b, raw[off:])
-		if err != nil {
+		var n int
+		var err error
+		if out, n, err = appendUnescaped(out, raw[off:]); err != nil {
 			d.pos = start + off
-			return "", d.errorf("%s: %v", name, err)
+			return nil, d.errorf("%s: %v", name, err)
 		}
 		off += n
 	}
@@ -368,45 +453,44 @@ func controlAt(s []byte) int {
 	return -1
 }
 
-// unescape writes the escape sequence at the start of esc (which begins
-// with a backslash) to b and returns its length in bytes.
-func unescape(b *strings.Builder, esc []byte) (int, error) {
+// appendUnescaped appends the decoding of the escape sequence at the start
+// of esc (which begins with a backslash) to dst and returns its length in
+// bytes.
+func appendUnescaped(dst, esc []byte) ([]byte, int, error) {
 	if len(esc) < 2 {
-		return 0, errors.New("truncated escape")
+		return dst, 0, errors.New("truncated escape")
 	}
 	switch c := esc[1]; c {
 	case '"', '\\', '/':
-		b.WriteByte(c)
+		dst = append(dst, c)
 	case 'b':
-		b.WriteByte('\b')
+		dst = append(dst, '\b')
 	case 'f':
-		b.WriteByte('\f')
+		dst = append(dst, '\f')
 	case 'n':
-		b.WriteByte('\n')
+		dst = append(dst, '\n')
 	case 'r':
-		b.WriteByte('\r')
+		dst = append(dst, '\r')
 	case 't':
-		b.WriteByte('\t')
+		dst = append(dst, '\t')
 	case 'u':
 		r, ok := hex4(esc[2:])
 		if !ok {
-			return 0, errors.New("malformed \\u escape")
+			return dst, 0, errors.New("malformed \\u escape")
 		}
 		if !utf16.IsSurrogate(r) {
-			b.WriteRune(r)
-			return 6, nil
+			return utf8.AppendRune(dst, r), 6, nil
 		}
 		if r < 0xdc00 && len(esc) >= 12 && esc[6] == '\\' && esc[7] == 'u' {
 			if lo, ok := hex4(esc[8:]); ok && lo >= 0xdc00 && lo <= 0xdfff {
-				b.WriteRune(utf16.DecodeRune(r, lo))
-				return 12, nil
+				return utf8.AppendRune(dst, utf16.DecodeRune(r, lo)), 12, nil
 			}
 		}
-		return 0, fmt.Errorf("lone surrogate \\u%04x", r)
+		return dst, 0, fmt.Errorf("lone surrogate \\u%04x", r)
 	default:
-		return 0, fmt.Errorf("invalid escape %q", esc[:2])
+		return dst, 0, fmt.Errorf("invalid escape %q", esc[:2])
 	}
-	return 2, nil
+	return dst, 2, nil
 }
 
 // hex4 parses the four hex digits at the start of h.

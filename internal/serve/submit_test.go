@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
@@ -58,10 +59,18 @@ func hotBody(tb testing.TB) []byte {
 // reflect.DeepEqual request (nil versus empty candidates included). So
 // anything encoding/json rejects, decodeSubmit rejects too. decodeSubmit may
 // reject more: unknown, duplicate or wrong-case keys, invalid UTF-8 and
-// lone surrogates, all of which encoding/json tolerates.
+// lone surrogates, all of which encoding/json tolerates. The first decode
+// interns nothing and reads a copy of the body that is overwritten before
+// the comparison, so no decoded string may alias the body; a second decode
+// after every candidate has been made resident in the front-end memo must
+// give an equal request.
 func FuzzDecodeSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeSubmit(data)
+		scratch := bytes.Clone(data)
+		got, err := decodeSubmitIntern(scratch, nil)
+		for i := range scratch {
+			scratch[i] = 0xff
+		}
 		if err != nil {
 			return
 		}
@@ -71,6 +80,13 @@ func FuzzDecodeSubmit(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decodeSubmit(%q) = %#v, encoding/json gives %#v", data, got, want)
+		}
+		for _, c := range want.Candidates {
+			eval.ParseCached(c)
+		}
+		resident, err := decodeSubmit(data)
+		if err != nil || !reflect.DeepEqual(resident, want) {
+			t.Fatalf("decodeSubmit(%q) with its candidates resident = %#v, %v; want %#v", data, resident, err, want)
 		}
 	})
 }
@@ -300,8 +316,8 @@ func TestSubmitBodyAllocatesReceived(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
 		req.ContentLength = int64(n)
 		got, err := readSubmitBody(httptest.NewRecorder(), req)
-		if err != nil || !bytes.Equal(got, body[:n]) {
-			t.Fatalf("declared %d bytes: read %d bytes, err %v; want the %d declared bytes", n, len(got), err, n)
+		if err != nil || !bytes.Equal(got.bytes, body[:n]) {
+			t.Fatalf("declared %d bytes: read %d bytes, err %v; want the %d declared bytes", n, len(got.bytes), err, n)
 		}
 		req = httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body[:n-1]))
 		req.ContentLength = int64(n)
@@ -359,11 +375,87 @@ func (b repeatByte) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkDecodeSubmit decodes a daemon-hot-shaped body with decodeSubmit
-// and, for reference, with encoding/json.
+// makeResident parses every candidate of body through the front-end memo,
+// as runJob does, so that a later decode finds them all resident, and
+// returns the request decoded with nothing interned.
+func makeResident(tb testing.TB, body []byte) SubmitRequest {
+	tb.Helper()
+	req, err := decodeSubmitIntern(body, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, c := range req.Candidates {
+		eval.ParseCached(c)
+	}
+	return req
+}
+
+// TestDecodeSubmitResidentAllocs is the interning gate: a daemon-hot-shaped
+// body whose candidates are all resident in the front-end memo decodes in a
+// small fixed number of allocations (the candidates slice and the task ID),
+// the same for 120 candidates as for 30, and each candidate is the memo's
+// own string. Decoding with nothing resident gives equal strings.
+func TestDecodeSubmitResidentAllocs(t *testing.T) {
+	body := hotBody(t)
+	cold := makeResident(t, body)
+	if len(cold.Candidates) < 100 {
+		t.Fatalf("hot body has %d candidates, want about 120", len(cold.Candidates))
+	}
+	req, err := decodeSubmit(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req, cold) {
+		t.Fatal("decoding with the candidates resident differs from decoding with nothing resident")
+	}
+	for i, c := range req.Candidates {
+		if text, ok := eval.InternText([]byte(c)); !ok || unsafe.StringData(text) != unsafe.StringData(c) {
+			t.Fatalf("candidate %d is not the front-end memo's string", i)
+		}
+	}
+
+	small := cold
+	small.Candidates = cold.Candidates[:30]
+	smallBody, err := json.Marshal(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	const maxAllocs = 2
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"120 candidates", body}, {"30 candidates", smallBody}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := decodeSubmit(tc.body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s, all resident: %.1f allocations per decode, want at most %d", tc.name, allocs, maxAllocs)
+		}
+	}
+}
+
+// BenchmarkDecodeSubmit decodes a daemon-hot-shaped body with decodeSubmit,
+// once with nothing interned and once with every candidate resident in the
+// front-end memo (a daemon-hot job after the first of its pool), and, for
+// reference, with encoding/json.
 func BenchmarkDecodeSubmit(b *testing.B) {
 	body := hotBody(b)
 	b.Run("decodeSubmit", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeSubmitIntern(body, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decodeSubmit_resident", func(b *testing.B) {
+		makeResident(b, body)
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
