@@ -104,3 +104,19 @@ func TestFig4Pinned(t *testing.T) {
 		t.Errorf("Fig. 4 render digest = %s, want %s\n%s", got, pinnedFig4Seed1, res.Render())
 	}
 }
+
+// TestTable1PinnedInterpreter renders the seed-1 paper-size Table I on the
+// interpreter backend and compares it against the compiled backend's pinned
+// digest: the interpreter is the independent semantic reference, so this is
+// the paper-size check that the compiled, gang and fingerprint paths
+// compute what the reference computes.
+func TestTable1PinnedInterpreter(t *testing.T) {
+	skipPinnedUnderRace(t)
+	res, err := RunTable1(context.Background(), Table1Config{Runs: 1, Seed: 1, Workers: pinnedWorkers, Backend: testbench.BackendInterpreter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderDigest(res.Render()); got != pinnedTable1Seed1 {
+		t.Errorf("interpreter Table I render digest = %s, want %s\n%s", got, pinnedTable1Seed1, res.Render())
+	}
+}
