@@ -1,7 +1,8 @@
-// Benchmark harness: one bench per paper artifact (Table I, Fig. 3, Fig. 4)
-// plus the ablation benches DESIGN.md calls out and micro-benchmarks of the
-// substrates. The artifact benches run reduced-size configurations so a
-// plain `go test -bench=.` stays tractable; the cmd/vfocus-experiments
+// Benchmark harness: benches for the Fig. 3 and Fig. 4 artifacts, the
+// ablation benches DESIGN.md calls out and micro-benchmarks of the
+// substrates. Table I is measured end to end by the bench/ harness (its
+// table1 workloads). The artifact benches run reduced-size configurations so
+// a plain `go test -bench=.` stays tractable; the cmd/vfocus-experiments
 // binary regenerates the full-size artifacts.
 package repro
 
@@ -30,45 +31,6 @@ func benchTasks(stride int) []eval.Task {
 }
 
 // --- Paper artifacts -----------------------------------------------------------
-
-// benchTable1 regenerates a reduced Table I (one model, 1 run, n=20, every
-// 6th task) per iteration on the given simulation backend. The compiled
-// variant exercises the elaboration cache the way real experiments do:
-// duplicate candidates recur across variants and runs.
-func benchTable1(b *testing.B, backend testbench.Backend, legacyTraces bool) {
-	b.Helper()
-	cfg := exp.Table1Config{
-		Models:       []string{"deepseek-r1"},
-		Tasks:        benchTasks(6),
-		Samples:      20,
-		Runs:         1,
-		Seed:         1,
-		Backend:      backend,
-		LegacyTraces: legacyTraces,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunTable1(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1Compiled is the paper-artifact bench on the default
-// (compiled) backend and the default streaming fingerprint path, named for
-// side-by-side comparison with the interpreter and legacy rows.
-func BenchmarkTable1Compiled(b *testing.B) { benchTable1(b, testbench.BackendCompiled, false) }
-
-// BenchmarkTable1CompiledLegacyTraces runs the same reduced Table I on the
-// retained printed-trace path (PR 2 behavior), isolating what streaming
-// fingerprints buy end to end.
-func BenchmarkTable1CompiledLegacyTraces(b *testing.B) {
-	benchTable1(b, testbench.BackendCompiled, true)
-}
-
-// BenchmarkTable1Interpreter runs the same reduced Table I on the original
-// AST-walking engine.
-func BenchmarkTable1Interpreter(b *testing.B) { benchTable1(b, testbench.BackendInterpreter, false) }
 
 // benchFig3 regenerates a reduced Fig. 3 panel set per iteration.
 func benchFig3(b *testing.B, backend testbench.Backend) {

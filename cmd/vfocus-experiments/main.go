@@ -46,8 +46,6 @@ func run(args []string) error {
 		runs      = fs.Int("runs", 0, "override run count (0 = paper defaults)")
 		samples   = fs.Int("samples", 0, "override sample count n (0 = paper defaults)")
 		backend   = fs.String("backend", "compiled", "simulation backend: compiled|interpreter")
-		legacy    = fs.Bool("legacy-traces", false, "rank and verify on the retained printed-trace path instead of streaming fingerprints (identical results; for differential benchmarking)")
-		soa       = fs.Bool("soa", true, "share struct-of-arrays planes across gang lanes (off: per-lane engines; identical results)")
 		workers   = fs.Int("workers", core.DefaultWorkers(), "size of the one worker pool that runs every experiment cell, task-major")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -134,18 +132,16 @@ func run(args []string) error {
 
 	if wantTable1 {
 		cfg := exp.Table1Config{
-			Models:       modelList,
-			Tasks:        tasks,
-			Samples:      pick(*samples, 50, 20, *quick),
-			Runs:         pick(*runs, 5, 1, *quick),
-			Seed:         *seed,
-			Workers:      *workers,
-			Backend:      be,
-			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
-			FPMemoCap:    *memoCap,
-			NewClient:    newClient,
-			LLMRetries:   llmf.Retries,
+			Models:     modelList,
+			Tasks:      tasks,
+			Samples:    pick(*samples, 50, 20, *quick),
+			Runs:       pick(*runs, 5, 1, *quick),
+			Seed:       *seed,
+			Workers:    *workers,
+			Backend:    be,
+			FPMemoCap:  *memoCap,
+			NewClient:  newClient,
+			LLMRetries: llmf.Retries,
 		}
 		start := time.Now()
 		res, err := exp.RunTable1(ctx, cfg)
@@ -158,17 +154,15 @@ func run(args []string) error {
 
 	if wantFig3 {
 		cfg := exp.Fig3Config{
-			Models:       modelList,
-			Tasks:        tasks,
-			Samples:      pick(*samples, 50, 20, *quick),
-			Bins:         10,
-			Seed:         *seed,
-			Workers:      *workers,
-			Backend:      be,
-			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
-			FPMemoCap:    *memoCap,
-			NewClient:    newClient,
+			Models:    modelList,
+			Tasks:     tasks,
+			Samples:   pick(*samples, 50, 20, *quick),
+			Bins:      10,
+			Seed:      *seed,
+			Workers:   *workers,
+			Backend:   be,
+			FPMemoCap: *memoCap,
+			NewClient: newClient,
 		}
 		start := time.Now()
 		res, err := exp.RunFig3(ctx, cfg)
@@ -185,18 +179,16 @@ func run(args []string) error {
 			sizes = []int{5, 15, 30, 50}
 		}
 		cfg := exp.Fig4Config{
-			Models:       modelList,
-			Tasks:        tasks,
-			SampleSizes:  sizes,
-			Runs:         pick(*runs, 10, 2, *quick),
-			Seed:         *seed,
-			Workers:      *workers,
-			Backend:      be,
-			LegacyTraces: *legacy,
-			PerLaneGang:  !*soa,
-			FPMemoCap:    *memoCap,
-			NewClient:    newClient,
-			LLMRetries:   llmf.Retries,
+			Models:      modelList,
+			Tasks:       tasks,
+			SampleSizes: sizes,
+			Runs:        pick(*runs, 10, 2, *quick),
+			Seed:        *seed,
+			Workers:     *workers,
+			Backend:     be,
+			FPMemoCap:   *memoCap,
+			NewClient:   newClient,
+			LLMRetries:  llmf.Retries,
 		}
 		start := time.Now()
 		res, err := exp.RunFig4(ctx, cfg)

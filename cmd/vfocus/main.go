@@ -58,7 +58,6 @@ func run(args []string) error {
 		list       = fs.Bool("list", false, "list all benchmark tasks and exit")
 		showCode   = fs.Bool("code", false, "print the selected candidate's code")
 		verbose    = fs.Bool("v", false, "print cluster details")
-		soa        = fs.Bool("soa", true, "share struct-of-arrays planes across gang lanes (off: per-lane engines)")
 		storeSpec  = fs.String("store", "off", "persistent result store: off, mem, disk, an http(s) URL, or a comma-separated tier list (nearest first)")
 		storeDir   = fs.String("store-dir", resultstore.DefaultDir, "root directory of the disk store tier")
 		storeCap   = fs.Int("store-cap", 0, "entry cap of the mem store tier (0 = default 4096)")
@@ -143,8 +142,6 @@ func run(args []string) error {
 	cfg.SelectSeed = *seed
 	cfg.RetryBaseDelay = 0
 	cfg.LLMRetries = llmf.Retries
-	cfg.PerLaneGang = !*soa
-	oracle.PerLaneGang = !*soa
 	pipe := core.New(client, cfg)
 
 	ctx := context.Background()

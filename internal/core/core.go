@@ -118,25 +118,11 @@ type Config struct {
 	// so they keep per-pipeline ranking sequential).
 	Workers int
 	// GangSize is how many candidates a ranking worker simulates in
-	// lockstep per pickup (testbench.RunFingerprintGang): each gang decodes
-	// the shared stimulus schedule once for all its lanes. Results are
-	// bit-identical for any value. Zero selects DefaultGangSize; 1 degrades
-	// to solo runs. Ignored on the legacy-trace path.
+	// lockstep per pickup on one SoA gang (testbench.GangPlan): each gang
+	// decodes the shared stimulus schedule once for all its lanes. Results
+	// are bit-identical for any value. Zero selects DefaultGangSize; 1
+	// degrades to solo runs.
 	GangSize int
-	// PerLaneGang forces ranking gangs onto the per-lane engine model
-	// (testbench.GangPerLane): every lane owns a private engine instead of
-	// sharing the gang's struct-of-arrays planes. The default (false) runs
-	// the SoA model. Both produce bit-identical results; the per-lane model
-	// is kept as an escape hatch and differential referee.
-	PerLaneGang bool
-	// LegacyTraces forces the ranking stage onto the retained string-trace
-	// path: every candidate keeps a full printed Trace and clustering
-	// re-derives fingerprints from it. The default (false) streams
-	// per-case fingerprints during simulation and never materializes trace
-	// strings except for the few representatives refinement actually
-	// inspects. Both paths produce bit-identical results; the legacy path
-	// is kept as the differential referee.
-	LegacyTraces bool
 	// FPMemoCap sizes the in-process fingerprint memo — the memory tier of
 	// the result store (testbench.SetFPMemoCap). Zero keeps the current
 	// process-wide capacity (default 4096). The memo is process-wide state
@@ -202,25 +188,20 @@ type Candidate struct {
 	NormLen float64
 	// Filtered marks candidates removed by Density-guided Filtering.
 	Filtered bool
-	// Trace is the full printed ranking-testbench trace. On the default
-	// fingerprint path it stays nil unless refinement lazily materialized
-	// it for a cluster representative; with Config.LegacyTraces every
-	// ranked candidate carries one.
+	// Trace is the full printed ranking-testbench trace. It stays nil
+	// unless refinement materialized it for a cluster representative.
 	Trace *testbench.Trace
 	// FPTrace is the streaming fingerprint record of the ranking run (nil
-	// when invalid, filtered, or on the legacy path).
+	// when invalid or filtered).
 	FPTrace *testbench.FPTrace
 	// Refined marks candidates produced by post-ranking refinement.
 	Refined bool
 }
 
 // SimOK reports whether the candidate's ranking simulation ran to
-// completion, on whichever representation the configured path produced.
+// completion.
 func (c *Candidate) SimOK() bool {
-	if c.FPTrace != nil {
-		return c.FPTrace.Err == nil
-	}
-	return c.Trace != nil && c.Trace.Err == nil
+	return c.FPTrace != nil && c.FPTrace.Err == nil
 }
 
 // Cluster is a strict-agreement behavioral cluster.

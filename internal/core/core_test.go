@@ -431,42 +431,19 @@ func containsFold(s, sub string) bool {
 
 func TestTraceAgreementSymmetry(t *testing.T) {
 	// Ranking uses strict agreement; spot-check the agreement helpers from
-	// the pipeline's perspective on a real task, on both the streaming
-	// fingerprint path and the legacy retained-trace path.
+	// the pipeline's perspective on a real task: cluster members agree on
+	// their fingerprints, and on the referee's solo printed traces.
 	task := pickTask(t, "cmb_add_03_add8")
-	for _, legacy := range []bool{false, true} {
-		profile, err := llm.ProfileByName("deepseek-r1")
-		if err != nil {
-			t.Fatal(err)
+	res := runPipeline(t, task, VariantVRank, "deepseek-r1", 12, func(*Config) {})
+	checkPipeline(t, task.ID, res, testbench.BackendCompiled)
+	for _, cl := range res.Clusters {
+		first := &res.Candidates[cl.Members[0]]
+		if first.FPTrace == nil || first.Trace != nil {
+			t.Fatal("ranking must keep fingerprint records and no printed traces")
 		}
-		client, err := llm.NewSimClient(profile, 11, []eval.Task{task})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(VariantVRank, profile.Name)
-		cfg.Samples = 12
-		cfg.RetryBaseDelay = 0
-		cfg.LegacyTraces = legacy
-		res, err := New(client, cfg).Run(context.Background(), task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cl := range res.Clusters {
-			first := &res.Candidates[cl.Members[0]]
-			if legacy && (first.Trace == nil || first.FPTrace != nil) {
-				t.Fatal("legacy path must retain traces and skip fingerprint records")
-			}
-			if !legacy && (first.FPTrace == nil || first.Trace != nil) {
-				t.Fatal("fingerprint path must not retain ranking traces")
-			}
-			for _, m := range cl.Members[1:] {
-				other := &res.Candidates[m]
-				if legacy && !testbench.Agrees(first.Trace, other.Trace) {
-					t.Error("legacy cluster members disagree")
-				}
-				if !legacy && !testbench.FPAgrees(first.FPTrace, other.FPTrace) {
-					t.Error("fingerprint cluster members disagree")
-				}
+		for _, m := range cl.Members[1:] {
+			if !testbench.FPAgrees(first.FPTrace, res.Candidates[m].FPTrace) {
+				t.Error("fingerprint cluster members disagree")
 			}
 		}
 	}

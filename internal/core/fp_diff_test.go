@@ -2,18 +2,18 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
+	"repro/internal/referee"
 	"repro/internal/testbench"
+	"repro/internal/verilog/ast"
 )
 
-// runPath runs one pipeline configured for either the streaming fingerprint
-// path or the legacy retained-trace path.
-func runPath(t *testing.T, task eval.Task, v Variant, model string, samples, workers int,
-	backend testbench.Backend, legacy bool) *Result {
+// runPipeline runs one pipeline on one task with the given sampling, worker
+// and simulation settings.
+func runPipeline(t *testing.T, task eval.Task, v Variant, model string, samples int, cfgFn func(*Config)) *Result {
 	t.Helper()
 	profile, err := llm.ProfileByName(model)
 	if err != nil {
@@ -26,9 +26,7 @@ func runPath(t *testing.T, task eval.Task, v Variant, model string, samples, wor
 	cfg := DefaultConfig(v, profile.Name)
 	cfg.Samples = samples
 	cfg.RetryBaseDelay = 0
-	cfg.Backend = backend
-	cfg.Workers = workers
-	cfg.LegacyTraces = legacy
+	cfgFn(&cfg)
 	res, err := New(client, cfg).Run(context.Background(), task)
 	if err != nil {
 		t.Fatal(err)
@@ -36,55 +34,70 @@ func runPath(t *testing.T, task eval.Task, v Variant, model string, samples, wor
 	return res
 }
 
-// assertSameDecisions requires every pipeline decision — filtering,
-// clustering, refinement admissions, judge votes, and the final pick — to be
-// identical between the two results. Simulation-run counts are deliberately
-// excluded: the fingerprint path re-simulates representatives lazily, which
-// changes how much work ran, never what was decided.
-func assertSameDecisions(t *testing.T, label string, legacy, fp *Result) {
+// refereeClusters converts ranked clusters to the referee's form.
+func refereeClusters(cls []Cluster) []referee.Cluster {
+	out := make([]referee.Cluster, len(cls))
+	for i, cl := range cls {
+		out[i] = referee.Cluster{Fingerprint: cl.Fingerprint, Members: cl.Members}
+	}
+	return out
+}
+
+// checkRankPool requires a RankPool result over srcs under st to match the
+// referee's solo printed traces: every candidate's case fingerprints and
+// error, and every cluster's fingerprint and members.
+func checkRankPool(t *testing.T, label string, srcs []*ast.Source, st *testbench.Stimulus, backend testbench.Backend, got *RankPoolResult) {
 	t.Helper()
-	if legacy.Final != fp.Final || legacy.FinalIndex != fp.FinalIndex {
-		t.Fatalf("%s: final pick diverges (legacy idx %d, fingerprint idx %d)",
-			label, legacy.FinalIndex, fp.FinalIndex)
-	}
-	if legacy.EarlyExit != fp.EarlyExit || legacy.JudgeVoted != fp.JudgeVoted ||
-		legacy.RefinedUsed != fp.RefinedUsed {
-		t.Fatalf("%s: refinement flags diverge: legacy=%+v fingerprint=%+v",
-			label, *legacy, *fp)
-	}
-	if !reflect.DeepEqual(legacy.Clusters, fp.Clusters) {
-		t.Fatalf("%s: clusters diverge\nlegacy: %+v\nfingerprint: %+v",
-			label, legacy.Clusters, fp.Clusters)
-	}
-	if len(legacy.Candidates) != len(fp.Candidates) {
-		t.Fatalf("%s: candidate pool sizes diverge: %d vs %d",
-			label, len(legacy.Candidates), len(fp.Candidates))
-	}
-	for i := range legacy.Candidates {
-		lc, fc := &legacy.Candidates[i], &fp.Candidates[i]
-		if lc.Code != fc.Code || lc.Valid != fc.Valid || lc.Filtered != fc.Filtered ||
-			lc.Refined != fc.Refined || lc.NormLen != fc.NormLen {
-			t.Fatalf("%s: candidate %d bookkeeping diverges", label, i)
-		}
-		if lc.Trace != nil && fc.FPTrace != nil {
-			if lc.Trace.Fingerprint() != fc.FPTrace.Fingerprint() {
-				t.Fatalf("%s: candidate %d fingerprint value diverges between representations", label, i)
-			}
+	ref := referee.Rank(srcs, eval.TopModule, st, backend)
+	for i := range srcs {
+		if err := ref.CheckTrace(i, got.FPs[i]); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
-	if legacy.Stats.GenerateCalls != fp.Stats.GenerateCalls ||
-		legacy.Stats.RefineCalls != fp.Stats.RefineCalls ||
-		legacy.Stats.JudgeCalls != fp.Stats.JudgeCalls {
-		t.Fatalf("%s: model-call stats diverge: legacy=%+v fingerprint=%+v",
-			label, legacy.Stats, fp.Stats)
+	if err := ref.CheckClusters(refereeClusters(got.Clusters)); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
-// TestFingerprintPathMatchesLegacyTraces is the differential referee for the
-// streaming ranking path: across task families, models, variants, worker
-// counts, and both simulation backends, the fingerprint path must make
-// bit-identical decisions to the retained string-trace path.
-func TestFingerprintPathMatchesLegacyTraces(t *testing.T) {
+// checkPipeline requires a pipeline's ranking to match the referee: the
+// ranked candidates' fingerprint records and the clusters as ranking formed
+// them (refinement may reorder clusters and raise scores, never change
+// members), and every admitted refined candidate's fingerprint record.
+func checkPipeline(t *testing.T, label string, res *Result, backend testbench.Backend) {
+	t.Helper()
+	ranked := make([]*ast.Source, len(res.Candidates))
+	refined := make([]*ast.Source, len(res.Candidates))
+	for i := range res.Candidates {
+		c := &res.Candidates[i]
+		switch {
+		case c.Refined:
+			refined[i] = c.Source
+		case c.Valid && !c.Filtered:
+			ranked[i] = c.Source
+		}
+	}
+	st := res.rankingStimulus
+	ref := referee.Rank(ranked, eval.TopModule, st, backend)
+	refRefined := referee.Rank(refined, eval.TopModule, st, backend)
+	for i := range res.Candidates {
+		r := ref
+		if res.Candidates[i].Refined {
+			r = refRefined
+		}
+		if err := r.CheckTrace(i, res.Candidates[i].FPTrace); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if err := ref.CheckClusters(refereeClusters(res.Clusters)); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// TestFingerprintPathMatchesReferee referees the streaming ranking path:
+// across task families, models, variants and worker counts, every ranked
+// and refined candidate's fingerprints and every cluster must match solo
+// printed traces.
+func TestFingerprintPathMatchesReferee(t *testing.T) {
 	all := eval.Suite()
 	// A spread covering combinational and sequential families, including the
 	// tasks whose cluster structure exercises judging and focused refinement.
@@ -105,21 +118,19 @@ func TestFingerprintPathMatchesLegacyTraces(t *testing.T) {
 	} {
 		task := all[tc.taskIdx]
 		label := task.ID + "/" + tc.model + "/" + tc.variant.String()
-		legacy := runPath(t, task, tc.variant, tc.model, 20, tc.workers, testbench.BackendCompiled, true)
-		fp := runPath(t, task, tc.variant, tc.model, 20, tc.workers, testbench.BackendCompiled, false)
-		assertSameDecisions(t, label, legacy, fp)
+		res := runPipeline(t, task, tc.variant, tc.model, 20, func(c *Config) { c.Workers = tc.workers })
+		checkPipeline(t, label, res, testbench.BackendCompiled)
 	}
 }
 
-// TestFingerprintPathMatchesLegacyInterpreter repeats the differential on
-// the interpreter backend (which lacks the streaming HashOutput fast path,
-// exercising the Value-rendering fallback in RunFingerprint).
-func TestFingerprintPathMatchesLegacyInterpreter(t *testing.T) {
+// TestFingerprintPathMatchesRefereeOnInterpreter repeats the referee check
+// on the interpreter backend, which lacks the streaming HashOutput fast path
+// and exercises the Value-rendering fallback in RunFingerprint.
+func TestFingerprintPathMatchesRefereeOnInterpreter(t *testing.T) {
 	all := eval.Suite()
 	for _, idx := range []int{30, 120} {
 		task := all[idx]
-		legacy := runPath(t, task, VariantVFocus, "qwq-32b", 12, 1, testbench.BackendInterpreter, true)
-		fp := runPath(t, task, VariantVFocus, "qwq-32b", 12, 1, testbench.BackendInterpreter, false)
-		assertSameDecisions(t, task.ID+"/interpreter", legacy, fp)
+		res := runPipeline(t, task, VariantVFocus, "qwq-32b", 12, func(c *Config) { c.Backend = testbench.BackendInterpreter })
+		checkPipeline(t, task.ID+"/interpreter", res, testbench.BackendInterpreter)
 	}
 }

@@ -1,63 +1,38 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/llm"
+	"repro/internal/testbench"
 )
 
 // runWithGang runs one VFocus pipeline on one task with the given gang size,
-// worker count and testbench seed, and returns the full result. legacy
-// selects the retained printed-trace path, which bypasses both the gang and
-// the fingerprint memo — the independent referee.
-func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int64, legacy bool, perLane bool) *Result {
+// worker count and testbench seed, and returns the full result.
+func runWithGang(t *testing.T, task eval.Task, gangSize, workers int, tbSeed int64) *Result {
 	t.Helper()
-	profile, err := llm.ProfileByName("qwq-32b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := llm.NewSimClient(profile, 11, []eval.Task{task})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(VariantVFocus, profile.Name)
-	cfg.Samples = 20
-	cfg.RetryBaseDelay = 0
-	cfg.GangSize = gangSize
-	cfg.Workers = workers
-	cfg.TBSeed = tbSeed
-	cfg.LegacyTraces = legacy
-	cfg.PerLaneGang = perLane
-	res, err := New(client, cfg).Run(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runPipeline(t, task, VariantVFocus, "qwq-32b", 20, func(c *Config) {
+		c.GangSize = gangSize
+		c.Workers = workers
+		c.TBSeed = tbSeed
+	})
 }
 
-// TestRankGangMatchesLegacyReferee is the acceptance gate for gang-batched
-// ranking, in both gang execution models. For each (gang size, mode) a fresh
-// testbench seed makes the gang run the first to ever simulate those
-// (design, stimulus) pairs — so the gang genuinely drives its lanes rather
-// than reading the fingerprint memo — and the retained printed-trace path
-// (no gang, no memo) referees every pipeline decision.
-func TestRankGangMatchesLegacyReferee(t *testing.T) {
+// TestRankGangMatchesReferee is the acceptance gate for gang-batched
+// ranking. For each gang size a fresh testbench seed makes the gang run the
+// first to ever simulate those (design, stimulus) pairs — so the gang
+// genuinely drives its lanes rather than reading the fingerprint memo — and
+// solo printed traces (no gang, no memo) referee every candidate's
+// fingerprints and every cluster.
+func TestRankGangMatchesReferee(t *testing.T) {
 	tasks := eval.Suite()
 	for _, idx := range []int{10, 60, 120} {
 		task := tasks[idx]
-		for _, perLane := range []bool{false, true} {
-			for _, gangSize := range []int{2, DefaultGangSize, 64} {
-				seed := int64(7000 + 10*idx + gangSize)
-				if perLane {
-					seed += 500000 // fresh stimuli: the SoA rows already warmed these seeds' memos
-				}
-				gang := runWithGang(t, task, gangSize, 4, seed, false, perLane)
-				legacy := runWithGang(t, task, 1, 1, seed, true, perLane)
-				assertSameDecisions(t, task.ID, legacy, gang)
-			}
+		for _, gangSize := range []int{2, DefaultGangSize, 64} {
+			seed := int64(7000 + 10*idx + gangSize)
+			res := runWithGang(t, task, gangSize, 4, seed)
+			checkPipeline(t, task.ID, res, testbench.BackendCompiled)
 		}
 	}
 }
@@ -68,10 +43,10 @@ func TestRankGangMatchesLegacyReferee(t *testing.T) {
 // and result assembly all still run per configuration).
 func TestRankGangSizeDeterministic(t *testing.T) {
 	task := eval.Suite()[30]
-	ref := runWithGang(t, task, 1, 1, 8117, false, false)
+	ref := runWithGang(t, task, 1, 1, 8117)
 	for _, gangSize := range []int{2, DefaultGangSize, 64} {
 		for _, workers := range []int{1, 4} {
-			got := runWithGang(t, task, gangSize, workers, 8117, false, false)
+			got := runWithGang(t, task, gangSize, workers, 8117)
 			if got.Final != ref.Final || got.FinalIndex != ref.FinalIndex {
 				t.Fatalf("final pick diverges with GangSize=%d Workers=%d", gangSize, workers)
 			}

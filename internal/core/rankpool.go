@@ -18,21 +18,14 @@ import (
 type RankPoolConfig struct {
 	// Backend selects the simulation backend for every run.
 	Backend testbench.Backend
-	// Workers bounds the concurrent simulation units (gang batches, or
-	// individual candidates on the legacy path). Results are bit-identical
+	// Workers bounds the concurrent gang batches. Results are bit-identical
 	// for any value; zero or one runs inline without goroutines.
 	Workers int
 	// GangSize is the lockstep gang width; zero selects DefaultGangSize.
 	GangSize int
-	// PerLaneGang selects the per-lane referee gang model over SoA.
-	PerLaneGang bool
-	// LegacyTraces retains full printed traces instead of fingerprints.
-	LegacyTraces bool
-	// Golden, when set, anchors delta compilation and the shared SoA
-	// program on the task's golden design. Jobs submitted for the same
-	// golden therefore share one compiled Design, one schedule binding,
-	// and one fingerprint-memo universe across concurrent RankPool calls —
-	// the caches are all process-wide and keyed by content.
+	// Golden is the task's golden design. Setting it turns on gang-class
+	// batching (see RankPool) for pools that span several gangs; the daemon
+	// and the pipeline always set it. Results do not depend on it.
 	Golden *ast.Source
 	// OnBatch, when set, is called after each completed simulation unit
 	// with (completed, total) counts. Calls are serialized and monotonic
@@ -45,10 +38,8 @@ type RankPoolConfig struct {
 // are aligned with RankPool's srcs argument; entries for nil sources stay
 // nil.
 type RankPoolResult struct {
-	// FPs holds each candidate's fingerprint trace (default path).
+	// FPs holds each candidate's fingerprint trace.
 	FPs []*testbench.FPTrace
-	// Traces holds each candidate's printed trace (LegacyTraces path).
-	Traces []*testbench.Trace
 	// Clusters groups candidates by strict full-trace agreement, scored by
 	// size and sorted by (Score desc, Fingerprint asc); Members hold
 	// indices into srcs.
@@ -111,136 +102,83 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	srcJobsPool.Put(jobOfSrc)
 	out := &RankPoolResult{UniqueJobs: len(jobs)}
 
-	// Pass 2: simulate each unique design. The fingerprint path batches
-	// jobs into gangs of GangSize lanes advancing in lockstep over the
-	// shared schedule; a worker picks up a whole gang. Gang results are
-	// bit-identical to solo runs, and batches are indexed, so results are
-	// bit-identical for any gang size and worker count. The legacy-trace
-	// referee keeps its one-candidate-per-worker shape.
-	var (
-		traces []*testbench.Trace
-		fps    []*testbench.FPTrace
-		plan   *testbench.GangPlan
-		run    func(b int) error
-		nUnits int
-	)
+	// Pass 2: simulate each unique design. Jobs are batched into gangs of
+	// GangSize lanes advancing in lockstep over the shared schedule; a worker
+	// picks up a whole gang. Gang results are bit-identical to solo runs, and
+	// batches are indexed, so results are bit-identical for any gang size and
+	// worker count.
 	gang := cfg.GangSize
 	if gang <= 0 {
 		gang = DefaultGangSize
 	}
-	if cfg.LegacyTraces {
-		nUnits = len(jobs)
-		traces = make([]*testbench.Trace, len(jobs))
-		run = func(j int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// A crash while tracing one candidate becomes that candidate's
-			// private error; the worker and its siblings keep going.
-			defer func() {
-				if r := recover(); r != nil {
-					traces[j] = &testbench.Trace{Ifc: st.Ifc, Err: fmt.Errorf("%w: %v", testbench.ErrSimPanic, r)}
-				}
-			}()
-			traces[j] = testbench.RunBackend(jobs[j], eval.TopModule, st, cfg.Backend)
-			return nil
-		}
-	} else {
-		nUnits = (len(jobs) + gang - 1) / gang
-		mode := testbench.GangSoA
-		if cfg.PerLaneGang {
-			mode = testbench.GangPerLane
-		}
-		// Answer what the fingerprint memo and the persistent store already
-		// hold before compiling anything: the plan reads each job's store
-		// record once and keeps the remaining jobs claimed until a batch
-		// simulates them.
-		plan = testbench.PlanGang(ctx, jobs, eval.TopModule, st, cfg.Backend, mode)
-		defer plan.Release()
-		pending := 0
-		for j := range jobs {
-			if plan.Pending(j) {
-				pending++
-			}
-		}
-		// The compiled golden anchors every gang: it is the delta-compilation
-		// base for candidate lanes AND the owner of the shared SoA program.
-		// Candidates habitually rename internal registers while keeping whole
-		// processes identical to the golden, so anchoring on the golden (not
-		// on whichever candidate happens to lead the batch) is what lets the
-		// name-blind sharing criterion coalesce those processes into one
-		// gang-program walk. Parse and compile are both process-wide caches,
-		// so this costs one lookup per rank call that simulates anything.
-		var base *sim.Design
-		if pending > 0 && cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
-			if d, derr := sim.CompileCached(cfg.Golden, eval.TopModule); derr == nil {
-				base = d
-			}
-		}
-		// Gang-aware batching: answered jobs go first (they need no compile
-		// and no lane), then pending jobs ordered by behavior class, so
-		// alpha-equivalent candidates (register renames, repeated mutations —
-		// the bulk of an LLM pool's redundancy) land in the same gang, where
-		// the SoA backend dedups whole lanes and shares kernels. Each lane's
-		// fingerprints are independent of its batch, so any ordering yields
-		// bit-identical decisions; ties keep first-seen order, so batches are
-		// deterministic. The delta compile feeds the same process-wide cache
-		// the gang's bind step uses.
-		order := make([]int, len(jobs))
-		for j := range order {
-			order[j] = j
-		}
-		if base != nil && len(jobs) > gang {
-			type jobKey struct {
-				pending bool
-				h       uint64
-			}
-			keys := make([]jobKey, len(jobs))
-			for j, src := range jobs {
-				if keys[j].pending = plan.Pending(j); keys[j].pending {
-					if d, derr := sim.CompileDeltaCached(base, src, eval.TopModule); derr == nil {
-						keys[j].h = d.GangClassHash()
-					}
-				}
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				ka, kb := keys[order[a]], keys[order[b]]
-				if ka.pending != kb.pending {
-					return kb.pending
-				}
-				return ka.h < kb.h
-			})
-		}
-		run = func(b int) error {
-			lo := b * gang
-			hi := lo + gang
-			if hi > len(jobs) {
-				hi = len(jobs)
-			}
-			batch := order[lo:hi]
-			// Per-candidate crashes are already confined inside the gang
-			// (crashed walks re-run unresolved lanes solo); this recover is
-			// the last line for anything outside that, erroring only this
-			// batch's unresolved candidates instead of unwinding the worker.
-			defer func() {
-				if r := recover(); r != nil {
-					plan.Fail(batch, fmt.Errorf("%w: %v", testbench.ErrSimPanic, r))
-				}
-			}()
-			faultinject.Fire(faultinject.PointRankBatch, "")
-			return plan.Run(ctx, batch, base)
+	// Answer what the fingerprint memo and the persistent store already hold
+	// before compiling anything: the plan reads each job's store record once
+	// and keeps the remaining jobs claimed until a batch simulates them.
+	plan := testbench.PlanGang(ctx, jobs, eval.TopModule, st, cfg.Backend)
+	defer plan.Release()
+	// Gang-aware batching: answered jobs go first (they need no compile and
+	// no lane), then pending jobs ordered by behavior class, so
+	// alpha-equivalent candidates (register renames, repeated mutations —
+	// the bulk of an LLM pool's redundancy) land in the same gang, where the
+	// SoA gang dedups whole lanes and shares kernels. Each lane's
+	// fingerprints are independent of its batch, so any ordering yields
+	// bit-identical decisions; ties keep first-seen order, so batches are
+	// deterministic. The compiles here feed the same process-wide cache the
+	// gang's bind step reads.
+	order := make([]int, len(jobs))
+	pending := 0
+	for j := range order {
+		order[j] = j
+		if plan.Pending(j) {
+			pending++
 		}
 	}
+	if pending > 0 && len(jobs) > gang && cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
+		type jobKey struct {
+			pending bool
+			h       uint64
+		}
+		keys := make([]jobKey, len(jobs))
+		for j, src := range jobs {
+			if keys[j].pending = plan.Pending(j); keys[j].pending {
+				if d, derr := sim.CompileCached(src, eval.TopModule); derr == nil {
+					keys[j].h = d.GangClassHash()
+				}
+			}
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			ka, kb := keys[order[a]], keys[order[b]]
+			if ka.pending != kb.pending {
+				return kb.pending
+			}
+			return ka.h < kb.h
+		})
+	}
+	run := func(b int) error {
+		lo := b * gang
+		hi := min(lo+gang, len(jobs))
+		batch := order[lo:hi]
+		// Per-candidate crashes are already confined inside the gang
+		// (crashed walks re-run unresolved lanes solo); this recover is the
+		// last line for anything outside that, erroring only this batch's
+		// unresolved candidates instead of unwinding the worker.
+		defer func() {
+			if r := recover(); r != nil {
+				plan.Fail(batch, fmt.Errorf("%w: %v", testbench.ErrSimPanic, r))
+			}
+		}()
+		faultinject.Fire(faultinject.PointRankBatch, "")
+		return plan.Run(ctx, batch)
+	}
+	nUnits := (len(jobs) + gang - 1) / gang
 	if err := RunUnits(ctx, nUnits, cfg.Workers, cfg.OnBatch, run); err != nil {
 		return nil, err
 	}
-	if plan != nil {
-		// Jobs in flight under other callers are collected last, once this
-		// call holds no unresolved claim of its own.
-		var err error
-		if fps, err = plan.Finish(ctx); err != nil {
-			return nil, err
-		}
+	// Jobs in flight under other callers are collected last, once this call
+	// holds no unresolved claim of its own.
+	fps, err := plan.Finish(ctx)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 3a: attach results in candidate order and count cluster sizes,
@@ -248,30 +186,17 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	fpOf := make([]uint64, len(srcs))
 	okOf := make([]bool, len(srcs))
 	counts := make(map[uint64]int, len(jobs))
-	if cfg.LegacyTraces {
-		out.Traces = make([]*testbench.Trace, len(srcs))
-	} else {
-		out.FPs = make([]*testbench.FPTrace, len(srcs))
-	}
+	out.FPs = make([]*testbench.FPTrace, len(srcs))
 	for i, src := range srcs {
 		if src == nil {
 			continue
 		}
-		if cfg.LegacyTraces {
-			tr := traces[jobOf[i]]
-			out.Traces[i] = tr
-			if tr.Err != nil {
-				continue // runtime failures agree with nobody
-			}
-			fpOf[i] = tr.Fingerprint()
-		} else {
-			fp := fps[jobOf[i]]
-			out.FPs[i] = fp
-			if fp.Err != nil {
-				continue
-			}
-			fpOf[i] = fp.Fingerprint()
+		fp := fps[jobOf[i]]
+		out.FPs[i] = fp
+		if fp.Err != nil {
+			continue // runtime failures agree with nobody
 		}
+		fpOf[i] = fp.Fingerprint()
 		okOf[i] = true
 		counts[fpOf[i]]++
 	}

@@ -111,10 +111,10 @@ func TestRankPoolPanicConfinedToCandidate(t *testing.T) {
 
 // TestRankPoolCancelLeavesCachesReusable cancels a rank mid-flight (at the
 // second gang batch) and then re-runs the identical pool twice: the cancel
-// must surface as the context error, and — the ISSUE's acceptance bar — the
-// aborted run must leave every process-wide memo reusable, with the re-runs
-// bit-identical to each other AND agreeing with the independent legacy
-// full-trace referee that shares none of the fingerprint memos.
+// must surface as the context error, and the aborted run must leave every
+// process-wide memo reusable, with the re-runs bit-identical to each other
+// AND agreeing with the independent printed-trace referee, which shares none
+// of the fingerprint memos.
 func TestRankPoolCancelLeavesCachesReusable(t *testing.T) {
 	defer faultinject.Reset()
 	task, golden, _ := gatePool(t)
@@ -155,19 +155,10 @@ func TestRankPoolCancelLeavesCachesReusable(t *testing.T) {
 		}
 	}
 
-	// Independent referee: the legacy full-trace path re-simulates from
-	// scratch (no fingerprint memo), so agreement here rules out a stale or
-	// poisoned memo entry surviving the cancel.
-	legacy, err := RankPool(context.Background(), srcs, st, RankPoolConfig{
-		Backend: testbench.BackendCompiled, LegacyTraces: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(clusterMembers(first.Clusters), clusterMembers(legacy.Clusters)) {
-		t.Fatalf("fingerprint clusters %v disagree with legacy referee %v",
-			clusterMembers(first.Clusters), clusterMembers(legacy.Clusters))
-	}
+	// Independent referee: solo printed traces re-simulate from scratch (no
+	// fingerprint memo), so agreement here rules out a stale or poisoned
+	// memo entry surviving the cancel.
+	checkRankPool(t, "post-cancel", srcs, st, testbench.BackendCompiled, first)
 }
 
 // TestRankPoolDeterministicAcrossWorkers: identical pools ranked with

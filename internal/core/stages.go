@@ -125,11 +125,9 @@ func (p *Pipeline) densityFilter(ctx context.Context, res *Result) error {
 // in and attaches the aligned results back. Results are bit-identical for
 // any worker count and gang size.
 //
-// By default each run streams straight to a per-case fingerprint record
-// (testbench.RunFingerprint): no trace string is ever built, and the only
-// per-candidate retention is a handful of uint64s. Config.LegacyTraces
-// restores the retained-Trace path; both cluster on the same fingerprint
-// values, so every downstream decision is identical.
+// Each run streams straight to a per-case fingerprint record: no trace
+// string is ever built, and the only per-candidate retention is a handful of
+// uint64s.
 func (p *Pipeline) rank(ctx context.Context, res *Result) error {
 	// Cached: every variant of a (task, run) pair re-derives this exact
 	// stimulus, and it is read-only from here on.
@@ -150,23 +148,16 @@ func (p *Pipeline) rank(ctx context.Context, res *Result) error {
 		}
 	}
 	pool, err := RankPool(ctx, srcs, st, RankPoolConfig{
-		Backend:      p.cfg.Backend,
-		Workers:      p.cfg.Workers,
-		GangSize:     p.cfg.GangSize,
-		PerLaneGang:  p.cfg.PerLaneGang,
-		LegacyTraces: p.cfg.LegacyTraces,
-		Golden:       golden,
+		Backend:  p.cfg.Backend,
+		Workers:  p.cfg.Workers,
+		GangSize: p.cfg.GangSize,
+		Golden:   golden,
 	})
 	if err != nil {
 		return err
 	}
 	for i := range res.Candidates {
-		if srcs[i] == nil {
-			continue
-		}
-		if p.cfg.LegacyTraces {
-			res.Candidates[i].Trace = pool.Traces[i]
-		} else {
+		if srcs[i] != nil {
 			res.Candidates[i].FPTrace = pool.FPs[i]
 		}
 	}
@@ -247,78 +238,10 @@ func (p *Pipeline) refineIntra(ctx context.Context, res *Result, ci int) error {
 	return nil
 }
 
-// --- Ranked-representation accessors ----------------------------------------------
-//
-// Refinement compares behaviors through per-case fingerprints, which live on
-// FPTrace on the default streaming path and derive (memoized) from the
-// printed strings on the legacy path. These accessors make every agreement
-// decision representation-blind, so both paths take the same branches.
-
-// rankErr returns the candidate's ranking-run failure, if any.
-func (c *Candidate) rankErr() error {
-	if c.FPTrace != nil {
-		return c.FPTrace.Err
-	}
-	if c.Trace != nil {
-		return c.Trace.Err
-	}
-	return nil
-}
-
-// rankCases returns the number of completed ranking test cases.
-func (c *Candidate) rankCases() int {
-	if c.FPTrace != nil {
-		return len(c.FPTrace.CaseFPs)
-	}
-	if c.Trace != nil {
-		return len(c.Trace.Cases)
-	}
-	return 0
-}
-
-// rankCaseFP returns the fingerprint of ranking test case i.
-func (c *Candidate) rankCaseFP(i int) uint64 {
-	if c.FPTrace != nil {
-		return c.FPTrace.CaseFPs[i]
-	}
-	return c.Trace.Cases[i].Fingerprint()
-}
-
-// rankedCaseAgrees mirrors testbench.CaseAgrees over ranked candidates.
-func rankedCaseAgrees(a, b *Candidate, i int) bool {
-	ae, be := a.rankErr(), b.rankErr()
-	if ae != nil || be != nil {
-		return ae != nil && be != nil && ae.Error() == be.Error()
-	}
-	if i >= a.rankCases() || i >= b.rankCases() {
-		return false
-	}
-	return a.rankCaseFP(i) == b.rankCaseFP(i)
-}
-
-// rankedAgrees mirrors testbench.Agrees over ranked candidates.
-func rankedAgrees(a, b *Candidate) bool {
-	ae, be := a.rankErr(), b.rankErr()
-	if ae != nil || be != nil {
-		return ae != nil && be != nil && ae.Error() == be.Error()
-	}
-	if a.rankCases() != b.rankCases() {
-		return false
-	}
-	for i := 0; i < a.rankCases(); i++ {
-		if a.rankCaseFP(i) != b.rankCaseFP(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// repTrace returns a candidate's full printed ranking trace, lazily
-// re-simulating it on the fingerprint path. Prompt construction is the only
-// consumer of trace strings left, and it only ever looks at the ≤TopClusters
-// representatives — so those are the only candidates that ever pay for a
-// printed trace. Simulation is deterministic, so the materialized trace is
-// byte-identical to the one the legacy path retained.
+// repTrace returns a candidate's full printed ranking trace, simulating it
+// on first use. Prompt construction is the only consumer of trace strings,
+// and it only ever looks at the ≤TopClusters representatives — so those are
+// the only candidates that ever pay for a printed trace.
 func (p *Pipeline) repTrace(res *Result, idx int) *testbench.Trace {
 	c := &res.Candidates[idx]
 	if c.Trace == nil {
@@ -337,8 +260,8 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 	rep0 := &res.Candidates[c0.Members[0]]
 	rep1 := &res.Candidates[c1.Members[0]]
 	caseIdx := -1
-	for i := 0; i < rep0.rankCases(); i++ {
-		if !rankedCaseAgrees(rep0, rep1, i) {
+	for i := 0; i < rep0.FPTrace.NumCases(); i++ {
+		if !testbench.FPCaseAgrees(rep0.FPTrace, rep1.FPTrace, i) {
 			caseIdx = i
 			break
 		}
@@ -367,8 +290,8 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 		res.Stats.JudgeCalls++
 		res.JudgeVoted = true
 		pred := resp.Predicted.Fingerprint()
-		match0 := rep0.rankCaseFP(caseIdx) == pred
-		match1 := rep1.rankCaseFP(caseIdx) == pred
+		match0 := rep0.FPTrace.CaseFPs[caseIdx] == pred
+		match1 := rep1.FPTrace.CaseFPs[caseIdx] == pred
 		// A judge vote for the runner-up overturns the majority when the
 		// clusters are close; a vote for the leader reinforces it.
 		if match1 && !match0 && float64(c1.Score) >= 0.5*float64(c0.Score) {
@@ -378,8 +301,8 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 	}
 
 	// Fallback: focused refinement across the two clusters. Only here do
-	// printed traces exist at all on the streaming path (the prompt quotes
-	// the disagreeing outputs), and only for the two representatives.
+	// printed traces exist at all (the prompt quotes the disagreeing
+	// outputs), and only for the two representatives.
 	t0 := p.repTrace(res, c0.Members[0])
 	t1 := p.repTrace(res, c1.Members[0])
 	hint := divergenceHint(res.Task, t0, t1, caseIdx)
@@ -433,17 +356,11 @@ func writeCase(b *strings.Builder, task eval.Task, ct *testbench.CaseTrace) {
 	}
 }
 
-// simulateRefined runs a refined candidate under the ranking stimulus on
-// the configured representation (fingerprints by default, full trace on the
-// legacy path) and returns it ready for agreement checks.
+// simulateRefined fingerprints a refined candidate under the ranking
+// stimulus and returns it ready for agreement checks.
 func (p *Pipeline) simulateRefined(res *Result, code string, src *ast.Source) Candidate {
 	cand := Candidate{Code: code, Source: src, Valid: true, NormLen: -1, Refined: true}
-	st := res.rankingStimulus
-	if p.cfg.LegacyTraces {
-		cand.Trace = testbench.RunBackend(src, eval.TopModule, st, p.cfg.Backend)
-	} else {
-		cand.FPTrace = testbench.RunFingerprint(src, eval.TopModule, st, p.cfg.Backend)
-	}
+	cand.FPTrace = testbench.RunFingerprint(src, eval.TopModule, res.rankingStimulus, p.cfg.Backend)
 	res.Stats.SimRuns++
 	return cand
 }
@@ -459,12 +376,12 @@ func (p *Pipeline) admitRefined(res *Result, ci int, code string) {
 		return
 	}
 	cand := p.simulateRefined(res, code, src)
-	if cand.rankErr() != nil {
+	if cand.FPTrace.Err != nil {
 		return
 	}
-	ref := &res.Candidates[res.Clusters[ci].Members[0]]
+	ref := res.Candidates[res.Clusters[ci].Members[0]].FPTrace
 	for i := 0; i < res.rankingStimulus.NumCases(); i++ {
-		if !rankedCaseAgrees(&cand, ref, i) {
+		if !testbench.FPCaseAgrees(cand.FPTrace, ref, i) {
 			return // covered-case divergence: distrust the rewrite
 		}
 	}
@@ -483,7 +400,7 @@ func (p *Pipeline) admitRefinedInter(res *Result, code string) {
 		return
 	}
 	cand := p.simulateRefined(res, code, src)
-	if cand.rankErr() != nil {
+	if cand.FPTrace.Err != nil {
 		return
 	}
 	idx := len(res.Candidates)
@@ -493,8 +410,8 @@ func (p *Pipeline) admitRefinedInter(res *Result, code string) {
 		k = len(res.Clusters)
 	}
 	for ci := 0; ci < k; ci++ {
-		ref := &res.Candidates[res.Clusters[ci].Members[0]]
-		if rankedAgrees(&cand, ref) {
+		ref := res.Candidates[res.Clusters[ci].Members[0]].FPTrace
+		if testbench.FPAgrees(cand.FPTrace, ref) {
 			res.Clusters[ci].Score++
 			res.Clusters[ci].RefinedIdx = append(res.Clusters[ci].RefinedIdx, idx)
 			added = true

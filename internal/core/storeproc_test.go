@@ -179,7 +179,7 @@ func TestCrossProcessStoreDeterminism(t *testing.T) {
 		t.Fatal("warm process reported zero store hits")
 	}
 	// Store hits are answered before compiling: the warm process may
-	// compile the golden (the delta base) but no candidate.
+	// compile the golden but no candidate.
 	if warm.Compiles > 1 {
 		t.Fatalf("warm process compiled %d designs; want at most 1 (cold compiled %d)", warm.Compiles, cold.Compiles)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/mutate"
-	"repro/internal/sim"
 	"repro/internal/testbench"
 	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
@@ -48,11 +47,10 @@ func fpEqual(t *testing.T, label string, got, want *testbench.FPTrace) {
 // TestSuiteGangFingerprintEquivalence runs every golden design in the
 // 156-task benchmark, plus random semantic mutants of each, through
 // RunFingerprintGang at several gang partitionings and requires bit-identical
-// fingerprints to solo runs of the same candidates — with and without the
-// compiled golden as delta-compilation base. This is the suite-wide
-// acceptance gate for gang ranking and delta compilation together: it covers
-// every construct family the benchmark exercises, healthy and buggy lanes in
-// the same gang, and both the lockstep drive loop and its solo fallbacks.
+// fingerprints to solo runs of the same candidates. This is the suite-wide
+// acceptance gate for gang ranking: it covers every construct family the
+// benchmark exercises, healthy and buggy lanes in the same gang, and both the
+// lockstep drive loop and its solo fallbacks.
 func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 	rng := xrng.New(91)
 	for _, task := range Suite() {
@@ -83,49 +81,31 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 			solo[i] = testbench.RunFingerprint(src, TopModule, soloSt, testbench.BackendCompiled)
 		}
 
-		base, _ := sim.CompileCached(golden, TopModule)
-		for _, gm := range gangModes {
-			for _, bs := range []struct {
-				name string
-				d    *sim.Design
-			}{
-				{"goldenbase", base},
-				{"nobase", nil},
-			} {
-				for _, chunk := range []int{1, 2, len(srcs)} {
-					gangSt := freshStimulus(st)
-					got := make([]*testbench.FPTrace, 0, len(srcs))
-					for lo := 0; lo < len(srcs); lo += chunk {
-						hi := lo + chunk
-						if hi > len(srcs) {
-							hi = len(srcs)
-						}
-						got = append(got, testbench.RunFingerprintGangMode(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bs.d, gm.mode)...)
-					}
-					for i := range srcs {
-						fpEqual(t, fmt.Sprintf("%s %s/%s chunk=%d cand=%d", task.ID, gm.name, bs.name, chunk, i), got[i], solo[i])
-					}
-				}
+		for _, chunk := range []int{1, 2, len(srcs)} {
+			got := runGangChunks(srcs, freshStimulus(st), chunk)
+			for i := range srcs {
+				fpEqual(t, fmt.Sprintf("%s chunk=%d cand=%d", task.ID, chunk, i), got[i], solo[i])
 			}
 		}
 	}
 }
 
-// gangModes enumerates both gang execution models for matrix tests.
-var gangModes = []struct {
-	name string
-	mode testbench.GangMode
-}{
-	{"soa", testbench.GangSoA},
-	{"perlane", testbench.GangPerLane},
+// runGangChunks runs srcs through RunFingerprintGang in gangs of chunk lanes.
+func runGangChunks(srcs []*ast.Source, st *testbench.Stimulus, chunk int) []*testbench.FPTrace {
+	got := make([]*testbench.FPTrace, 0, len(srcs))
+	for lo := 0; lo < len(srcs); lo += chunk {
+		hi := min(lo+chunk, len(srcs))
+		got = append(got, testbench.RunFingerprintGang(srcs[lo:hi], TopModule, st, testbench.BackendCompiled)...)
+	}
+	return got
 }
 
 // TestSuiteGangWideLanes exercises the wide gang sizes of the acceptance
 // matrix (8 and 64 lanes) that the per-task test above cannot reach with a
 // handful of mutants: for a spread of benchmark tasks it builds a 64-candidate
-// pool of distinct mutants of the golden and requires both gang modes to match
-// solo fingerprints when the pool is partitioned into gangs of 8 and one gang
-// of 64, with and without the golden delta base.
+// pool of distinct mutants of the golden and requires the gang to match solo
+// fingerprints when the pool is partitioned into gangs of 8 and one gang of
+// 64.
 func TestSuiteGangWideLanes(t *testing.T) {
 	rng := xrng.New(177)
 	tasks := Suite()
@@ -159,23 +139,10 @@ func TestSuiteGangWideLanes(t *testing.T) {
 			solo[i] = testbench.RunFingerprint(src, TopModule, soloSt, testbench.BackendCompiled)
 		}
 
-		base, _ := sim.CompileCached(golden, TopModule)
-		for _, gm := range gangModes {
-			for _, bd := range []*sim.Design{base, nil} {
-				for _, chunk := range []int{8, 64} {
-					gangSt := freshStimulus(st)
-					got := make([]*testbench.FPTrace, 0, len(srcs))
-					for lo := 0; lo < len(srcs); lo += chunk {
-						hi := lo + chunk
-						if hi > len(srcs) {
-							hi = len(srcs)
-						}
-						got = append(got, testbench.RunFingerprintGangMode(srcs[lo:hi], TopModule, gangSt, testbench.BackendCompiled, bd, gm.mode)...)
-					}
-					for i := range srcs {
-						fpEqual(t, fmt.Sprintf("%s %s base=%v chunk=%d cand=%d", task.ID, gm.name, bd != nil, chunk, i), got[i], solo[i])
-					}
-				}
+		for _, chunk := range []int{8, 64} {
+			got := runGangChunks(srcs, freshStimulus(st), chunk)
+			for i := range srcs {
+				fpEqual(t, fmt.Sprintf("%s chunk=%d cand=%d", task.ID, chunk, i), got[i], solo[i])
 			}
 		}
 	}

@@ -19,54 +19,45 @@ func TestTable1BackendEquivalence(t *testing.T) {
 	for i := 0; i < len(all); i += 24 {
 		tasks = append(tasks, all[i])
 	}
-	run := func(b testbench.Backend, legacy bool) []Table1Row {
+	run := func(b testbench.Backend) []Table1Row {
 		res, err := RunTable1(context.Background(), Table1Config{
-			Models:       []string{"qwq-32b"},
-			Tasks:        tasks,
-			Samples:      10,
-			Runs:         1,
-			Seed:         5,
-			Backend:      b,
-			LegacyTraces: legacy,
+			Models:  []string{"qwq-32b"},
+			Tasks:   tasks,
+			Samples: 10,
+			Runs:    1,
+			Seed:    5,
+			Backend: b,
 		})
 		if err != nil {
 			t.Fatalf("backend %v: %v", b, err)
 		}
 		return res.Rows
 	}
-	ri := run(testbench.BackendInterpreter, false)
-	rc := run(testbench.BackendCompiled, false)
+	ri := run(testbench.BackendInterpreter)
+	rc := run(testbench.BackendCompiled)
 	if !reflect.DeepEqual(ri, rc) {
 		t.Fatalf("Table I rows diverge between backends\ninterpreter: %+v\ncompiled: %+v", ri, rc)
-	}
-	// The retained-trace path is the differential referee for the streaming
-	// fingerprint path: same rows, bit for bit, on both backends.
-	if rl := run(testbench.BackendCompiled, true); !reflect.DeepEqual(rl, rc) {
-		t.Fatalf("Table I rows diverge between trace paths\nlegacy: %+v\nfingerprint: %+v", rl, rc)
-	}
-	if rli := run(testbench.BackendInterpreter, true); !reflect.DeepEqual(rli, ri) {
-		t.Fatalf("Table I rows diverge between trace paths on the interpreter\nlegacy: %+v\nfingerprint: %+v", rli, ri)
 	}
 }
 
 // TestOracleBackendEquivalence checks that verification verdicts agree
-// across backends for golden and deliberately wrong candidates.
+// across backends, and with the solo printed-trace referee, for golden and
+// deliberately wrong candidates.
 func TestOracleBackendEquivalence(t *testing.T) {
 	tasks := eval.Suite()[:6]
 	oi := NewOracle(tasks, 3)
 	oi.Backend = testbench.BackendInterpreter
 	oc := NewOracle(tasks, 3)
 	oc.Backend = testbench.BackendCompiled
-	ol := NewOracle(tasks, 3)
-	ol.Backend = testbench.BackendCompiled
-	ol.LegacyTraces = true
 	wrong := `
 module top_module (input a, input b, output y);
     assign y = a & b;
 endmodule
 `
 	for _, task := range tasks {
-		for _, code := range []string{task.Golden, wrong} {
+		codes := []string{task.Golden, wrong}
+		ref := refereeVerdicts(t, task, 3, codes, testbench.BackendCompiled)
+		for k, code := range codes {
 			vi, err := oi.Verify(task.ID, code)
 			if err != nil {
 				t.Fatalf("%s: interp verify: %v", task.ID, err)
@@ -78,13 +69,8 @@ endmodule
 			if vi != vc {
 				t.Errorf("%s: verdict divergence: interp=%v compiled=%v", task.ID, vi, vc)
 			}
-			vl, err := ol.Verify(task.ID, code)
-			if err != nil {
-				t.Fatalf("%s: legacy verify: %v", task.ID, err)
-			}
-			if vl != vc {
-				t.Errorf("%s: verdict divergence between trace paths: legacy=%v fingerprint=%v",
-					task.ID, vl, vc)
+			if ref[k] != vc {
+				t.Errorf("%s: verdict divergence: referee=%v fingerprint=%v", task.ID, ref[k], vc)
 			}
 		}
 	}

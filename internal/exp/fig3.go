@@ -33,13 +33,6 @@ type Fig3Config struct {
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
-	// LegacyTraces forces verification onto the retained printed-trace
-	// path instead of streaming fingerprints.
-	LegacyTraces bool
-	// PerLaneGang forces gang simulation onto the per-lane engine model
-	// instead of the default shared-plane SoA model (identical results;
-	// kept as the differential referee and escape hatch).
-	PerLaneGang bool
 	// FPMemoCap sizes the process-wide fingerprint memo (the result
 	// store's memory tier); zero keeps the current capacity.
 	FPMemoCap int
@@ -97,8 +90,6 @@ func RunFig3(ctx context.Context, cfg Fig3Config) (*Fig3Result, error) {
 	}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
-	oracle.LegacyTraces = cfg.LegacyTraces
-	oracle.PerLaneGang = cfg.PerLaneGang
 
 	// Cells run task-major, (task, model), on one pool.
 	nm := len(cfg.Models)

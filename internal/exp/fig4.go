@@ -30,13 +30,6 @@ type Fig4Config struct {
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
-	// LegacyTraces forces ranking and verification onto the retained
-	// printed-trace path instead of streaming fingerprints.
-	LegacyTraces bool
-	// PerLaneGang forces gang simulation onto the per-lane engine model
-	// instead of the default shared-plane SoA model (identical results;
-	// kept as the differential referee and escape hatch).
-	PerLaneGang bool
 	// FPMemoCap sizes the process-wide fingerprint memo (the result
 	// store's memory tier); zero keeps the current capacity.
 	FPMemoCap int
@@ -96,8 +89,6 @@ func RunFig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 	}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
-	oracle.LegacyTraces = cfg.LegacyTraces
-	oracle.PerLaneGang = cfg.PerLaneGang
 
 	// Cells run task-major, (task, run, model, n), on one pool: one
 	// (task, run, model) client's pools for growing n share most of their
@@ -174,8 +165,6 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		pcfg.SelectSeed = cfg.Seed + int64(run)*47
 		pcfg.RetryBaseDelay = 0
 		pcfg.Backend = cfg.Backend
-		pcfg.LegacyTraces = cfg.LegacyTraces
-		pcfg.PerLaneGang = cfg.PerLaneGang
 		pcfg.FPMemoCap = cfg.FPMemoCap
 		pcfg.LLMRetries = cfg.LLMRetries
 		return core.New(client, pcfg).Run(ctx, task)

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/eval"
-	"repro/internal/sim"
 	"repro/internal/testbench"
 	"repro/internal/verilog/ast"
 )
@@ -26,24 +25,13 @@ var ErrExperiment = errors.New("experiment failed")
 // Oracle scores candidate code against a task's golden design under a dense
 // verification testbench — the role the VerilogEval reference testbenches
 // play in the paper. Golden fingerprints are computed once per task and
-// cached. Verification only needs a verdict, so by default each candidate
-// runs until its first case that disagrees with the golden
-// (testbench.VerifyGang); LegacyTraces retains full printed traces instead,
-// with identical verdicts. The oracle is safe for concurrent use.
+// cached. Verification only needs a verdict, so each candidate runs until
+// its first case that disagrees with the golden (testbench.VerifyGang). The
+// oracle is safe for concurrent use.
 type Oracle struct {
 	seed int64
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
-	// LegacyTraces forces verification onto the retained printed-trace
-	// path (the differential referee for the fingerprint path). Set it
-	// before the first Verify: tasks prepared earlier have no retained
-	// golden trace, so they keep comparing fingerprints (same verdicts).
-	LegacyTraces bool
-	// PerLaneGang forces verification gangs onto the per-lane engine model
-	// with full traces instead of the default verdict-only SoA gang.
-	// Verdicts are identical either way; the per-lane model is the
-	// differential referee.
-	PerLaneGang bool
 
 	tasks map[string]eval.Task // read-only after NewOracle
 
@@ -56,12 +44,10 @@ type Oracle struct {
 // first caller builds it under once while concurrent callers wait on the
 // once, not on the oracle's lock.
 type oracleTask struct {
-	once     sync.Once
-	st       *testbench.Stimulus
-	golden   *testbench.FPTrace
-	goldenTr *testbench.Trace // retained only on the legacy path
-	goldenD  *sim.Design      // compiled golden: delta-compilation base
-	err      error
+	once   sync.Once
+	st     *testbench.Stimulus
+	golden *testbench.FPTrace
+	err    error
 }
 
 // verdictKey caches verification results by task and the SHA-256 of the
@@ -86,10 +72,10 @@ func NewOracle(tasks []eval.Task, seed int64) *Oracle {
 	return o
 }
 
-// prepare returns the task's verification stimulus and golden fingerprints
-// (plus the golden printed trace on the legacy path), computing them once
-// per task. The stimulus generation, golden simulation and golden compile
-// run outside o.mu, so verdict lookups for other tasks never wait on them.
+// prepare returns the task's verification stimulus and golden fingerprints,
+// computing them once per task. The stimulus generation and golden
+// simulation run outside o.mu, so verdict lookups for other tasks never wait
+// on them.
 func (o *Oracle) prepare(taskID string) (*oracleTask, error) {
 	task, ok := o.tasks[taskID]
 	if !ok {
@@ -122,32 +108,11 @@ func (o *Oracle) build(ot *oracleTask, task eval.Task) error {
 	if err != nil {
 		return fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
 	}
-	var golden *testbench.FPTrace
-	if o.LegacyTraces {
-		goldenTr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-		if goldenTr.Err != nil {
-			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, goldenTr.Err)
-		}
-		// The cached trace is compared by many goroutines at once, so its
-		// lazy fingerprint memo must be filled before publication.
-		goldenTr.Warm()
-		ot.goldenTr = goldenTr
-		golden = goldenTr.FP() // same values, no second simulation
-	} else {
-		golden = testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
-		if golden.Err != nil {
-			return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
-		}
+	golden := testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
+	if golden.Err != nil {
+		return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
 	}
 	golden.Fingerprint() // warm the memo before concurrent reads
-	if o.Backend != testbench.BackendInterpreter {
-		// The compiled golden is the delta-compilation base for candidate
-		// batches: mutants share its netlist layout, so their unmutated
-		// processes splice in instead of re-lowering.
-		if d, derr := sim.CompileCached(src, eval.TopModule); derr == nil {
-			ot.goldenD = d
-		}
-	}
 	ot.st, ot.golden = st, golden
 	return nil
 }
@@ -165,11 +130,8 @@ func (o *Oracle) Verify(taskID, code string) (bool, error) {
 
 // VerifyBatch verifies a batch of candidates for one task. All unverified
 // parseable candidates run as one verdict-only gang (testbench.VerifyGang)
-// over the shared dense verification stimulus, with the compiled golden as
-// delta-compilation base: each lane retires at its first case that
-// disagrees with the golden. The referee paths keep full traces with
-// identical verdicts: LegacyTraces runs each candidate's printed trace,
-// PerLaneGang runs full fingerprint traces on the per-lane gang model.
+// over the shared dense verification stimulus: each lane retires at its
+// first case that disagrees with the golden.
 //
 // A batch with candidates left to verify fails with ctx's error, wrapped in
 // ErrExperiment, once ctx is done: before it starts, or from the gang. A
@@ -199,40 +161,21 @@ func (o *Oracle) VerifyBatch(ctx context.Context, taskID string, codes []string)
 		if err != nil {
 			return nil, err
 		}
-		st, golden := ot.st, ot.golden
-		verdicts := make([]bool, len(pending))
-		if o.LegacyTraces && ot.goldenTr != nil {
-			for k, i := range pending {
-				src := mustParse(codes[i])
-				if src == nil {
-					continue // unparseable: verdict stays false
-				}
-				tr := testbench.RunBackend(src, eval.TopModule, st, o.Backend)
-				verdicts[k] = tr.Err == nil && testbench.Agrees(tr, ot.goldenTr)
+		verdicts := make([]bool, len(pending)) // unparseable: stays false
+		gangSrcs := make([]*ast.Source, 0, len(pending))
+		gangAt := make([]int, 0, len(pending))
+		for k, i := range pending {
+			if src := mustParse(codes[i]); src != nil {
+				gangSrcs = append(gangSrcs, src)
+				gangAt = append(gangAt, k)
 			}
-		} else {
-			gangSrcs := make([]*ast.Source, 0, len(pending))
-			gangAt := make([]int, 0, len(pending))
-			for k, i := range pending {
-				if src := mustParse(codes[i]); src != nil {
-					gangSrcs = append(gangSrcs, src)
-					gangAt = append(gangAt, k)
-				}
-			}
-			base := ot.goldenD
-			var gv []bool
-			if o.PerLaneGang {
-				trs := testbench.RunFingerprintGangMode(gangSrcs, eval.TopModule, st, o.Backend, base, testbench.GangPerLane)
-				gv = make([]bool, len(trs))
-				for j, tr := range trs {
-					gv[j] = tr.Err == nil && testbench.FPAgrees(tr, golden)
-				}
-			} else if gv, err = testbench.VerifyGang(ctx, gangSrcs, eval.TopModule, st, o.Backend, base, golden); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrExperiment, err)
-			}
-			for j, k := range gangAt {
-				verdicts[k] = gv[j]
-			}
+		}
+		gv, err := testbench.VerifyGang(ctx, gangSrcs, eval.TopModule, ot.st, o.Backend, ot.golden)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrExperiment, err)
+		}
+		for j, k := range gangAt {
+			verdicts[k] = gv[j]
 		}
 		o.mu.Lock()
 		for k, i := range pending {

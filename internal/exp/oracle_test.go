@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"repro/internal/xrng"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/eval"
 	"repro/internal/mutate"
+	"repro/internal/testbench"
 	"repro/internal/verilog/parser"
 	"repro/internal/verilog/printer"
+	"repro/internal/xrng"
 )
 
 func TestOracleGoldenAlwaysPasses(t *testing.T) {
@@ -110,8 +111,8 @@ func TestOracleCacheConsistencyUnderConcurrency(t *testing.T) {
 }
 
 // TestOracleConcurrentVerifyBatch: barrier-started VerifyBatch calls over
-// shared tasks, on the default and the legacy-trace oracle, see one
-// preparation per task and return exactly a sequential oracle's verdicts.
+// shared tasks see one preparation per task and return exactly the
+// referee's verdicts.
 func TestOracleConcurrentVerifyBatch(t *testing.T) {
 	suite := eval.Suite()
 	tasks := []eval.Task{suite[20], suite[58], suite[86], suite[120]}
@@ -131,71 +132,60 @@ func TestOracleConcurrentVerifyBatch(t *testing.T) {
 		}
 		pools[task.ID] = pool
 	}
-	seq := NewOracle(tasks, 5)
 	want := make(map[string][]bool, len(tasks))
 	for _, task := range tasks {
-		v, err := seq.VerifyBatch(context.Background(), task.ID, pools[task.ID])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[task.ID] = v
+		want[task.ID] = refereeVerdicts(t, task, 5, pools[task.ID], testbench.BackendCompiled)
 	}
 
-	for _, legacy := range []bool{false, true} {
-		conc := NewOracle(tasks, 5)
-		conc.LegacyTraces = legacy
-		const callers = 16
-		gate := make(chan struct{})
-		prepared := make([][]*oracleTask, callers)
-		errs := make(chan error, callers)
-		var wg sync.WaitGroup
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				<-gate
-				for k := range tasks {
-					task := tasks[(c+k)%len(tasks)]
-					got, err := conc.VerifyBatch(context.Background(), task.ID, pools[task.ID])
-					if err != nil {
-						errs <- err
+	conc := NewOracle(tasks, 5)
+	const callers = 16
+	gate := make(chan struct{})
+	prepared := make([][]*oracleTask, callers)
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-gate
+			for k := range tasks {
+				task := tasks[(c+k)%len(tasks)]
+				got, err := conc.VerifyBatch(context.Background(), task.ID, pools[task.ID])
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range got {
+					if got[i] != want[task.ID][i] {
+						errs <- fmt.Errorf("%s candidate %d: concurrent verdict %v, referee %v",
+							task.ID, i, got[i], want[task.ID][i])
 						return
 					}
-					for i := range got {
-						if got[i] != want[task.ID][i] {
-							errs <- fmt.Errorf("legacy=%v %s candidate %d: concurrent verdict %v, sequential %v",
-								legacy, task.ID, i, got[i], want[task.ID][i])
-							return
-						}
-					}
 				}
-				for _, task := range tasks {
-					ot, err := conc.prepare(task.ID)
-					if err != nil {
-						errs <- err
-						return
-					}
-					prepared[c] = append(prepared[c], ot)
+			}
+			for _, task := range tasks {
+				ot, err := conc.prepare(task.ID)
+				if err != nil {
+					errs <- err
+					return
 				}
-			}(c)
-		}
-		close(gate)
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-		if t.Failed() {
-			return
-		}
-		for c := range prepared {
-			for k, ot := range prepared[c] {
-				if ot != prepared[0][k] || ot.goldenTr != prepared[0][k].goldenTr {
-					t.Fatalf("legacy=%v %s: caller %d saw a second preparation", legacy, tasks[k].ID, c)
-				}
-				if legacy != (ot.goldenTr != nil) {
-					t.Fatalf("legacy=%v %s: golden trace retained = %v", legacy, tasks[k].ID, ot.goldenTr != nil)
-				}
+				prepared[c] = append(prepared[c], ot)
+			}
+		}(c)
+	}
+	close(gate)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	for c := range prepared {
+		for k, ot := range prepared[c] {
+			if ot != prepared[0][k] {
+				t.Fatalf("%s: caller %d saw a second preparation", tasks[k].ID, c)
 			}
 		}
 	}

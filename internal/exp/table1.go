@@ -31,14 +31,6 @@ type Table1Config struct {
 	// Backend selects the simulation engine (zero value: compiled; the
 	// interpreter remains selectable for differential benchmarking).
 	Backend testbench.Backend
-	// LegacyTraces forces ranking and verification onto the retained
-	// printed-trace path instead of streaming fingerprints (results are
-	// identical; kept for differential benchmarking).
-	LegacyTraces bool
-	// PerLaneGang forces gang simulation onto the per-lane engine model
-	// instead of the default shared-plane SoA model (identical results;
-	// kept as the differential referee and escape hatch).
-	PerLaneGang bool
 	// FPMemoCap sizes the process-wide fingerprint memo (the result
 	// store's memory tier); zero keeps the current capacity.
 	FPMemoCap int
@@ -106,8 +98,6 @@ func RunTable1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 	res := &Table1Result{Config: cfg}
 	oracle := NewOracle(cfg.Tasks, cfg.Seed+7)
 	oracle.Backend = cfg.Backend
-	oracle.LegacyTraces = cfg.LegacyTraces
-	oracle.PerLaneGang = cfg.PerLaneGang
 
 	// Cells run task-major, (task, run, model), on one pool, so a task's
 	// cells share its oracle setup and its cached parses, compiles and
@@ -164,8 +154,6 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 		pcfg.SelectSeed = cfg.Seed + int64(run)*47
 		pcfg.RetryBaseDelay = 0
 		pcfg.Backend = cfg.Backend
-		pcfg.LegacyTraces = cfg.LegacyTraces
-		pcfg.PerLaneGang = cfg.PerLaneGang
 		pcfg.FPMemoCap = cfg.FPMemoCap
 		pcfg.LLMRetries = cfg.LLMRetries
 		pipe := core.New(client, pcfg)

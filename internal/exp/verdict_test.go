@@ -6,28 +6,46 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/mutate"
+	"repro/internal/referee"
 	"repro/internal/resultstore"
 	"repro/internal/testbench"
+	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
 	"repro/internal/verilog/printer"
 	"repro/internal/xrng"
 )
 
+// refereeVerdicts verifies a pool of candidate texts for task the way the
+// oracle seeded with seed does, but through referee.Verify: solo printed
+// traces compared with the golden's, with no memo, gang or store.
+func refereeVerdicts(t *testing.T, task eval.Task, seed int64, pool []string, backend testbench.Backend) []bool {
+	t.Helper()
+	golden, err := eval.ParseCached(task.Golden)
+	if err != nil {
+		t.Fatalf("%s: golden parse: %v", task.ID, err)
+	}
+	srcs := make([]*ast.Source, len(pool))
+	for i, code := range pool {
+		srcs[i] = mustParse(code)
+	}
+	st := testbench.VerificationCached(seed+int64(task.Index), task.Ifc)
+	v, err := referee.Verify(srcs, golden, eval.TopModule, st, backend)
+	if err != nil {
+		t.Fatalf("%s: %v", task.ID, err)
+	}
+	return v
+}
+
 // TestVerifyBatchVerdictsMatchReferees is the verdict differential for
 // verdict-only verification: for every golden in the suite plus semantic
 // and cosmetic mutants of it, VerifyBatch verdicts on the default oracle
-// equal those of the full printed-trace referee (LegacyTraces), the
-// per-lane full-trace gang (PerLaneGang) and the interpreter backend.
+// equal those of the solo printed-trace referee and of the oracle on the
+// interpreter backend.
 func TestVerifyBatchVerdictsMatchReferees(t *testing.T) {
 	tasks := eval.Suite()
 	prod := NewOracle(tasks, 13)
-	legacy := NewOracle(tasks, 13)
-	legacy.LegacyTraces = true
-	perLane := NewOracle(tasks, 13)
-	perLane.PerLaneGang = true
 	interp := NewOracle(tasks, 13)
 	interp.Backend = testbench.BackendInterpreter
-	referees := map[string]*Oracle{"legacy": legacy, "per-lane": perLane, "interpreter": interp}
 
 	rng := xrng.New(131)
 	pass, fail := 0, 0
@@ -57,11 +75,14 @@ func TestVerifyBatchVerdictsMatchReferees(t *testing.T) {
 				fail++
 			}
 		}
-		for name, ref := range referees {
-			got, err := ref.VerifyBatch(context.Background(), task.ID, pool)
-			if err != nil {
-				t.Fatalf("%s %s: %v", task.ID, name, err)
-			}
+		onInterp, err := interp.VerifyBatch(context.Background(), task.ID, pool)
+		if err != nil {
+			t.Fatalf("%s interpreter: %v", task.ID, err)
+		}
+		for name, got := range map[string][]bool{
+			"printed-trace": refereeVerdicts(t, task, 13, pool, testbench.BackendCompiled),
+			"interpreter":   onInterp,
+		} {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("%s candidate %d: verdict %v, %s referee says %v", task.ID, i, want[i], name, got[i])

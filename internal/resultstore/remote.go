@@ -22,6 +22,30 @@ import (
 // timeout per key.
 var ErrRemoteUnavailable = errors.New("resultstore: remote unavailable (circuit open)")
 
+// ErrRecordTooLarge is returned by Remote when a response body exceeds
+// maxRecordBytes. A Get that fails with it is a miss to every caller above.
+var ErrRecordTooLarge = errors.New("resultstore: remote record too large")
+
+// maxRecordBytes bounds every body the remote protocol reads: a PUT the
+// Handler accepts, and a GET or length response the Remote reads. A stored
+// fingerprint record is 6 + 8×cases + message bytes, about 2 KiB for the
+// suite's largest stimulus (256 cases), so the bound leaves ample room while
+// keeping one peer from making the other buffer without limit.
+const maxRecordBytes = 1 << 20
+
+// readRecord reads r to its end, failing with ErrRecordTooLarge past
+// maxRecordBytes. It reads at most one byte beyond the bound.
+func readRecord(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, maxRecordBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > maxRecordBytes {
+		return nil, ErrRecordTooLarge
+	}
+	return b, nil
+}
+
 // RemoteOptions tunes the remote adapter's resilience. Zero values take
 // the documented defaults.
 type RemoteOptions struct {
@@ -164,6 +188,9 @@ func (r *Remote) Get(ctx context.Context, k Key) ([]byte, bool, error) {
 		if ctx.Err() != nil {
 			return nil, false, ctx.Err()
 		}
+		if errors.Is(err, ErrRecordTooLarge) {
+			return nil, false, err // the same answer on every attempt
+		}
 		lastErr = err
 	}
 	return nil, false, lastErr
@@ -183,7 +210,7 @@ func (r *Remote) getOnce(ctx context.Context, k Key) ([]byte, bool, error) {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
+		body, err := readRecord(resp.Body)
 		if err != nil {
 			return nil, false, err
 		}
@@ -279,7 +306,7 @@ func (r *Remote) Len() (int, error) {
 		r.breaker.report(false)
 		return 0, fmt.Errorf("resultstore: remote len: %s", resp.Status)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readRecord(resp.Body)
 	if err != nil {
 		r.breaker.report(false)
 		return 0, err
@@ -446,7 +473,11 @@ func Handler(backing Store) http.Handler {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(v)
 		case http.MethodPut:
-			body, err := io.ReadAll(req.Body)
+			body, err := readRecord(req.Body)
+			if errors.Is(err, ErrRecordTooLarge) {
+				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+				return
+			}
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -3,7 +3,6 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"testing"
 
 	"repro/internal/verilog/ast"
@@ -230,7 +229,7 @@ func TestSoAGangTickZeroAlloc(t *testing.T) {
 	}
 	d := compileMust(t, allocSeq, "top_module")
 	const lanes = 2
-	g := NewSoAGang(lanes, nil)
+	g := NewSoAGang(lanes)
 	// Identical lanes would dedup to one leader; the alloc gate covers the
 	// gang-kernel execution path, so force both lanes to run.
 	g.dedup = false
@@ -348,27 +347,30 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestDeltaEngineTickZeroAlloc gates the delta-compilation path at the same
-// floor as from-scratch compilation: an engine of a design whose processes
-// were spliced from a base's artifacts must tick with zero steady-state
-// allocations (the spliced closures address the same register file layout).
+// TestDeltaEngineTickZeroAlloc gates the ranking path's compile at the same
+// floor as a direct Compile: a design served from a CompileCache hit (a second,
+// independently parsed copy of the source) must give a pooled engine that
+// ticks with zero steady-state allocations.
 func TestDeltaEngineTickZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs sync.Pool and allocation accounting")
 	}
-	base := compileMust(t, allocSeq, "top_module")
-	parsed, err := parser.Parse(allocSeq)
-	if err != nil {
-		t.Fatal(err)
+	cache := NewCompileCache(4)
+	var d *Design
+	for i := 0; i < 2; i++ {
+		parsed, err := parser.Parse(allocSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err = cache.Get(parsed, "top_module"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	d, err := CompileDelta(base, parsed, "top_module")
-	if err != nil {
-		t.Fatal(err)
+	if hits, _ := cache.Stats(); hits != 1 {
+		t.Fatalf("second compile of the same source: %d cache hits, want 1", hits)
 	}
-	if d.DeltaReused() == 0 {
-		t.Fatal("delta compile of the identical source reused nothing")
-	}
-	en := d.NewEngine()
+	en := d.AcquireEngine()
+	defer d.ReleaseEngine(en)
 	if err := en.SetInputUint("reset", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -395,33 +397,9 @@ func TestDeltaEngineTickZeroAlloc(t *testing.T) {
 		step(i)
 	})
 	if allocs != 0 {
-		t.Fatalf("delta-compiled engine allocates %.1f objects/run, want 0", allocs)
+		t.Fatalf("cache-served engine allocates %.1f objects/run, want 0", allocs)
 	}
 }
-
-// allocParam is a parameterized design whose processes read scope
-// parameters, so signing them exercises the sorted parameter fold, and whose
-// case arms print inline.
-const allocParam = `
-module top_module (
-    input clk,
-    input [7:0] d,
-    input [1:0] sel,
-    output reg [7:0] q,
-    output [7:0] y
-);
-    parameter W = 8;
-    localparam IDLE = 2'd0;
-    localparam RUN = 2'd1;
-    assign y = (sel == RUN) ? d + W : q ^ {W{1'b1}};
-    always @(posedge clk)
-        case (sel)
-            IDLE: q <= 0;
-            RUN: begin q <= q + d; end
-            default: if (q[0]) q <= d; else q <= ~d;
-        endcase
-endmodule
-`
 
 // TestCanonicalKeyAllocs asserts that keying a fresh AST allocates only the
 // hex key and its memo insert: the source is printed into a pooled buffer
@@ -495,72 +473,5 @@ func TestNormalKeyAllocs(t *testing.T) {
 	})
 	if hits != 0 {
 		t.Fatalf("a NormalKey memo hit allocates %.1f objects, want 0", hits)
-	}
-}
-
-// refProcSig is the string-building process signature the compiler's
-// buffer-reusing procSig must reproduce bit for bit.
-func refProcSig(p *process) uint64 {
-	scope := func(h uint64, sc *scope) uint64 {
-		if sc == nil {
-			return sigUint(h, 0)
-		}
-		h = sigString(h, sc.prefix)
-		names := make([]string, 0, len(sc.params))
-		for name := range sc.params {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			v := sc.params[name]
-			h = sigString(h, name)
-			h = sigUint(h, uint64(v.Width()))
-			h = sigString(h, v.String())
-		}
-		return h
-	}
-	h := scope(FNVOffset64, p.scope)
-	if p.cont {
-		h = sigUint(h, 1)
-		h = sigString(h, printer.PrintExpr(p.lhs))
-		h = sigString(h, printer.PrintExpr(p.rhs))
-		return scope(h, p.rhsScope)
-	}
-	h = sigUint(h, 2)
-	return sigString(h, printer.PrintStmt(p.body, 0))
-}
-
-// TestProcSigAllocs asserts that signing processes on a warm compiler
-// allocates nothing, and that the signatures equal the string-built ones
-// delta-compiled artifacts were keyed by.
-func TestProcSigAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector perturbs sync.Pool and allocation accounting")
-	}
-	var procs []*process
-	for _, src := range []string{allocComb, allocSeq, allocParam} {
-		parsed, err := parser.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(parsed, "top_module")
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs = append(procs, s.procs...)
-	}
-	c := &compiler{}
-	for _, p := range procs {
-		if got, want := c.procSig(p), refProcSig(p); got != want {
-			t.Fatalf("procSig = %#x, want %#x (string-built reference)", got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, p := range procs {
-			c.procSig(p)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("procSig on a warm compiler allocates %.1f objects per pass, want 0", allocs)
 	}
 }

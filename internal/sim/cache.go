@@ -170,9 +170,7 @@ func (ks designKeys) get(normal bool) string {
 // ContentHash folds a design key — the fingerprint memo's NormalKey — and
 // the top module into the single hex digest that addresses the design in
 // the persistent fingerprint store. It needs no compiled design: a store hit
-// is answered before the candidate is compiled. Delta-compiled and
-// fresh-compiled designs of one source share it, which is exactly right: the
-// gang equivalence gates hold their fingerprints bit-identical.
+// is answered before the candidate is compiled.
 func ContentHash(key, top string) string {
 	h := sha256.New()
 	h.Write([]byte(key))
@@ -296,24 +294,10 @@ func (c *CompileCache) Get(src *ast.Source, top string) (*Design, error) {
 	return c.get(key, func() (*Design, error) { return Compile(src, top) })
 }
 
-// GetDelta is Get with a delta-compilation base: a cache miss compiles
-// src through CompileDelta(base, ...), reusing the base design's per-process
-// artifacts where layout and process hashes line up. The cache key is the
-// same as Get's — a delta compilation of a source is behaviorally identical
-// to a from-scratch one (held together by differential tests), so both entry
-// points share entries.
-func (c *CompileCache) GetDelta(base *Design, src *ast.Source, top string) (*Design, error) {
-	key := cacheKey{hash: CanonicalKey(src), top: top}
-	if e := c.touch(key); e != nil {
-		return e.resolve()
-	}
-	return c.get(key, func() (*Design, error) { return CompileDelta(base, src, top) })
-}
-
 // touch returns the resident entry for key freshened to the LRU front, or
-// nil on a miss. Splitting the hit path out lets Get/GetDelta construct
-// their compile closures only on misses — a cache hit allocates nothing,
-// which matters on memo-cold ranking calls that key dozens of candidates.
+// nil on a miss. Splitting the hit path out lets Get construct its compile
+// closure only on misses — a cache hit allocates nothing, which matters on
+// memo-cold ranking calls that key dozens of candidates.
 func (c *CompileCache) touch(key cacheKey) *cacheEntry {
 	c.mu.Lock()
 	e, ok := c.m[key]
@@ -388,14 +372,4 @@ var DefaultCache = NewCompileCache(defaultCacheCapacity)
 // canonically equal) candidates skip elaboration and compilation entirely.
 func CompileCached(src *ast.Source, top string) (*Design, error) {
 	return DefaultCache.Get(src, top)
-}
-
-// CompileDeltaCached is CompileDelta through the process-wide cache: on a
-// miss the mutant is lowered against base (nil base degrades to a plain
-// Compile), on a hit delta and non-delta callers share one design.
-func CompileDeltaCached(base *Design, src *ast.Source, top string) (*Design, error) {
-	if base == nil {
-		return DefaultCache.Get(src, top)
-	}
-	return DefaultCache.GetDelta(base, src, top)
 }

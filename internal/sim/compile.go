@@ -34,11 +34,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/verilog/ast"
-	"repro/internal/verilog/printer"
 )
 
 // maxRegCap bounds the static bit capacity of a register-file slot. A node
@@ -95,18 +93,13 @@ type Design struct {
 
 	boxedProcs int // processes lowered via the boxed fallback (observability)
 
-	// layoutSig and procArts make the design usable as a delta-compilation
-	// base (see CompileDelta): layoutSig hashes the flattened net layout
-	// (order, widths, LSBs — the inputs that fix every net's frame offset),
-	// and procArts records one compiled artifact per lowered process.
-	layoutSig   uint64
-	procArts    []procArt
-	deltaReused int // processes whose artifacts came from the base design
+	// procArts records, per lowered process (aligned with procs), what the
+	// SoA gang compares to share one gang program across lanes.
+	procArts []procArt
 
 	// gangLayoutSig is the name-blind layout hash (gangsig.go): net shapes
 	// and order without hierarchical names. It keys gang-program sharing
-	// across designs that differ only by identifier renaming, which the
-	// name-sensitive layoutSig deliberately distinguishes.
+	// across designs that differ only by identifier renaming.
 	gangLayoutSig uint64
 	// gangClassHash folds everything whole-lane dedup compares (laneEqual);
 	// precomputed at compile time for the ranking batcher (GangClassHash).
@@ -125,21 +118,12 @@ type Design struct {
 	pool sync.Pool // recycled Engines (AcquireEngine/ReleaseEngine)
 }
 
-// procArt is the per-process unit of compilation reuse: the lowered closure
-// plus everything needed to splice it into another design's frame. A closure
-// captures only frame offsets, net indices and compile-time Values — no
-// reference to the Simulator or Design it was lowered under — so it is valid
-// in any design with an identical net layout, provided it is re-entered at
-// the identical frame cursor (frameIn) so all its scratch and constant
-// offsets land where they were allocated.
+// procArt describes one lowered process to the SoA gang: lanes whose
+// processes at one position hash equal and take the same lowering share one
+// gang program there.
 type procArt struct {
-	sig      uint64 // canonical process hash (printed text, scope, params)
-	gangSig  uint64 // alpha-renaming-blind hash for gang sharing (gangsig.go)
-	frameIn  int32  // frame cursor at lowering entry
-	frameOut int32  // frame cursor after lowering (scratch + interned consts)
-	consts   []constPatch
-	cp       cproc
-	boxed    bool
+	gangSig uint64 // alpha-renaming-blind hash for gang sharing (gangsig.go)
+	boxed   bool   // lowered through the boxed fallback
 }
 
 // Top returns the top module name the design was compiled for.
@@ -182,10 +166,6 @@ func (d *Design) FrameWords() int { return int(d.frameWords) }
 // zero-allocation register-file form and use the boxed fallback.
 func (d *Design) BoxedProcs() int { return d.boxedProcs }
 
-// DeltaReused returns how many of the design's processes were spliced in
-// from the delta base instead of being re-lowered (0 for plain Compile).
-func (d *Design) DeltaReused() int { return d.deltaReused }
-
 // Compile elaborates src with the given top module and compiles it. The
 // initial state (initial blocks executed, combinational logic settled) is
 // computed once here; NewEngine then only copies the frame snapshot.
@@ -194,25 +174,7 @@ func Compile(src *ast.Source, top string) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileFrom(s, false, nil)
-}
-
-// CompileDelta compiles src like Compile but reuses per-process artifacts
-// from base where they provably transfer: the net layouts must hash equal,
-// and a process transfers when its canonical hash matches the base process
-// at the same position and the frame cursor at its entry is unchanged (all
-// captured scratch/constant offsets then resolve identically). Mutants
-// produced by path-copy mutation differ from their base in one process
-// spine, so typically everything up to the mutated process — and, when the
-// mutation preserves frame shape, everything after it — is spliced instead
-// of re-lowered. Elaboration (New) still runs per design: the initial-state
-// snapshot depends on the mutated code.
-func CompileDelta(base *Design, src *ast.Source, top string) (*Design, error) {
-	s, err := New(src, top)
-	if err != nil {
-		return nil, err
-	}
-	return compileFrom(s, false, base)
+	return compileFrom(s, false)
 }
 
 // compiler carries the cross-references needed while lowering processes.
@@ -222,11 +184,6 @@ type compiler struct {
 	frameWords int32
 	consts     []constPatch
 	forceBoxed bool
-
-	// Scratch reused across procSig calls, so signing a process allocates
-	// nothing once the buffers have grown.
-	sigBuf   []byte
-	sigNames []string
 }
 
 type constPatch struct {
@@ -248,97 +205,7 @@ func (c *compiler) allocConst(v Value) int32 {
 	return off
 }
 
-// sigString folds s (length-prefixed, so concatenations cannot collide by
-// re-splitting) into a running FNV-1a hash.
-func sigString(h uint64, s string) uint64 {
-	h = sigUint(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * FNVPrime64
-	}
-	return h
-}
-
-// sigBytes is sigString over a byte slice: the two agree on equal contents.
-func sigBytes(h uint64, b []byte) uint64 {
-	h = sigUint(h, uint64(len(b)))
-	for _, c := range b {
-		h = (h ^ uint64(c)) * FNVPrime64
-	}
-	return h
-}
-
-func sigUint(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (x & 0xff)) * FNVPrime64
-		x >>= 8
-	}
-	return h
-}
-
-// layoutSigOf hashes everything that fixes net frame offsets and handle
-// indices: the flattened net order with hierarchical names, widths and LSBs,
-// plus the lowering mode. Two elaborations with equal layout signatures
-// assign every net the same index and frame range, which is the ambient
-// precondition for reusing any compiled process closure across them.
-func layoutSigOf(s *Simulator, forceBoxed bool) uint64 {
-	h := sigString(FNVOffset64, s.topName)
-	if forceBoxed {
-		h = sigUint(h, 1)
-	}
-	for _, n := range s.nets {
-		h = sigString(h, n.name)
-		h = sigUint(h, uint64(n.width))
-		h = sigUint(h, uint64(int64(n.lsb)))
-	}
-	return h
-}
-
-// scopeSig folds a scope's identity and parameter environment: lowering
-// resolves identifiers and elaboration-time constants through it, so a
-// process artifact only transfers between designs whose scopes agree.
-func (c *compiler) scopeSig(h uint64, sc *scope) uint64 {
-	if sc == nil {
-		return sigUint(h, 0)
-	}
-	h = sigString(h, sc.prefix)
-	names := c.sigNames[:0]
-	for name := range sc.params {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		v := sc.params[name]
-		h = sigString(h, name)
-		h = sigUint(h, uint64(v.Width()))
-		c.sigBuf = v.appendBits(c.sigBuf[:0])
-		h = sigBytes(h, c.sigBuf)
-	}
-	c.sigNames = names[:0]
-	return h
-}
-
-// procSig canonically hashes one process: its printed body (the printer is
-// a tested normalizer, so formatting differences vanish) plus the scopes and
-// parameters lowering reads. Sensitivity lists are deliberately excluded —
-// they determine fanout, which compileFrom always recomputes per design.
-// The body is printed into the compiler's scratch buffer and hashed there.
-func (c *compiler) procSig(p *process) uint64 {
-	h := c.scopeSig(FNVOffset64, p.scope)
-	if p.cont {
-		h = sigUint(h, 1)
-		c.sigBuf = printer.AppendExpr(c.sigBuf[:0], p.lhs)
-		h = sigBytes(h, c.sigBuf)
-		c.sigBuf = printer.AppendExpr(c.sigBuf[:0], p.rhs)
-		h = sigBytes(h, c.sigBuf)
-		h = c.scopeSig(h, p.rhsScope)
-		return h
-	}
-	h = sigUint(h, 2)
-	c.sigBuf = printer.AppendStmt(c.sigBuf[:0], p.body, 0)
-	return sigBytes(h, c.sigBuf)
-}
-
-func compileFrom(s *Simulator, forceBoxed bool, base *Design) (*Design, error) {
+func compileFrom(s *Simulator, forceBoxed bool) (*Design, error) {
 	d := &Design{
 		top:     s.topName,
 		inputs:  append([]PortInfo(nil), s.inputs...),
@@ -368,49 +235,21 @@ func compileFrom(s *Simulator, forceBoxed bool, base *Design) (*Design, error) {
 	}
 
 	// Initial-only processes ran during New and never re-trigger, so they are
-	// dropped; everything else is lowered in registration order. With a
-	// delta base of identical layout, each process is first matched against
-	// the base artifact at the same position — the per-process artifact
-	// cache keyed by (process canonical hash, net-layout hash) the base
-	// carries — and spliced in when both the hash and the frame entry cursor
-	// agree; only processes that fail the match (the mutated spine, plus any
-	// suffix the mutation's frame-shape change displaced) are re-lowered.
-	d.layoutSig = layoutSigOf(s, forceBoxed)
+	// dropped; everything else is lowered in registration order.
 	d.gangLayoutSig = gangLayoutSigOf(s, forceBoxed)
-	canReuse := base != nil && base.layoutSig == d.layoutSig
 	procID := make(map[*process]int32, len(s.procs))
 	for _, p := range s.procs {
 		if p.initialOnly {
 			continue
 		}
-		sig := c.procSig(p)
-		k := len(d.procs)
-		var art procArt
-		if canReuse && k < len(base.procArts) &&
-			base.procArts[k].sig == sig && base.procArts[k].frameIn == c.frameWords {
-			ba := &base.procArts[k]
-			art = procArt{sig: sig, frameIn: ba.frameIn, frameOut: ba.frameOut,
-				consts: ba.consts, cp: ba.cp, boxed: ba.boxed}
-			c.frameWords = ba.frameOut
-			c.consts = append(c.consts, ba.consts...)
-			if ba.boxed {
-				d.boxedProcs++
-			}
-			d.deltaReused++
-		} else {
-			frameIn, constMark, boxedMark := c.frameWords, len(c.consts), d.boxedProcs
-			cp, err := c.compileProcess(p)
-			if err != nil {
-				return nil, err
-			}
-			art = procArt{sig: sig, frameIn: frameIn, frameOut: c.frameWords,
-				consts: append([]constPatch(nil), c.consts[constMark:]...),
-				cp:     cp, boxed: d.boxedProcs > boxedMark}
+		boxedMark := d.boxedProcs
+		cp, err := c.compileProcess(p)
+		if err != nil {
+			return nil, err
 		}
-		art.gangSig = gangProcSig(p, c.netIdx)
-		procID[p] = int32(k)
-		d.procs = append(d.procs, art.cp)
-		d.procArts = append(d.procArts, art)
+		procID[p] = int32(len(d.procs))
+		d.procs = append(d.procs, cp)
+		d.procArts = append(d.procArts, procArt{gangSig: gangProcSig(p, c.netIdx), boxed: d.boxedProcs > boxedMark})
 		d.gangProcs = append(d.gangProcs, p)
 	}
 	d.gangNetIdx = c.netIdx

@@ -15,7 +15,7 @@
 // (ext region); a node's absolute slot for lane l is
 //
 //	l*stride + off            (net leaves: frame-relative, layout-identical
-//	                           across lanes by the layoutSig guard)
+//	                           across lanes by the gangLayoutSig guard)
 //	l*stride + extBase + off  (gang scratch/constants: ext-relative)
 //
 // Error discipline: the only runtime-erroring constructs regfile.go lowers

@@ -5,11 +5,11 @@ import "repro/internal/verilog/ast"
 // Gang-compat signatures: alpha-renaming-insensitive hashes deciding when two
 // designs can share one lowered gang program (soa.go).
 //
-// The name-sensitive pair used by delta compilation (layoutSigOf, procSig)
-// is the wrong sharing key for ranking gangs: LLM candidates habitually
-// rename internal registers (hist vs hist_r vs hist_v) while keeping the
-// circuit identical, and a renamed process prints differently even though it
-// lowers to the same kernel. A gang kernel captures no names — only net
+// A name-sensitive key (printed process text, hierarchical net names) is the
+// wrong sharing key for ranking gangs: LLM candidates habitually rename
+// internal registers (hist vs hist_r vs hist_v) while keeping the circuit
+// identical, and a renamed process prints differently even though it lowers
+// to the same kernel. A gang kernel captures no names — only net
 // indices, frame offsets derived from widths, and constant values — so the
 // honest compatibility relation is structural:
 //
@@ -27,9 +27,9 @@ import "repro/internal/verilog/ast"
 // values (constFold consults only sc.params), resolved net indices (net
 // width/LSB then come from the layout signature), literal values (numbers
 // fold by value, so 4'd15 and 4'b1111 hash equal, matching numberValue), and
-// assignment/case/select kinds. Sensitivity lists are deliberately excluded,
-// exactly as in procSig: activation is per-lane through each lane's own
-// fanout tables, so only the executed body must agree.
+// assignment/case/select kinds. Sensitivity lists are deliberately excluded:
+// activation is per-lane through each lane's own fanout tables, so only the
+// executed body must agree.
 
 // Node tags folded ahead of each node so that different shapes cannot collide
 // by concatenation reshuffling (every variable-length child list is folded
@@ -60,9 +60,28 @@ const (
 	gsBehavioral
 )
 
-// gangLayoutSigOf is the name-blind counterpart of layoutSigOf: it fixes
-// every net's index, width, declared LSB and (by accumulation over the
-// preceding widths) frame offset, without pinning hierarchical names.
+// sigString folds s (length-prefixed, so concatenations cannot collide by
+// re-splitting) into a running FNV-1a hash.
+func sigString(h uint64, s string) uint64 {
+	h = sigUint(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * FNVPrime64
+	}
+	return h
+}
+
+// sigUint folds the eight bytes of x, low first, into a running FNV-1a hash.
+func sigUint(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (x & 0xff)) * FNVPrime64
+		x >>= 8
+	}
+	return h
+}
+
+// gangLayoutSigOf fixes every net's index, width, declared LSB and (by
+// accumulation over the preceding widths) frame offset, without pinning
+// hierarchical names.
 func gangLayoutSigOf(s *Simulator, forceBoxed bool) uint64 {
 	h := sigUint(FNVOffset64, uint64(len(s.nets)))
 	if forceBoxed {

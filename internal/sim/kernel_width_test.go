@@ -38,7 +38,7 @@ func compileForTest(t *testing.T, src, top string, forceBoxed bool) *Design {
 	if err != nil {
 		t.Fatalf("elaborate: %v\n%s", err, src)
 	}
-	d, err := compileFrom(s, forceBoxed, nil)
+	d, err := compileFrom(s, forceBoxed)
 	if err != nil {
 		t.Fatalf("compile(forceBoxed=%v): %v\n%s", forceBoxed, err, src)
 	}
@@ -345,7 +345,7 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 			d := compileForTest(t, src, "top_module", false)
 			for _, lanes := range soaLaneCounts {
 				label := fmt.Sprintf("%s/w%d/lanes%d", tmpl.name, w, lanes)
-				g := NewSoAGang(lanes, nil)
+				g := NewSoAGang(lanes)
 				// Identical lanes would dedup to one leader; this test wants
 				// every lane walked by the gang kernels, so force execution.
 				g.dedup = false

@@ -348,7 +348,7 @@ func newDiffPair(t *testing.T, src, top string) *diffPair {
 	if err != nil {
 		t.Fatalf("boxed elaborate: %v\n%s", err, src)
 	}
-	db, err := compileFrom(sb, true, nil)
+	db, err := compileFrom(sb, true)
 	if err != nil {
 		t.Fatalf("boxed compile: %v\n%s", err, src)
 	}

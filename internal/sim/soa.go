@@ -27,8 +27,8 @@
 // Candidate pools make this common: register renames and repeated mutations
 // produce textually distinct sources that are the same machine.
 //
-// Semantics are bit-identical to sim.Gang (N independent engines): the
-// merged scheduler replays each lane's exact solo Settle loop — same action
+// Semantics are bit-identical to N independent solo engines: the merged
+// scheduler replays each lane's exact solo Settle loop — same action
 // priority (dispatch > run > NBA), same per-lane delta budget, same
 // first-error retirement — it only lines the lanes up so that process
 // activations with the same pid coalesce into per-class gang-program runs. A
@@ -42,10 +42,8 @@ import (
 )
 
 // SoAGang runs several candidate designs over shared struct-of-arrays
-// planes. It mirrors the Gang surface so the testbench drives either
-// interchangeably. Not safe for concurrent use.
+// planes. Not safe for concurrent use.
 type SoAGang struct {
-	base  *Design
 	run   gangRun
 	lanes []soaLane
 	live  []int32
@@ -117,16 +115,12 @@ type soaLane struct {
 var soaGangPool sync.Pool
 
 // NewSoAGang returns an empty SoA gang with capacity for n lanes, recycling
-// a pooled gang when one is available. The base design (typically the golden
-// the lanes were delta-compiled against) is kept for surface parity with the
-// delta-compilation flow; gang sharing itself is peer-to-peer between lanes,
-// so a nil base costs nothing.
-func NewSoAGang(n int, base *Design) *SoAGang {
+// a pooled gang when one is available.
+func NewSoAGang(n int) *SoAGang {
 	sg, _ := soaGangPool.Get().(*SoAGang)
 	if sg == nil {
 		sg = &SoAGang{}
 	}
-	sg.base = base
 	sg.dedup = true
 	sg.sealed = false
 	sg.closed = false
@@ -166,17 +160,15 @@ func growU64(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-// AddLane registers one candidate design and returns the lane id. The engine
-// argument exists for surface parity with Gang.AddLane: the SoA gang always
-// builds its own aliasing engines over the shared planes, so a probe engine
-// passed in is simply returned to its pool. Lanes must all be added before
-// the first BeginCase.
+// AddLane registers one candidate design and returns the lane id. A nil
+// engine selects the sequential lifecycle (every case starts from reset); a
+// non-nil one, the combinational lifecycle (one instance across cases). The
+// SoA gang builds its own aliasing engines over the shared planes, so the
+// engine passed in only signals the lifecycle and is returned to its pool.
+// Lanes must all be added before the first BeginCase.
 func (sg *SoAGang) AddLane(d *Design, en *Engine, clock int, ins, outs []int) int {
 	if en != nil {
 		d.ReleaseEngine(en)
-	}
-	if sg.base == nil {
-		sg.base = d
 	}
 	id := len(sg.lanes)
 	sg.lanes = append(sg.lanes, soaLane{d: d, perCase: en == nil, clock: clock, ins: ins, outs: outs})
@@ -865,7 +857,6 @@ func (sg *SoAGang) Close() {
 	for i := range sg.kfirst {
 		sg.kfirst[i] = 0
 	}
-	sg.base = nil
 	sg.live = sg.live[:0]
 	soaGangPool.Put(sg)
 }

@@ -201,74 +201,12 @@ endmodule
 	}
 }
 
-// TestGangDriveAllocBudget gates the gang drive loop at its floor: with
-// lanes added and bindings resolved, one whole warm test case — BeginCase,
-// per-step decode-once broadcast drives, lockstep advances, per-lane
+// TestSoAGangDriveAllocBudget gates the gang drive loop at its floor: after
+// the first case seals the shared planes and lowers the gang program, one
+// whole warm test case — BeginCase lane resets, decode-once broadcast drives,
+// merged lockstep advances with gang-program activations, per-lane
 // fingerprint folds, EndCase — must allocate exactly ZERO objects across
-// every lane. Per-case engines come from the design's warm pool, stimulus
-// values are plane views, and hashes fold in place.
-func TestGangDriveAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector perturbs sync.Pool and allocation accounting")
-	}
-	ifc := schedSeqIfc()
-	st := NewGenerator(9).Verification(ifc)
-	sc := st.schedule()
-	if sc == nil {
-		t.Fatal("generated stimulus must compile to a schedule")
-	}
-	g := sim.NewGang(2)
-	for _, code := range []string{schedSeqSrc, gangSeqVariant} {
-		d, err := sim.CompileCached(mustParse(t, code), "top_module")
-		if err != nil {
-			t.Fatal(err)
-		}
-		en := d.AcquireEngine()
-		b, ok := cachedBind(d, sc, en, &ifc)
-		if !ok {
-			t.Fatal("binding failed")
-		}
-		d.ReleaseEngine(en) // sequential lifecycle: fresh pooled engine per case
-		g.AddLane(d, nil, b.clock, b.ins, b.outs)
-	}
-	defer g.Close()
-
-	var last uint64
-	drive := func() {
-		g.BeginCase()
-		nSteps := int(sc.stepOff[1] - sc.stepOff[0])
-		off := int(sc.stepOff[0]) * sc.rowWords
-		for si := 0; si < nSteps; si++ {
-			for pos := range sc.names {
-				nw := int(sc.wordsOf[pos])
-				g.Drive(pos, sim.ValueView(int(sc.widths[pos]), sc.val[off:off+nw], sc.xz[off:off+nw]))
-				off += nw
-			}
-			g.Advance()
-			for oi := range st.Ifc.Outputs {
-				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
-			}
-		}
-		g.EndCase()
-		last = g.Hash(0)
-	}
-	drive() // warm the engine pools and queue buffers
-	if g.LiveLanes() != 2 {
-		t.Fatalf("lanes retired during warm case: %d live", g.LiveLanes())
-	}
-	allocs := testing.AllocsPerRun(20, drive)
-	t.Logf("warm gang case (2 lanes): %.0f allocs, fp=%#x", allocs, last)
-	if allocs != 0 {
-		t.Fatalf("warm gang case allocates %.0f objects, want 0", allocs)
-	}
-}
-
-// TestSoAGangDriveAllocBudget is the SoA counterpart of the per-lane gate
-// above: after the first case seals the shared planes and lowers the gang
-// program, one whole warm test case — BeginCase lane resets, decode-once
-// broadcast drives, merged lockstep advances with gang-program activations,
-// per-lane fingerprint folds, EndCase — must allocate exactly ZERO objects
-// across every lane.
+// every lane.
 func TestSoAGangDriveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs sync.Pool and allocation accounting")
@@ -279,15 +217,11 @@ func TestSoAGangDriveAllocBudget(t *testing.T) {
 	if sc == nil {
 		t.Fatal("generated stimulus must compile to a schedule")
 	}
-	var base *sim.Design
-	g := sim.NewSoAGang(2, nil)
+	g := sim.NewSoAGang(2)
 	for _, code := range []string{schedSeqSrc, gangSeqVariant} {
-		d, err := sim.CompileDeltaCached(base, mustParse(t, code), "top_module")
+		d, err := sim.CompileCached(mustParse(t, code), "top_module")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if base == nil {
-			base = d
 		}
 		en := d.AcquireEngine()
 		b, ok := cachedBind(d, sc, en, &ifc)

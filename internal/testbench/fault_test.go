@@ -35,7 +35,7 @@ func TestGangPanicIsolatedToCandidate(t *testing.T) {
 	faultinject.ArmFrom(faultinject.PointSimCase, victim, 1, func() {
 		panic("injected simulator crash")
 	})
-	out, err := RunFingerprintGangModeCtx(context.Background(), srcs, "top_module", st, BackendCompiled, nil, GangSoA)
+	out, err := RunFingerprintGangCtx(context.Background(), srcs, "top_module", st, BackendCompiled)
 	if err != nil {
 		t.Fatalf("faulted batch returned batch-level error: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestGangPanicIsolatedToCandidate(t *testing.T) {
 	}
 
 	faultinject.Reset()
-	clean := RunFingerprintGangMode(srcs, "top_module", st, BackendCompiled, nil, GangSoA)
+	clean := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
 	for i := range srcs {
 		fpTraceEqual(t, "post-fault rerun", clean[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
 	}
@@ -68,13 +68,13 @@ func TestGangCancelAtCaseN(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	faultinject.Arm(faultinject.PointSimCase, "", 3, cancel)
-	out, err := RunFingerprintGangModeCtx(ctx, srcs, "top_module", st, BackendCompiled, nil, GangSoA)
+	out, err := RunFingerprintGangCtx(ctx, srcs, "top_module", st, BackendCompiled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (out=%v), want context.Canceled", err, out)
 	}
 
 	faultinject.Reset()
-	clean := RunFingerprintGangMode(srcs, "top_module", st, BackendCompiled, nil, GangSoA)
+	clean := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
 	for i := range srcs {
 		fpTraceEqual(t, "post-cancel rerun", clean[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
 	}
@@ -167,7 +167,7 @@ func TestGangBindPanicFallsBackSolo(t *testing.T) {
 	faultinject.Arm(faultinject.PointBind, "", 1, func() {
 		panic("injected bind crash")
 	})
-	out := RunFingerprintGangMode(srcs, "top_module", st, BackendCompiled, nil, GangSoA)
+	out := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
 	faultinject.Reset()
 	for i := range srcs {
 		fpTraceEqual(t, "gang-bind-crash", out[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))

@@ -327,52 +327,14 @@ type gangLane struct {
 	tr  *FPTrace
 }
 
-// GangMode selects the gang execution model.
-type GangMode int
-
-const (
-	// GangSoA shares one pair of struct-of-arrays planes across all lanes
-	// and runs delta-matched processes as a single gang program (sim.SoAGang).
-	// The default.
-	GangSoA GangMode = iota
-	// GangPerLane gives every lane a private engine (sim.Gang) — the PR 6
-	// model, kept as an escape hatch and differential referee.
-	GangPerLane
-)
-
-// laneGang is the common surface of the two gang execution models.
-type laneGang interface {
-	AddLane(d *sim.Design, en *sim.Engine, clock int, ins, outs []int) int
-	LiveLanes() int
-	Err(id int) error
-	Hash(id int) uint64
-	BeginCase()
-	EndCase()
-	Retire(id int)
-	Drive(pos int, v sim.Value)
-	Advance()
-	HashOutput(col, width int)
-	Close()
-}
-
 // RunFingerprintGang is RunFingerprint over a batch of candidates sharing
 // one stimulus: every result is bit-identical to the solo run of the same
-// source, but all memo-missing candidates advance in lockstep through one
-// schedule decode. base, when non-nil, seeds delta compilation;
-// when nil, the batch's first successfully compiled design becomes the base
-// for the rest (candidates of one task are mutants of a common ancestor, so
-// layouts frequently match). Interpreter runs, compile failures, irregular
-// stimuli and failed bindings all take the solo path for the affected
-// candidate, preserving its exact legacy behavior. Runs in the default
-// GangSoA mode; RunFingerprintGangMode selects explicitly.
-func RunFingerprintGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design) []*FPTrace {
-	return RunFingerprintGangMode(srcs, top, st, backend, base, GangSoA)
-}
-
-// RunFingerprintGangMode is RunFingerprintGang with an explicit gang
-// execution model.
-func RunFingerprintGangMode(srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) []*FPTrace {
-	out, err := RunFingerprintGangModeCtx(context.Background(), srcs, top, st, backend, base, mode)
+// source, but all memo-missing candidates advance in lockstep on one SoA gang
+// (sim.SoAGang) through one schedule decode. Interpreter runs, compile
+// failures, irregular stimuli and failed bindings all take the solo path for
+// the affected candidate, preserving its exact solo behavior.
+func RunFingerprintGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend) []*FPTrace {
+	out, err := RunFingerprintGangCtx(context.Background(), srcs, top, st, backend)
 	if err != nil {
 		// Unreachable with a background context: the only errors the ctx
 		// variant returns are the context's own.
@@ -385,18 +347,13 @@ func RunFingerprintGangMode(srcs []*ast.Source, top string, st *Stimulus, backen
 // the run observes ctx between test cases and between lanes, so a cancel
 // lands within one case's worth of simulation. On cancellation it returns
 // ctx's error, aborting (never publishing) the memo claims of unfinished
-// lanes so the next job recomputes them to bit-identical results.
-func RunFingerprintGangCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design) ([]*FPTrace, error) {
-	return RunFingerprintGangModeCtx(ctx, srcs, top, st, backend, base, GangSoA)
-}
-
-// RunFingerprintGangModeCtx is RunFingerprintGangCtx with an explicit gang
-// execution model. A panic inside the lockstep walk never escapes: the
-// crashed walk's unresolved lanes are re-run solo, where a lane that
-// crashes again resolves to a per-candidate ErrSimPanic trace and every
-// other lane reproduces its bit-identical clean result.
-func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) ([]*FPTrace, error) {
-	return runFingerprintGang(ctx, srcs, top, st, backend, base, mode, nil)
+// lanes so the next job recomputes them to bit-identical results. A panic
+// inside the lockstep walk never escapes: the crashed walk's unresolved
+// lanes are re-run solo, where a lane that crashes again resolves to a
+// per-candidate ErrSimPanic trace and every other lane reproduces its
+// bit-identical clean result.
+func RunFingerprintGangCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend) ([]*FPTrace, error) {
+	return runFingerprintGang(ctx, srcs, top, st, backend, nil)
 }
 
 // VerifyGang reports for each candidate whether it agrees with golden — a
@@ -408,12 +365,12 @@ func RunFingerprintGangModeCtx(ctx context.Context, srcs []*ast.Source, top stri
 // first disagreement. Verdicts equal comparing full traces. A retired lane's
 // prefix decides the verdict only against this golden, so the memo and the
 // persistent store keep verdict-grade results under keys that include it.
-func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, golden *FPTrace) ([]bool, error) {
+func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, golden *FPTrace) ([]bool, error) {
 	if golden.Err != nil || len(golden.CaseFPs) != st.NumCases() {
 		return nil, fmt.Errorf("testbench: verify: golden is not a clean run of the stimulus (err %v, %d of %d cases)",
 			golden.Err, len(golden.CaseFPs), st.NumCases())
 	}
-	trs, err := runFingerprintGang(ctx, srcs, top, st, backend, base, GangSoA, golden)
+	trs, err := runFingerprintGang(ctx, srcs, top, st, backend, golden)
 	if err != nil {
 		return nil, err
 	}
@@ -426,14 +383,14 @@ func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulu
 
 // runFingerprintGang runs the batch with full traces (ref == nil) or
 // verdict-grade traces cut against the golden ref, as one GangPlan.
-func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) ([]*FPTrace, error) {
-	p := planGang(ctx, srcs, top, st, backend, mode, ref)
+func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, ref *FPTrace) ([]*FPTrace, error) {
+	p := planGang(ctx, srcs, top, st, backend, ref)
 	defer p.Release()
 	all := make([]int, len(srcs))
 	for j := range all {
 		all[j] = j
 	}
-	if err := p.Run(ctx, all, base); err != nil {
+	if err := p.Run(ctx, all); err != nil {
 		return nil, err
 	}
 	return p.Finish(ctx)
@@ -456,7 +413,6 @@ type GangPlan struct {
 	top     string
 	st      *Stimulus
 	backend Backend
-	mode    GangMode
 	ref     *FPTrace
 
 	out   []*FPTrace // resolved traces, aligned with srcs
@@ -466,13 +422,13 @@ type GangPlan struct {
 
 // PlanGang plans srcs' full-trace fingerprint runs under st (see GangPlan).
 // Interpreter runs bypass the memo and the store: every job is pending.
-func PlanGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, mode GangMode) *GangPlan {
-	return planGang(ctx, srcs, top, st, backend, mode, nil)
+func PlanGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend) *GangPlan {
+	return planGang(ctx, srcs, top, st, backend, nil)
 }
 
-func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, mode GangMode, ref *FPTrace) *GangPlan {
+func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, ref *FPTrace) *GangPlan {
 	p := &GangPlan{
-		srcs: srcs, top: top, st: st, backend: backend, mode: mode, ref: ref,
+		srcs: srcs, top: top, st: st, backend: backend, ref: ref,
 		out:   make([]*FPTrace, len(srcs)),
 		owned: make([]*fpEntry, len(srcs)),
 		wait:  make([]*fpEntry, len(srcs)),
@@ -522,13 +478,12 @@ func lookupClaimed(ctx context.Context, e *fpEntry) *FPTrace {
 // Pending reports whether job j is still the plan's to simulate.
 func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == nil }
 
-// Run simulates the pending jobs among jobs as one lockstep gang; base seeds
-// delta compilation (nil: the first pending job that compiles). A job that
+// Run simulates the pending jobs among jobs as one lockstep gang. A job that
 // does not compile releases its claim and runs solo, leaving no memo entry
 // and no store record. Run may be called concurrently on disjoint job sets.
 // On cancellation it returns ctx's error, leaving unfinished jobs claimed
 // for Release.
-func (p *GangPlan) Run(ctx context.Context, jobs []int, base *sim.Design) error {
+func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
 	lanes := make([]gangLane, 0, len(jobs))
 	laneJob := make([]int, 0, len(jobs))
 	defer func() {
@@ -548,7 +503,7 @@ func (p *GangPlan) Run(ctx context.Context, jobs []int, base *sim.Design) error 
 		var d *sim.Design
 		if p.backend != BackendInterpreter {
 			var err error
-			if d, err = sim.CompileDeltaCached(base, src, p.top); err != nil {
+			if d, err = sim.CompileCached(src, p.top); err != nil {
 				// No trace to memoize: the solo run reproduces the
 				// error trace, and the compile cache makes it cheap.
 				d = nil
@@ -564,13 +519,10 @@ func (p *GangPlan) Run(ctx context.Context, jobs []int, base *sim.Design) error 
 			p.out[j] = tr
 			continue
 		}
-		if base == nil {
-			base = d
-		}
 		lanes = append(lanes, gangLane{src: src, d: d, e: p.owned[j]})
 		laneJob = append(laneJob, j)
 	}
-	if err := runGangLanesCtx(ctx, lanes, p.top, p.st, p.backend, base, p.mode, p.ref); err != nil {
+	if err := runGangLanesCtx(ctx, lanes, p.top, p.st, p.backend, p.ref); err != nil {
 		return err
 	}
 	for k := range lanes {
@@ -651,8 +603,8 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 
 // runGangLanes is runGangLanesCtx without cancellation (tests drive it
 // directly with memo-bypassing lanes).
-func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode) {
-	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, base, mode, nil); err != nil {
+func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend) {
+	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, nil); err != nil {
 		panic(err) // unreachable: a background context never cancels
 	}
 }
@@ -667,14 +619,14 @@ func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend, b
 // ctx error with unresolved lanes left untouched for the caller to abort.
 // A panic anywhere in the lockstep walk is confined: every unresolved lane
 // re-runs solo, isolating the crash to the candidate that caused it.
-func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) error {
+func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, ref *FPTrace) error {
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("%w: %v", errGangCrashed, r)
 			}
 		}()
-		return runGangLockstep(ctx, lanes, top, st, backend, base, mode, ref)
+		return runGangLockstep(ctx, lanes, top, st, backend, ref)
 	}()
 	if err == nil || !errors.Is(err, errGangCrashed) {
 		return err // nil, or a context error the caller unwinds
@@ -704,15 +656,9 @@ var errGangCrashed = errors.New("gang walk crashed")
 // all lanes through the shared schedule case by case. With a golden ref, a
 // lane retires (error-free) at the end of its first case whose fingerprint
 // differs from ref's, leaving a trace that stops at that case.
-func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, base *sim.Design, mode GangMode, ref *FPTrace) error {
+func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, ref *FPTrace) error {
 	sched := st.schedule()
-
-	var g laneGang
-	if mode == GangPerLane {
-		g = sim.NewGang(len(lanes))
-	} else {
-		g = sim.NewSoAGang(len(lanes), base)
-	}
+	g := sim.NewSoAGang(len(lanes))
 	gangOf := make([]int, 0, len(lanes)) // gang lane id -> lanes index
 	seq := st.Ifc.Sequential()
 	for li := range lanes {
@@ -737,8 +683,8 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 			continue
 		}
 		if seq {
-			// Sequential cases each get a fresh engine (BeginCase); the
-			// probe engine only served handle resolution.
+			// Sequential cases each start from reset (BeginCase); the probe
+			// engine only served handle resolution.
 			ln.d.ReleaseEngine(en)
 			en = nil
 		}
@@ -831,8 +777,8 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 		}
 		finishLane(ln, tr)
 	}
-	// Close only after the last Err/Hash read: a closed SoA gang recycles
-	// its lane tables and scratch through the gang pool.
+	// Close only after the last Err/Hash read: a closed gang recycles its
+	// lane tables and scratch through the gang pool.
 	g.Close()
 	return nil
 }

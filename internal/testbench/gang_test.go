@@ -93,22 +93,13 @@ func fpTraceEqual(t *testing.T, label string, got, want *FPTrace) {
 	}
 }
 
-// gangModes enumerates both execution models for matrix tests.
-var gangModes = []struct {
-	name string
-	mode GangMode
-}{
-	{"soa", GangSoA},
-	{"perlane", GangPerLane},
-}
-
 // TestGangLanesMatchSolo drives runGangLanes (memo bypassed: nil fpEntry)
 // against runFingerprintSolo for every lane kind the gang distinguishes —
 // healthy lanes, a disagreeing mutant, a runtime-error lane that retires
 // mid-gang, and a bind-failure lane that falls back to the solo path — on
-// sequential and combinational interfaces, in both gang modes. A retiring
-// lane must not perturb survivors: the surviving lanes' fingerprints are
-// checked against solo runs that never saw the failed lane.
+// sequential and combinational interfaces, on the SoA gang. A retiring lane
+// must not perturb survivors: the surviving lanes' fingerprints are checked
+// against solo runs that never saw the failed lane.
 func TestGangLanesMatchSolo(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -118,34 +109,32 @@ func TestGangLanesMatchSolo(t *testing.T) {
 		{"sequential", schedSeqIfc(), []string{schedSeqSrc, gangSeqVariant, gangSeqLoop, gangSeqMissingPort, schedSeqSrc}},
 		{"combinational", combIfc(), []string{xorSrc, orSrc, gangCombLoop}},
 	} {
-		for _, gm := range gangModes {
-			t.Run(tc.name+"/"+gm.name, func(t *testing.T) {
-				st := NewGenerator(17).Ranking(tc.ifc)
-				if st.schedule() == nil {
-					t.Fatal("generated stimulus must be schedulable")
+		t.Run(tc.name+"/soa", func(t *testing.T) {
+			st := NewGenerator(17).Ranking(tc.ifc)
+			if st.schedule() == nil {
+				t.Fatal("generated stimulus must be schedulable")
+			}
+			lanes := make([]gangLane, 0, len(tc.srcs))
+			parsed := make([]*ast.Source, len(tc.srcs))
+			for i, code := range tc.srcs {
+				parsed[i] = mustParse(t, code)
+				d, err := sim.CompileCached(parsed[i], "top_module")
+				if err != nil {
+					t.Fatalf("src %d: %v", i, err)
 				}
-				lanes := make([]gangLane, 0, len(tc.srcs))
-				parsed := make([]*ast.Source, len(tc.srcs))
-				for i, code := range tc.srcs {
-					parsed[i] = mustParse(t, code)
-					d, err := sim.CompileCached(parsed[i], "top_module")
-					if err != nil {
-						t.Fatalf("src %d: %v", i, err)
-					}
-					lanes = append(lanes, gangLane{src: parsed[i], d: d})
-				}
-				runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode)
-				for i := range lanes {
-					solo := runFingerprintSolo(parsed[i], "top_module", st, BackendCompiled)
-					fpTraceEqual(t, tc.name+"/lane", lanes[i].tr, solo)
-				}
-			})
-		}
+				lanes = append(lanes, gangLane{src: parsed[i], d: d})
+			}
+			runGangLanes(lanes, "top_module", st, BackendCompiled)
+			for i := range lanes {
+				solo := runFingerprintSolo(parsed[i], "top_module", st, BackendCompiled)
+				fpTraceEqual(t, tc.name+"/lane", lanes[i].tr, solo)
+			}
+		})
 	}
 }
 
 // TestGangLanesIrregularStimulusFallsBack: with no schedule every lane must
-// take the solo path and still match it, in both gang modes.
+// take the solo path and still match it.
 func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 	st := &Stimulus{
 		Ifc: combIfc(),
@@ -162,43 +151,32 @@ func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gm := range gangModes {
-		lanes := []gangLane{{src: src, d: d}}
-		runGangLanes(lanes, "top_module", st, BackendCompiled, nil, gm.mode)
-		fpTraceEqual(t, "irregular/"+gm.name, lanes[0].tr, runFingerprintSolo(src, "top_module", st, BackendCompiled))
-	}
+	lanes := []gangLane{{src: src, d: d}}
+	runGangLanes(lanes, "top_module", st, BackendCompiled)
+	fpTraceEqual(t, "irregular", lanes[0].tr, runFingerprintSolo(src, "top_module", st, BackendCompiled))
 }
 
 // TestRunFingerprintGangMatchesSolo exercises the public batched entry point
-// — memo, delta compilation, duplicate candidates, compile failures and
-// interpreter delegation — against unmemoized solo runs.
+// — memo, duplicate candidates, compile failures and interpreter delegation —
+// against unmemoized solo runs.
 func TestRunFingerprintGangMatchesSolo(t *testing.T) {
 	golden := mustParse(t, schedSeqSrc)
 	mutant := mustParse(t, gangSeqVariant)
 	noTop := mustParse(t, `module not_top (input a, output y); assign y = a; endmodule`)
 	srcs := []*ast.Source{golden, mutant, golden /* duplicate pointer */, noTop, mustParse(t, gangSeqLoop)}
 
-	base, err := sim.CompileCached(golden, "top_module")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name    string
 		backend Backend
-		base    *sim.Design
-		mode    GangMode
 	}{
-		{"compiled-nobase", BackendCompiled, nil, GangSoA},
-		{"compiled-goldenbase", BackendCompiled, base, GangSoA},
-		{"compiled-nobase-perlane", BackendCompiled, nil, GangPerLane},
-		{"compiled-goldenbase-perlane", BackendCompiled, base, GangPerLane},
-		{"interpreter", BackendInterpreter, nil, GangSoA},
+		{"compiled-nobase", BackendCompiled},
+		{"interpreter", BackendInterpreter},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Fresh stimulus value per subtest: a fresh pointer misses the
 			// (design, stimulus) memo, so the gang really runs.
 			st := NewGenerator(5).Ranking(schedSeqIfc())
-			out := RunFingerprintGangMode(srcs, "top_module", st, tc.backend, tc.base, tc.mode)
+			out := RunFingerprintGang(srcs, "top_module", st, tc.backend)
 			if len(out) != len(srcs) {
 				t.Fatalf("result count %d, want %d", len(out), len(srcs))
 			}

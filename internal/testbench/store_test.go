@@ -129,12 +129,12 @@ func TestGangStoreWarmSkipsSimulation(t *testing.T) {
 	}
 	stim := func() *Stimulus { return NewGenerator(7401).Ranking(schedSeqIfc()) }
 
-	cold := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled, nil)
+	cold := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled)
 	mid := ReadStoreStats()
 	if mid.Sims == 0 {
 		t.Fatal("cold gang pass performed no simulations")
 	}
-	warm := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled, nil)
+	warm := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled)
 	post := ReadStoreStats()
 	if post.Sims != mid.Sims {
 		t.Fatalf("warm gang pass simulated %d times, want 0", post.Sims-mid.Sims)
@@ -377,7 +377,7 @@ func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
 		t.Fatal("a design without the top module compiled")
 	}
 	sameTraces(t, "RunFingerprint", RunFingerprint(bad, "top_module", st, BackendCompiled), solo)
-	gang := RunFingerprintGang([]*ast.Source{bad, good}, "top_module", st, BackendCompiled, nil)
+	gang := RunFingerprintGang([]*ast.Source{bad, good}, "top_module", st, BackendCompiled)
 	sameTraces(t, "gang lane", gang[0], solo)
 	if gang[1].Err != nil {
 		t.Fatalf("compiling lane errored: %v", gang[1].Err)

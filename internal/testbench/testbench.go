@@ -654,23 +654,11 @@ func (t *Trace) Fingerprint() uint64 {
 	return h
 }
 
-// Warm precomputes the trace's whole-run and per-case fingerprints. A trace
-// shared by concurrent readers (e.g. a cached golden trace compared against
-// many candidates) must be warmed before publication, since the lazy memo
-// write is not synchronized.
-func (t *Trace) Warm() {
-	t.Fingerprint()
-	for i := range t.Cases {
-		t.Cases[i].Fingerprint()
-	}
-}
-
 // FP derives the fingerprint-only view of a printed trace: the exact values
 // RunFingerprint would have produced for the same run, including the
 // completed-case fingerprints of an errored run (both runners record the
-// cases finished before the failure). Used by the differential tests that
-// referee the streaming path against the retained string path, and by the
-// oracle's legacy path to avoid a second golden simulation.
+// cases finished before the failure). Tests use it to referee the streaming
+// path against printed traces.
 func (t *Trace) FP() *FPTrace {
 	f := &FPTrace{Ifc: t.Ifc, Err: t.Err, CaseFPs: make([]uint64, len(t.Cases))}
 	for i := range t.Cases {

@@ -73,39 +73,37 @@ var verifyBatches = []struct {
 }
 
 // TestVerifyGangMatchesFullTraces referees verdict-only verification
-// against full traces on both gang models: every lane's verdict-grade trace
-// is its full solo trace cut at the first case that disagrees with the
-// golden, and every verdict equals comparing full traces.
+// against full traces on the SoA gang: every lane's verdict-grade trace is
+// its full solo trace cut at the first case that disagrees with the golden,
+// and every verdict equals comparing full traces.
 func TestVerifyGangMatchesFullTraces(t *testing.T) {
 	for _, b := range verifyBatches {
-		for _, gm := range gangModes {
-			t.Run(b.name+"/"+gm.name, func(t *testing.T) {
-				st := NewGenerator(8101).Verification(b.ifc)
-				srcs := make([]*ast.Source, len(b.codes))
-				full := make([]*FPTrace, len(b.codes))
-				for i, code := range b.codes {
-					srcs[i] = mustParse(t, code)
-					full[i] = runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
+		t.Run(b.name+"/soa", func(t *testing.T) {
+			st := NewGenerator(8101).Verification(b.ifc)
+			srcs := make([]*ast.Source, len(b.codes))
+			full := make([]*FPTrace, len(b.codes))
+			for i, code := range b.codes {
+				srcs[i] = mustParse(t, code)
+				full[i] = runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
+			}
+			golden := full[0]
+			vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)} // fresh pointer: memo-cold
+			got, err := runFingerprintGang(context.Background(), srcs, "top_module", vst, BackendCompiled, golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := 0
+			for i := range srcs {
+				want := cutAt(full[i], golden)
+				fpTraceEqual(t, fmt.Sprintf("lane %d", i), got[i], want)
+				if len(want.CaseFPs) < len(full[i].CaseFPs) {
+					cut++
 				}
-				golden := full[0]
-				vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)} // fresh pointer: memo-cold
-				got, err := runFingerprintGang(context.Background(), srcs, "top_module", vst, BackendCompiled, nil, gm.mode, golden)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cut := 0
-				for i := range srcs {
-					want := cutAt(full[i], golden)
-					fpTraceEqual(t, fmt.Sprintf("lane %d", i), got[i], want)
-					if len(want.CaseFPs) < len(full[i].CaseFPs) {
-						cut++
-					}
-				}
-				if cut == 0 {
-					t.Fatal("no lane retired before its last case; the batch does not exercise retirement")
-				}
-			})
-		}
+			}
+			if cut == 0 {
+				t.Fatal("no lane retired before its last case; the batch does not exercise retirement")
+			}
+		})
 	}
 }
 
@@ -126,7 +124,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 			}
 			vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}
 			for _, backend := range []Backend{BackendCompiled, BackendInterpreter} {
-				got, err := VerifyGang(context.Background(), srcs, "top_module", vst, backend, nil, golden)
+				got, err := VerifyGang(context.Background(), srcs, "top_module", vst, backend, golden)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +143,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got, err := VerifyGang(context.Background(), srcs, "top_module", cst, BackendCompiled, nil, golden)
+					got, err := VerifyGang(context.Background(), srcs, "top_module", cst, BackendCompiled, golden)
 					if err != nil {
 						t.Error(err)
 						return
@@ -168,7 +166,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 			}
 
 			bad := &FPTrace{Ifc: st.Ifc, CaseFPs: golden.CaseFPs[:len(golden.CaseFPs)-1]}
-			if _, err := VerifyGang(context.Background(), srcs, "top_module", vst, BackendCompiled, nil, bad); err == nil {
+			if _, err := VerifyGang(context.Background(), srcs, "top_module", vst, BackendCompiled, bad); err == nil {
 				t.Error("a golden short of the stimulus was accepted")
 			}
 		})
