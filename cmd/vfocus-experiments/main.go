@@ -22,10 +22,10 @@ import (
 	"time"
 
 	"repro/cmd/internal/llmflags"
+	"repro/cmd/internal/storeflags"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exp"
-	"repro/internal/resultstore"
 	"repro/internal/testbench"
 )
 
@@ -39,35 +39,28 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("vfocus-experiments", flag.ContinueOnError)
 	var (
-		expName   = fs.String("exp", "all", "experiment: table1|fig3|fig4|all")
-		quick     = fs.Bool("quick", false, "reduced sizes for a fast smoke run")
-		seed      = fs.Int64("seed", 1, "random seed")
-		models    = fs.String("models", "", "comma-separated model list (default: paper's)")
-		runs      = fs.Int("runs", 0, "override run count (0 = paper defaults)")
-		samples   = fs.Int("samples", 0, "override sample count n (0 = paper defaults)")
-		backend   = fs.String("backend", "compiled", "simulation backend: compiled|interpreter")
-		workers   = fs.Int("workers", core.DefaultWorkers(), "size of the one worker pool that runs every experiment cell, task-major")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		storeSpec = fs.String("store", "off", "persistent result store: off, mem, disk, an http(s) URL, or a comma-separated tier list (nearest first)")
-		storeDir  = fs.String("store-dir", resultstore.DefaultDir, "root directory of the disk store tier")
-		storeCap  = fs.Int("store-cap", 0, "entry cap of the mem store tier (0 = default 4096)")
-		memoCap   = fs.Int("memo-cap", 0, "in-process fingerprint memo capacity (0 = default 4096)")
+		expName = fs.String("exp", "all", "experiment: table1|fig3|fig4|all")
+		quick   = fs.Bool("quick", false, "reduced sizes for a fast smoke run")
+		seed    = fs.Int64("seed", 1, "random seed")
+		models  = fs.String("models", "", "comma-separated model list (default: paper's)")
+		runs    = fs.Int("runs", 0, "override run count (0 = paper defaults)")
+		samples = fs.Int("samples", 0, "override sample count n (0 = paper defaults)")
+		backend = fs.String("backend", "compiled", "simulation backend: compiled|interpreter")
+		workers = fs.Int("workers", core.DefaultWorkers(), "size of the one worker pool that runs every experiment cell, task-major")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	storef := storeflags.Register(fs)
 	llmf := llmflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	store, storeDesc, err := resultstore.Open(*storeSpec, *storeDir, *storeCap)
+	_, storeClose, err := storef.Install(storeflags.Stderr)
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		testbench.SetStore(store)
-		defer store.Close()
-		fmt.Fprintf(os.Stderr, "result store: %s\n", storeDesc)
-	}
+	defer storeClose()
 
 	newClient, llmStats, llmClose, err := llmf.Factory()
 	if err != nil {
@@ -139,7 +132,6 @@ func run(args []string) error {
 			Seed:       *seed,
 			Workers:    *workers,
 			Backend:    be,
-			FPMemoCap:  *memoCap,
 			NewClient:  newClient,
 			LLMRetries: llmf.Retries,
 		}
@@ -161,7 +153,6 @@ func run(args []string) error {
 			Seed:      *seed,
 			Workers:   *workers,
 			Backend:   be,
-			FPMemoCap: *memoCap,
 			NewClient: newClient,
 		}
 		start := time.Now()
@@ -186,7 +177,6 @@ func run(args []string) error {
 			Seed:        *seed,
 			Workers:     *workers,
 			Backend:     be,
-			FPMemoCap:   *memoCap,
 			NewClient:   newClient,
 			LLMRetries:  llmf.Retries,
 		}

@@ -17,12 +17,11 @@ import (
 	"strings"
 
 	"repro/cmd/internal/llmflags"
+	"repro/cmd/internal/storeflags"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/llm"
-	"repro/internal/resultstore"
-	"repro/internal/testbench"
 )
 
 func main() {
@@ -58,28 +57,18 @@ func run(args []string) error {
 		list       = fs.Bool("list", false, "list all benchmark tasks and exit")
 		showCode   = fs.Bool("code", false, "print the selected candidate's code")
 		verbose    = fs.Bool("v", false, "print cluster details")
-		storeSpec  = fs.String("store", "off", "persistent result store: off, mem, disk, an http(s) URL, or a comma-separated tier list (nearest first)")
-		storeDir   = fs.String("store-dir", resultstore.DefaultDir, "root directory of the disk store tier")
-		storeCap   = fs.Int("store-cap", 0, "entry cap of the mem store tier (0 = default 4096)")
-		memoCap    = fs.Int("memo-cap", 0, "in-process fingerprint memo capacity (0 = default 4096)")
 	)
+	storef := storeflags.Register(fs)
 	llmf := llmflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *memoCap > 0 {
-		testbench.SetFPMemoCap(*memoCap)
-	}
-	store, storeDesc, err := resultstore.Open(*storeSpec, *storeDir, *storeCap)
+	_, storeClose, err := storef.Install(storeflags.Stderr)
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		testbench.SetStore(store)
-		defer store.Close()
-		fmt.Fprintf(os.Stderr, "result store: %s\n", storeDesc)
-	}
+	defer storeClose()
 
 	tasks := eval.Suite()
 	if *list {

@@ -25,10 +25,9 @@ import (
 	"time"
 
 	"repro/cmd/internal/llmflags"
-	"repro/internal/resultstore"
+	"repro/cmd/internal/storeflags"
 	"repro/internal/serve"
 	"repro/internal/serve/faultinject"
-	"repro/internal/testbench"
 )
 
 func main() {
@@ -48,28 +47,18 @@ func run(args []string) error {
 		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline")
 		rankWorkers = fs.Int("rank-workers", 4, "simulation workers per job")
 		model       = fs.String("model", "deepseek-r1", "default simulated-LLM profile for generated pools")
-		storeSpec   = fs.String("store", "off", "persistent result store: off, mem, disk, an http(s) URL, or a comma-separated tier list (nearest first)")
-		storeDir    = fs.String("store-dir", resultstore.DefaultDir, "root directory of the disk store tier")
-		storeCap    = fs.Int("store-cap", 0, "entry cap of the mem store tier (0 = default 4096)")
-		memoCap     = fs.Int("memo-cap", 0, "in-process fingerprint memo capacity (0 = default 4096)")
 	)
+	storef := storeflags.Register(fs)
 	llmf := llmflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *memoCap > 0 {
-		testbench.SetFPMemoCap(*memoCap)
-	}
-	store, storeDesc, err := resultstore.Open(*storeSpec, *storeDir, *storeCap)
+	storeDesc, storeClose, err := storef.Install(log.Printf)
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		testbench.SetStore(store)
-		defer store.Close()
-		log.Printf("result store: %s", storeDesc)
-	}
+	defer storeClose()
 
 	// Test-only throttle for black-box harnesses (scripts/smoke_vfocusd.sh):
 	// sleep this many milliseconds at every rank batch, so an external

@@ -123,11 +123,6 @@ type Config struct {
 	// are bit-identical for any value. Zero selects DefaultGangSize; 1
 	// degrades to solo runs.
 	GangSize int
-	// FPMemoCap sizes the in-process fingerprint memo — the memory tier of
-	// the result store (testbench.SetFPMemoCap). Zero keeps the current
-	// process-wide capacity (default 4096). The memo is process-wide state
-	// shared by every pipeline, so New applies a non-zero value globally.
-	FPMemoCap int
 	// LLMRetries bounds the pipeline-level transient-retry loops around
 	// Generate/Refine/JudgeOutput. Zero selects the default (4). The value
 	// also strides the Attempt field of generate requests, so changing it
@@ -272,9 +267,6 @@ func New(client llm.Client, cfg Config) *Pipeline {
 	}
 	if cfg.LLMRetries <= 0 {
 		cfg.LLMRetries = 4
-	}
-	if cfg.FPMemoCap > 0 {
-		testbench.SetFPMemoCap(cfg.FPMemoCap)
 	}
 	return &Pipeline{client: client, cfg: cfg}
 }

@@ -33,8 +33,29 @@ const (
 // vfocusd does for a job with an explicit pool (validate each candidate,
 // rank on the task's ranking stimulus anchored on the golden) and compares
 // one digest over every job's (fingerprint, score, members) against its
-// pinned value.
+// pinned value. The clusters must not depend on cache state, so the pools
+// are ranked three times: cold, again with every candidate a fingerprint
+// memo hit, and again with the memo cut to one entry.
 func TestRankPoolClustersPinned(t *testing.T) {
+	check := func(pass string) {
+		if got := rankPoolDigest(t); got != pinnedRankPoolClusters {
+			t.Errorf("%s: cluster digest = %s, want %s", pass, got, pinnedRankPoolClusters)
+		}
+	}
+	check("cold")
+	sims := testbench.ReadStoreStats().Sims
+	check("memo-warm")
+	if n := testbench.ReadStoreStats().Sims - sims; n != 0 {
+		t.Errorf("memo-warm pass simulated %d candidates, want 0", n)
+	}
+	defer testbench.SetFPMemoCap(testbench.SetFPMemoCap(1))
+	check("memo cap 1")
+}
+
+// rankPoolDigest ranks the pinned pools and returns the digest of their
+// clusters.
+func rankPoolDigest(t *testing.T) string {
+	t.Helper()
 	suite := eval.Suite()
 	var tasks []int
 	for i := 0; i < eval.SuiteSize; i += pinnedStride {
@@ -82,7 +103,5 @@ func TestRankPoolClustersPinned(t *testing.T) {
 			fmt.Fprintf(h, "%016x %d %v\n", cl.Fingerprint, cl.Score, cl.Members)
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedRankPoolClusters {
-		t.Errorf("cluster digest = %s, want %s", got, pinnedRankPoolClusters)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }

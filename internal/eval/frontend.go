@@ -2,9 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
@@ -67,165 +67,68 @@ func ValidateCached(code string) (*ast.Source, bool) {
 
 // InternText returns the front-end memo's resident text equal to b, if
 // there is one, so a caller holding the text as bytes can share the
-// resident string instead of allocating its own. It only looks: one map
-// lookup under the memo's lock that parses nothing, counts neither a hit
-// nor a miss, and leaves the entry's reference bit alone, so asking never
-// changes what the memo keeps or reports.
+// resident string instead of allocating its own. It only looks: it parses
+// nothing, counts neither a hit nor a miss, and leaves the entry's recency
+// alone, so asking never changes what the memo keeps or reports.
 func InternText(b []byte) (string, bool) {
 	return frontEnd.intern(b)
 }
 
 // frontEndMemo maps text to its parse and validity under a byte budget,
-// evicting by second chance: a hit only sets the entry's reference bit, so
-// the hit path is one lock and one map lookup with no list relinking; the
-// eviction hand sweeps from the oldest entry, gives a referenced entry one
-// more round at the front, and drops the first unreferenced one. Misses are
-// single-flight: concurrent lookups of one text share one parse.
+// evicting least recently used entries. Misses are single-flight:
+// concurrent lookups of one text share one parse.
 type frontEndMemo struct {
-	mu     sync.Mutex
-	budget int64
-	m      map[string]*frontEntry
-	// front is the newest entry, back the eviction hand's next candidate.
-	front, back *frontEntry
-	bytes       int64
-
-	hits, misses, evictions uint64
+	m *memo.Cache[string, *frontEntry]
 }
 
-// frontEntry is one memoized text. Fields below ready are written once by
-// the parsing goroutine and read only after ready is set.
+// frontEntry is one memoized text.
 type frontEntry struct {
-	text   string
-	charge int64
-	ref    bool // reference bit, guarded by frontEndMemo.mu
-	// prev/next link the eviction list (toward front / toward back),
-	// guarded by frontEndMemo.mu.
-	prev, next *frontEntry
-
-	ready atomic.Bool
-	done  chan struct{} // closed when ready is set
-
+	text  string
 	src   *ast.Source
 	err   error
 	valid bool
 }
 
 func newFrontEndMemo(budget int64) *frontEndMemo {
-	return &frontEndMemo{budget: budget, m: make(map[string]*frontEntry)}
-}
-
-// lookup returns text's entry, parsing it on a miss.
-func (f *frontEndMemo) lookup(text string) *frontEntry {
-	f.mu.Lock()
-	if e, ok := f.m[text]; ok {
-		e.ref = true
-		f.hits++
-		f.mu.Unlock()
-		if !e.ready.Load() {
-			<-e.done
-		}
-		return e
-	}
-	f.misses++
-	e := &frontEntry{text: text, charge: FrontEndChargePerByte * int64(len(text))}
-	if e.charge > f.budget {
-		// Returned to the caller but never resident.
-		f.mu.Unlock()
-		e.fill()
-		return e
-	}
-	e.done = make(chan struct{})
-	f.m[text] = e
-	f.pushFront(e)
-	f.bytes += e.charge
-	f.evict()
-	f.mu.Unlock()
-	e.fill()
-	return e
-}
-
-// intern returns the resident text equal to b (see InternText).
-func (f *frontEndMemo) intern(b []byte) (string, bool) {
-	f.mu.Lock()
-	e, ok := f.m[string(b)]
-	f.mu.Unlock()
-	if !ok {
-		return "", false
-	}
-	return e.text, true
-}
-
-// fill parses e's text and checks its validity, then releases waiters. A
-// panic becomes the entry's parse error rather than escaping: waiters are
-// released either way, and parsing is a pure function of the text, so the
-// crash is memoized like any other parse failure.
-func (e *frontEntry) fill() {
-	defer func() {
-		if r := recover(); r != nil {
-			e.src, e.err, e.valid = nil, fmt.Errorf("parse panicked: %v", r), false
-		}
-		e.ready.Store(true)
-		if e.done != nil {
-			close(e.done)
-		}
-	}()
-	e.src, e.err = parser.Parse(e.text)
-	e.valid = e.err == nil && e.src.FindModule(TopModule) != nil && !sem.Check(e.src).HasErrors()
-}
-
-// evict drops entries until the resident charge fits the budget. Referenced
-// entries and entries still being parsed go back to the front instead (the
-// reference bit cleared); the sweep stops after two passes, so a memo whose
-// every entry is in flight overshoots until a later insert. Callers hold
-// f.mu.
-func (f *frontEndMemo) evict() {
-	for sweep := 2 * len(f.m); f.bytes > f.budget && sweep > 0 && f.back != nil; sweep-- {
-		e := f.back
-		f.unlink(e)
-		if e.ref || !e.ready.Load() {
-			e.ref = false
-			f.pushFront(e)
-			continue
-		}
-		delete(f.m, e.text)
-		f.bytes -= e.charge
-		f.evictions++
+	m := memo.New[string, *frontEntry](budget)
+	m.Cost = func(text string) int64 { return FrontEndChargePerByte * int64(len(text)) }
+	m.OnEvict = func(_ string, e *frontEntry) {
 		if e.src != nil {
 			sim.DropDesignKeys(e.src)
 		}
 	}
+	return &frontEndMemo{m: m}
 }
 
-// pushFront makes e the newest entry. Callers hold f.mu.
-func (f *frontEndMemo) pushFront(e *frontEntry) {
-	e.prev, e.next = nil, f.front
-	if f.front != nil {
-		f.front.prev = e
-	}
-	f.front = e
-	if f.back == nil {
-		f.back = e
-	}
+// lookup returns text's entry, parsing it on a miss.
+func (f *frontEndMemo) lookup(text string) *frontEntry {
+	return f.m.Do(text, func() *frontEntry { return parse(text) })
 }
 
-// unlink detaches e from the eviction list. Callers hold f.mu.
-func (f *frontEndMemo) unlink(e *frontEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		f.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		f.back = e.prev
-	}
-	e.prev, e.next = nil, nil
+// intern returns the resident text equal to b (see InternText). The lookup
+// views b as a string without copying it, which Resident allows because it
+// keeps no reference to its argument.
+func (f *frontEndMemo) intern(b []byte) (string, bool) {
+	return f.m.Resident(unsafe.String(unsafe.SliceData(b), len(b)))
+}
+
+// parse parses text and checks its validity. A panic becomes the entry's
+// parse error rather than escaping: parsing is a pure function of the text,
+// so the crash is memoized like any other parse failure.
+func parse(text string) (e *frontEntry) {
+	e = &frontEntry{text: text}
+	defer func() {
+		if r := recover(); r != nil {
+			e.src, e.err, e.valid = nil, fmt.Errorf("parse panicked: %v", r), false
+		}
+	}()
+	e.src, e.err = parser.Parse(text)
+	e.valid = e.err == nil && e.src.FindModule(TopModule) != nil && !sem.Check(e.src).HasErrors()
+	return e
 }
 
 // Stats returns the memo's counters.
 func (f *frontEndMemo) Stats() FrontEndStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return FrontEndStats{Hits: f.hits, Misses: f.misses, Evictions: f.evictions, Bytes: f.bytes, Entries: len(f.m)}
+	st := f.m.Stats()
+	return FrontEndStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Bytes: st.Cost, Entries: st.Len}
 }

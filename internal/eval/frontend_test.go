@@ -16,8 +16,8 @@ func sizedText(i int) string {
 }
 
 // TestFrontEndMemoSecondChance fills a memo that fits three entries, hits
-// the oldest, and inserts a fourth: the hand passes over the referenced
-// oldest entry and evicts the next one instead.
+// the oldest, and inserts a fourth: the hit made the oldest entry the most
+// recently used, so the next one is evicted instead.
 func TestFrontEndMemoSecondChance(t *testing.T) {
 	charge := int64(FrontEndChargePerByte * len(sizedText(0)))
 	f := newFrontEndMemo(3 * charge)
@@ -190,8 +190,8 @@ func TestFrontEndMemoConcurrentEviction(t *testing.T) {
 
 // TestFrontEndMemoIntern: intern answers a resident text with the memo's own
 // string and a non-resident one with a miss, and it changes nothing the memo
-// keeps or counts. An interned lookup sets no reference bit, so the hand
-// still evicts the entry it would have evicted without the lookup.
+// keeps or counts. An interned lookup leaves recency alone, so eviction
+// still takes the entry it would have taken without the lookup.
 func TestFrontEndMemoIntern(t *testing.T) {
 	charge := int64(FrontEndChargePerByte * len(sizedText(0)))
 	f := newFrontEndMemo(3 * charge)
@@ -201,7 +201,8 @@ func TestFrontEndMemoIntern(t *testing.T) {
 	before := f.Stats()
 	text := []byte(sizedText(0))
 	got, ok := f.intern(text)
-	if !ok || got != sizedText(0) || unsafe.StringData(got) != unsafe.StringData(f.m[sizedText(0)].text) {
+	resident, _ := f.m.Resident(sizedText(0))
+	if !ok || got != sizedText(0) || unsafe.StringData(got) != unsafe.StringData(resident) {
 		t.Fatalf("intern(resident) = %q, %v; want the memo's own string", got, ok)
 	}
 	if got, ok := f.intern([]byte(sizedText(9))); ok || got != "" {
@@ -215,6 +216,6 @@ func TestFrontEndMemoIntern(t *testing.T) {
 	}
 	f.lookup(sizedText(3))
 	if _, ok := f.intern(text); ok {
-		t.Error("the interned oldest entry survived eviction: intern set its reference bit")
+		t.Error("the interned oldest entry survived eviction: intern refreshed it")
 	}
 }

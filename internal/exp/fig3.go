@@ -33,9 +33,6 @@ type Fig3Config struct {
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
-	// FPMemoCap sizes the process-wide fingerprint memo (the result
-	// store's memory tier); zero keeps the current capacity.
-	FPMemoCap int
 	// NewClient, when non-nil, replaces llm.NewSimClient as the source of
 	// per-task clients (HTTP backend or fixture replay).
 	NewClient ClientFactory
@@ -80,9 +77,6 @@ func RunFig3(ctx context.Context, cfg Fig3Config) (*Fig3Result, error) {
 	}
 	if len(cfg.Models) == 0 {
 		cfg.Models = []string{"deepseek-r1", "o3-mini-high", "qwq-32b", "o3-mini-medium"}
-	}
-	if cfg.FPMemoCap > 0 {
-		testbench.SetFPMemoCap(cfg.FPMemoCap)
 	}
 	profiles, err := resolveProfiles(cfg.Models)
 	if err != nil {

@@ -30,9 +30,6 @@ type Fig4Config struct {
 	Workers int
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend testbench.Backend
-	// FPMemoCap sizes the process-wide fingerprint memo (the result
-	// store's memory tier); zero keeps the current capacity.
-	FPMemoCap int
 	// NewClient, when non-nil, replaces llm.NewSimClient as the source of
 	// per-(task, run) clients (HTTP backend or fixture replay).
 	NewClient ClientFactory
@@ -165,7 +162,6 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		pcfg.SelectSeed = cfg.Seed + int64(run)*47
 		pcfg.RetryBaseDelay = 0
 		pcfg.Backend = cfg.Backend
-		pcfg.FPMemoCap = cfg.FPMemoCap
 		pcfg.LLMRetries = cfg.LLMRetries
 		return core.New(client, pcfg).Run(ctx, task)
 	}

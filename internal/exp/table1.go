@@ -31,8 +31,9 @@ type Table1Config struct {
 	// Backend selects the simulation engine (zero value: compiled; the
 	// interpreter remains selectable for differential benchmarking).
 	Backend testbench.Backend
-	// FPMemoCap sizes the process-wide fingerprint memo (the result
-	// store's memory tier); zero keeps the current capacity.
+	// FPMemoCap, when set, resizes the process-wide fingerprint memo (the
+	// result store's memory tier) for this and every later run; zero keeps
+	// the current capacity.
 	FPMemoCap int
 	// NewClient, when non-nil, replaces llm.NewSimClient as the source of
 	// per-(task, run) clients — the hook that points an experiment at a
@@ -88,6 +89,9 @@ func RunTable1(ctx context.Context, cfg Table1Config) (*Table1Result, error) {
 	}
 	if len(cfg.Models) == 0 {
 		cfg.Models = []string{"deepseek-r1", "o3-mini-high", "qwq-32b"}
+	}
+	if cfg.FPMemoCap > 0 {
+		testbench.SetFPMemoCap(cfg.FPMemoCap)
 	}
 
 	profiles, err := resolveProfiles(cfg.Models)
@@ -154,7 +158,6 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 		pcfg.SelectSeed = cfg.Seed + int64(run)*47
 		pcfg.RetryBaseDelay = 0
 		pcfg.Backend = cfg.Backend
-		pcfg.FPMemoCap = cfg.FPMemoCap
 		pcfg.LLMRetries = cfg.LLMRetries
 		pipe := core.New(client, pcfg)
 		return pipe.Run(ctx, task)

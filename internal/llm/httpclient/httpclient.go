@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/llm"
+	"repro/internal/memo"
 	"repro/internal/xrng"
 )
 
@@ -131,7 +132,7 @@ type clientCore struct {
 	hc       *http.Client
 	limiter  *limiter
 	breaker  *breaker
-	cache    *respCache
+	cache    *memo.Cache[string, *wireResponse] // terminal successful responses by prompt hash
 	fixtures *fixtureStore
 	stats    statCounters
 
@@ -176,7 +177,7 @@ func New(model string, seed int64, opts Options) (*Client, error) {
 		opts:     opts,
 		limiter:  newLimiter(opts.RPS, opts.Burst, opts.MaxConcurrent),
 		breaker:  newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		cache:    newRespCache(opts.CacheCap),
+		cache:    memo.New[string, *wireResponse](int64(opts.CacheCap)),
 		inflight: make(map[string]*flightCall),
 	}
 	if opts.Mode != ModeOff {
@@ -265,7 +266,7 @@ func (c *Client) do(ctx context.Context, wr wireRequest) (*wireResponse, error) 
 	if err != nil {
 		return nil, err
 	}
-	if resp := c.cache.get(hash); resp != nil {
+	if resp, ok := c.cache.Peek(hash); ok {
 		c.stats.cacheHits.Add(1)
 		return resp, nil
 	}
@@ -289,7 +290,7 @@ func (c *Client) do(ctx context.Context, wr wireRequest) (*wireResponse, error) 
 		// A leader caches its response and leaves the flight table in one
 		// critical section, so a caller that missed the cache before that
 		// finds the response here instead of leading a second flight.
-		if resp := c.cache.get(hash); resp != nil {
+		if resp, ok := c.cache.Peek(hash); ok {
 			c.mu.Unlock()
 			c.stats.coalesced.Add(1)
 			return resp, nil
@@ -301,7 +302,7 @@ func (c *Client) do(ctx context.Context, wr wireRequest) (*wireResponse, error) 
 		resp, err := c.attemptLoop(ctx, wr.VFocus.Op, hash, body)
 		c.mu.Lock()
 		if err == nil && resp != nil {
-			c.cache.put(hash, resp)
+			c.cache.Put(hash, resp)
 		}
 		delete(c.inflight, hash)
 		c.mu.Unlock()

@@ -2,8 +2,8 @@ package mutate
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/verilog/ast"
 )
 
@@ -51,28 +51,12 @@ type moduleSites struct {
 // collection into a map hit. Callers must treat cached modules as immutable,
 // which Semantic guarantees by never mutating its input.
 
-var (
-	siteMu   sync.Mutex
-	siteMemo = make(map[*ast.Module]*moduleSites)
-)
+var siteMemo = memo.New[*ast.Module, *moduleSites](siteMemoCap)
 
 const siteMemoCap = 1024
 
 func cachedSites(m *ast.Module) *moduleSites {
-	siteMu.Lock()
-	if ms, hit := siteMemo[m]; hit {
-		siteMu.Unlock()
-		return ms
-	}
-	siteMu.Unlock()
-	ms := collectPathSites(m)
-	siteMu.Lock()
-	if len(siteMemo) >= siteMemoCap {
-		siteMemo = make(map[*ast.Module]*moduleSites, siteMemoCap)
-	}
-	siteMemo[m] = ms
-	siteMu.Unlock()
-	return ms
+	return siteMemo.Do(m, func() *moduleSites { return collectPathSites(m) })
 }
 
 // collectPathSites enumerates every semantic mutation applicable to the

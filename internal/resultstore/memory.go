@@ -2,30 +2,19 @@ package resultstore
 
 import (
 	"context"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // DefaultMemoryCap bounds the in-memory adapter when no capacity is given;
 // it matches the in-process fingerprint memo's historical default.
 const DefaultMemoryCap = 4096
 
-// Memory is the in-memory adapter: a mutex-guarded map with an intrusive
-// LRU list, following the discipline of the testbench memo and the compile
-// cache — entries are their own list nodes, so steady-state maintenance
-// allocates nothing beyond the stored values. Values are copied on both
-// Put and Get, so callers can never alias the store's internal buffers.
+// Memory is the in-memory adapter: a memo.Cache of LRU-evicted records.
+// Values are copied on both Put and Get, so callers can never alias the
+// store's internal buffers.
 type Memory struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[Key]*memEntry
-	front *memEntry // most recently used
-	back  *memEntry // least recently used
-}
-
-type memEntry struct {
-	key        Key
-	val        []byte
-	prev, next *memEntry
+	m *memo.Cache[Key, []byte]
 }
 
 // NewMemory returns an in-memory store evicting past cap entries
@@ -34,32 +23,7 @@ func NewMemory(cap int) *Memory {
 	if cap <= 0 {
 		cap = DefaultMemoryCap
 	}
-	return &Memory{cap: cap, m: make(map[Key]*memEntry)}
-}
-
-func (s *Memory) unlink(e *memEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.back = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Memory) pushFront(e *memEntry) {
-	e.prev, e.next = nil, s.front
-	if s.front != nil {
-		s.front.prev = e
-	}
-	s.front = e
-	if s.back == nil {
-		s.back = e
-	}
+	return &Memory{m: memo.New[Key, []byte](int64(cap))}
 }
 
 // Get implements Store.
@@ -67,18 +31,12 @@ func (s *Memory) Get(_ context.Context, k Key) ([]byte, bool, error) {
 	if err := k.Validate(); err != nil {
 		return nil, false, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[k]
+	v, ok := s.m.Peek(k)
 	if !ok {
 		return nil, false, nil
 	}
-	if s.front != e {
-		s.unlink(e)
-		s.pushFront(e)
-	}
-	out := make([]byte, len(e.val))
-	copy(out, e.val)
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out, true, nil
 }
 
@@ -89,24 +47,7 @@ func (s *Memory) Put(_ context.Context, k Key, value []byte) error {
 	}
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[k]; ok {
-		e.val = cp
-		if s.front != e {
-			s.unlink(e)
-			s.pushFront(e)
-		}
-		return nil
-	}
-	e := &memEntry{key: k, val: cp}
-	s.m[k] = e
-	s.pushFront(e)
-	for len(s.m) > s.cap {
-		oldest := s.back
-		s.unlink(oldest)
-		delete(s.m, oldest.key)
-	}
+	s.m.Put(k, cp)
 	return nil
 }
 
@@ -115,21 +56,12 @@ func (s *Memory) Delete(_ context.Context, k Key) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[k]; ok {
-		s.unlink(e)
-		delete(s.m, k)
-	}
+	s.m.Remove(k)
 	return nil
 }
 
 // Len implements Store.
-func (s *Memory) Len() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m), nil
-}
+func (s *Memory) Len() (int, error) { return s.m.Len(), nil }
 
 // Close implements Store.
 func (s *Memory) Close() error { return nil }

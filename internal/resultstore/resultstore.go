@@ -4,7 +4,7 @@
 // entry is valid forever: there is no invalidation, only eviction.
 //
 // The package is a port with three adapters in the frameless cache/contracts
-// style: Memory (intrusive-LRU, the in-process memo discipline), Disk (one
+// style: Memory (an LRU memo.Cache, like every in-process memo), Disk (one
 // checksummed file per key under a sharded layout, atomic rename writes,
 // crash-safe reads), and Remote (a thin HTTP client against the reference
 // Handler, the seam for a shared networked store). Layered composes them

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
 )
@@ -131,16 +132,13 @@ func TestNormalKeyDistinguishes(t *testing.T) {
 // resetKeyMemo empties the design-key memo, so a test starts far from its
 // backstop cap.
 func resetKeyMemo() {
-	keyMemoMu.Lock()
-	keyMemo = make(map[*ast.Source]designKeys)
-	keyMemoMu.Unlock()
+	canonKeys, normalKeys = memo.New[*ast.Source, string](keyMemoCap), memo.New[*ast.Source, string](keyMemoCap)
 }
 
 // TestDesignKeysConcurrent keys fresh ASTs from several goroutines at once,
-// half asking for NormalKey first and half for CanonicalKey: both keys share
-// one memo entry, so neither may overwrite the other, every caller must
-// see the same keys a sequential run computes, and each key is printed once
-// per AST however many callers race for it.
+// half asking for NormalKey first and half for CanonicalKey: every caller
+// must see the same keys a sequential run computes, both stay memoized, and
+// each key is printed once per AST however many callers race for it.
 func TestDesignKeysConcurrent(t *testing.T) {
 	ref, err := parser.Parse(allocSeq)
 	if err != nil {
@@ -172,11 +170,10 @@ func TestDesignKeysConcurrent(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		keyMemoMu.Lock()
-		ks := keyMemo[src]
-		keyMemoMu.Unlock()
-		if ks.normal != wantN || ks.canon != wantC || len(keyPrinting) != 0 {
-			t.Fatalf("round %d: memo entry lost a key or kept a claim: %+v", round, ks)
+		n, nok := normalKeys.Peek(src)
+		c, cok := canonKeys.Peek(src)
+		if !nok || !cok || n != wantN || c != wantC {
+			t.Fatalf("round %d: memo lost a key or left one unpublished: (%.8s, %.8s)", round, n, c)
 		}
 		if n1, c1 := DesignKeyPrints(); n1-n0 != 1 || c1-c0 != 1 {
 			t.Fatalf("round %d: printed %d NormalKeys and %d CanonicalKeys, want one each", round, n1-n0, c1-c0)

@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/serve/faultinject"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
@@ -25,10 +24,9 @@ import (
 // so a variant's trace is its representative's. Identical pairs recur
 // constantly — the same candidate ranked under three pipeline variants,
 // verified against the same dense stimulus across runs, re-simulated per
-// bench iteration. The memo is single-flight (claim/publish/wait) so
-// concurrent gangs and solo runs never duplicate a run, and LRU-bounded
-// with in-flight entries pinned, following the discipline of the compile
-// and bind caches.
+// bench iteration. The memo is a memo.Cache: single-flight, so concurrent
+// gangs and solo runs never duplicate a run, and LRU-bounded with in-flight
+// entries pinned.
 //
 // Verification runs are verdict-grade: a lane stops at the first case whose
 // fingerprint differs from the golden's, so its trace is a prefix that
@@ -84,149 +82,10 @@ func bindsPorts(m *ast.Module, ifc *Interface) bool {
 	return (ifc.Clock == "" || has(ifc.Clock, ast.Input)) && (ifc.Reset == "" || has(ifc.Reset, ast.Input))
 }
 
-// fpEntry is one single-flight memo slot. claim marks the caller as the
-// computing owner; publish warms the trace's lazy whole-run fingerprint
-// (after which the shared FPTrace is read-only) and releases waiters;
-// abort releases an unfulfilled claim — the owner was cancelled or crashed
-// before producing a result — waking waiters so one of them can adopt the
-// claim and compute instead. An entry is therefore never poisoned: it is
-// either unclaimed, claimed by a live computing goroutine, or published.
-//
-// The slot is also its own LRU node (prev/next under fpMu) and allocates its
-// wakeup channel only when a waiter actually blocks: a memo-cold ranking call
-// inserts dozens of entries per batch and almost never races another claimant
-// for the same key, so the common miss costs one allocation, not four.
-type fpEntry struct {
-	key      fpKey
-	claimed  atomic.Bool
-	finished atomic.Bool
-	ready    chan struct{} // created under fpMu by the first blocked waiter
-	tr       *FPTrace
-	prev     *fpEntry // LRU list links, guarded by fpMu
-	next     *fpEntry
-}
-
-func (e *fpEntry) claim() bool { return e.claimed.CompareAndSwap(false, true) }
-
-func (e *fpEntry) publish(tr *FPTrace) {
-	tr.Fingerprint()
-	e.tr = tr
-	e.finished.Store(true)
-	fpMu.Lock()
-	ready := e.ready
-	e.ready = nil
-	fpMu.Unlock()
-	if ready != nil {
-		close(ready)
-	}
-}
-
-// abort releases the caller's claim without publishing: the entry returns
-// to the unclaimed state and any blocked waiters wake to race for the
-// claim themselves. A cancelled or crashed run must leave the memo exactly
-// as it found it, so the next job recomputes and gets a bit-identical
-// clean result.
-func (e *fpEntry) abort() {
-	fpMu.Lock()
-	ready := e.ready
-	e.ready = nil
-	e.claimed.Store(false)
-	fpMu.Unlock()
-	if ready != nil {
-		close(ready)
-	}
-}
-
-// drop is abort for a candidate that does not compile: it also removes the
-// entry from the memo, since such a candidate has no trace to publish. A
-// waiter woken by the drop adopts the orphaned entry, fails the same compile
-// and drops it in turn.
-func (e *fpEntry) drop() {
-	fpMu.Lock()
-	if fpMemo[e.key] == e {
-		fpUnlink(e)
-		delete(fpMemo, e.key)
-	}
-	fpMu.Unlock()
-	e.abort()
-}
-
-// wait blocks until the entry publishes, its claim frees up, or ctx is
-// cancelled. It returns (tr, false, nil) for a published trace;
-// (nil, true, nil) when a previous owner aborted and this caller adopted
-// the claim — the caller now owns the entry and must publish or abort it;
-// and (nil, false, ctx.Err()) on cancellation, leaving the entry to its
-// current owner.
-func (e *fpEntry) wait(ctx context.Context) (*FPTrace, bool, error) {
-	for {
-		if e.finished.Load() {
-			return e.tr, false, nil
-		}
-		if e.claim() {
-			return nil, true, nil
-		}
-		fpMu.Lock()
-		if e.finished.Load() {
-			fpMu.Unlock()
-			return e.tr, false, nil
-		}
-		if !e.claimed.Load() {
-			fpMu.Unlock()
-			continue // claim freed between checks: retry the CAS
-		}
-		if e.ready == nil {
-			e.ready = make(chan struct{})
-		}
-		ready := e.ready
-		fpMu.Unlock()
-		select {
-		case <-ready:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-}
-
-func (e *fpEntry) done() bool { return e.finished.Load() }
-
-var (
-	fpMu   sync.Mutex
-	fpMemo = make(map[fpKey]*fpEntry)
-	// Intrusive LRU list of every memo entry, most recently used first.
-	// Entries are their own nodes, so list maintenance allocates nothing.
-	fpFront *fpEntry
-	fpBack  *fpEntry
-	fpLen   int
-)
-
-// fpUnlink detaches e from the LRU list. Callers hold fpMu.
-func fpUnlink(e *fpEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		fpFront = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		fpBack = e.prev
-	}
-	e.prev, e.next = nil, nil
-	fpLen--
-}
-
-// fpPushFront makes e the most recently used entry. Callers hold fpMu.
-func fpPushFront(e *fpEntry) {
-	e.prev, e.next = nil, fpFront
-	if fpFront != nil {
-		fpFront.prev = e
-	}
-	fpFront = e
-	if fpBack == nil {
-		fpBack = e
-	}
-	fpLen++
-}
+// fpEntry is one fingerprint memo slot (see memo.Entry for its claim,
+// publish, abort and drop protocol). Published traces are pre-warmed and
+// read-only.
+type fpEntry = memo.Entry[fpKey, *FPTrace]
 
 // DefaultFPMemoCap is the memory tier's default entry bound. A
 // verification-grade FPTrace is a few hundred uint64s, so the memo tops
@@ -234,8 +93,8 @@ func fpPushFront(e *fpEntry) {
 // compiled design.
 const DefaultFPMemoCap = 4096
 
-// fpMemoCap bounds retained traces; guarded by fpMu, sized by SetFPMemoCap.
-var fpMemoCap = DefaultFPMemoCap
+// fpMemo is the memory tier, sized by SetFPMemoCap.
+var fpMemo = memo.New[fpKey, *FPTrace](DefaultFPMemoCap)
 
 // SetFPMemoCap sizes the in-process fingerprint memo — tier 1 of the
 // result store — and returns the previous capacity. Values <= 0 restore
@@ -245,75 +104,17 @@ func SetFPMemoCap(n int) int {
 	if n <= 0 {
 		n = DefaultFPMemoCap
 	}
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	prev := fpMemoCap
-	fpMemoCap = n
-	fpEvictLocked(n)
-	return prev
+	return int(fpMemo.SetLimit(int64(n)))
 }
 
 // FPMemoLen reports the memo's current entry count (ops introspection).
-func FPMemoLen() int {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	return fpLen
-}
+func FPMemoLen() int { return fpMemo.Len() }
 
-// fpEvictLocked drops least-recently-used entries until the memo holds at
-// most limit. Entries whose run is in flight (claimed, unpublished) are
-// skipped: evicting them would orphan waiters. Unclaimed entries — fresh, or
-// left behind by an aborted run — go like finished ones; a waiter woken by
-// the abort keeps its own pointer and claims the orphaned entry instead.
-// Callers hold fpMu.
-func fpEvictLocked(limit int) {
-	for fpLen > limit {
-		oldest := fpBack
-		for oldest != nil && oldest.claimed.Load() && !oldest.done() {
-			oldest = oldest.prev
-		}
-		if oldest == nil {
-			break
-		}
-		fpUnlink(oldest)
-		delete(fpMemo, oldest.key)
-	}
-}
-
-// fpClaim returns the memo entry for key, inserting a fresh unclaimed one
-// on a miss. Room is made before the insert, so the new entry survives until
-// its caller claims it; eviction skips entries whose run is in flight.
-func fpClaim(key fpKey) *fpEntry {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	if e, hit := fpMemo[key]; hit {
-		if fpFront != e {
-			fpUnlink(e)
-			fpPushFront(e)
-		}
-		return e
-	}
-	fpEvictLocked(fpMemoCap - 1)
-	e := &fpEntry{key: key}
-	fpMemo[key] = e
-	fpPushFront(e)
-	return e
-}
-
-// fpPeek returns the published trace under key, or nil, without inserting
-// an entry or waiting for one in flight.
-func fpPeek(key fpKey) *FPTrace {
-	fpMu.Lock()
-	defer fpMu.Unlock()
-	e, hit := fpMemo[key]
-	if !hit || !e.done() {
-		return nil
-	}
-	if fpFront != e {
-		fpUnlink(e)
-		fpPushFront(e)
-	}
-	return e.tr
+// publish warms tr's whole-run fingerprint, after which the shared trace is
+// read-only, and publishes it under e.
+func publish(e *fpEntry, tr *FPTrace) {
+	tr.Fingerprint()
+	e.Publish(tr)
 }
 
 // --- Gang runs ---------------------------------------------------------------
@@ -437,18 +238,18 @@ func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus,
 		return p
 	}
 	for j, src := range srcs {
-		e := fpClaim(memoKey(src, top, st, ref))
+		e, owner := fpMemo.Acquire(memoKey(src, top, st, ref))
 		switch {
-		case e.done():
-			p.out[j] = e.tr
-		case !e.claim():
-			// In flight elsewhere, or a duplicate of an earlier job of this
-			// plan: collected by Finish, after this plan's own runs.
-			p.wait[j] = e
-		default:
+		case owner:
 			if p.out[j] = lookupClaimed(ctx, e); p.out[j] == nil {
 				p.owned[j] = e
 			}
+		case e.Done():
+			p.out[j] = e.Value()
+		default:
+			// In flight elsewhere, or a duplicate of an earlier job of this
+			// plan: collected by Finish, after this plan's own runs.
+			p.wait[j] = e
 		}
 	}
 	return p
@@ -461,16 +262,17 @@ func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus,
 // candidate that compiles to it). Such a trace is stored under the verdict
 // key too, so a store-backed rerun finds it whatever its memo still holds.
 func lookupClaimed(ctx context.Context, e *fpEntry) *FPTrace {
-	tr := storeLookup(ctx, e.key)
-	if tr == nil && e.key.ref != nil {
-		plain := e.key
+	key := e.Key()
+	tr := storeLookup(ctx, key)
+	if tr == nil && key.ref != nil {
+		plain := key
 		plain.ref = nil
-		if tr = fpPeek(plain); tr != nil {
-			storePut(ctx, e.key, tr)
+		if tr, _ = fpMemo.Peek(plain); tr != nil {
+			storePut(ctx, key, tr)
 		}
 	}
 	if tr != nil {
-		e.publish(tr)
+		publish(e, tr)
 	}
 	return tr
 }
@@ -507,7 +309,7 @@ func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
 				// No trace to memoize: the solo run reproduces the
 				// error trace, and the compile cache makes it cheap.
 				d = nil
-				p.owned[j].drop()
+				p.owned[j].Drop()
 				p.owned[j] = nil
 			}
 		}
@@ -528,8 +330,8 @@ func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
 	for k := range lanes {
 		// Lanes whose entry published (clean runs and deterministic
 		// errors; never ErrSimPanic aborts) flow through to the store.
-		if e := lanes[k].e; e.done() {
-			storePut(ctx, e.key, lanes[k].tr)
+		if e := lanes[k].e; e.Done() {
+			storePut(ctx, e.Key(), lanes[k].tr)
 		}
 	}
 	return nil
@@ -544,7 +346,7 @@ func (p *GangPlan) Fail(jobs []int, err error) {
 			continue
 		}
 		if e := p.owned[j]; e != nil {
-			e.abort()
+			e.Abort()
 			p.owned[j] = nil
 		}
 		p.out[j] = &FPTrace{Ifc: p.st.Ifc, Err: err}
@@ -559,7 +361,7 @@ func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
 		if e == nil {
 			continue
 		}
-		tr, adopted, err := e.wait(ctx)
+		tr, adopted, err := e.Wait(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -580,7 +382,7 @@ func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
 func (p *GangPlan) Release() {
 	for j, e := range p.owned {
 		if e != nil {
-			e.abort()
+			e.Abort()
 			p.owned[j] = nil
 		}
 	}
@@ -595,9 +397,9 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 		return
 	}
 	if tr.Err != nil && errors.Is(tr.Err, ErrSimPanic) {
-		ln.e.abort()
+		ln.e.Abort()
 	} else {
-		ln.e.publish(tr)
+		publish(ln.e, tr)
 	}
 }
 

@@ -3,9 +3,8 @@ package testbench
 import (
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/serve/faultinject"
 	"repro/internal/sim"
 )
@@ -207,118 +206,30 @@ type bindKey struct {
 	sc *Schedule
 }
 
-// bindEntry is a single-flight memo slot: the first caller for a key claims
-// the once and resolves the binding; concurrent missers block on the once
-// instead of each running sc.bind and clobbering one another's entry (a
-// binding is a pure function of the key, so whichever instance resolves it
-// is immaterial). done is read by the LRU eviction loop to pin in-flight
-// entries, mirroring sim.CompileCache.
-type bindEntry struct {
-	key  bindKey
-	once sync.Once
-	b    binding
-	ok   bool
-	done atomic.Bool
-	prev *bindEntry // intrusive LRU links, guarded by bindMu
-	next *bindEntry
-}
-
-var (
-	bindMu    sync.Mutex
-	bindMemo  = make(map[bindKey]*bindEntry)
-	bindFront *bindEntry // most recently used
-	bindBack  *bindEntry
-	bindLen   int
-)
-
-// bindUnlink detaches e from the LRU list. Callers hold bindMu.
-func bindUnlink(e *bindEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		bindFront = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		bindBack = e.prev
-	}
-	e.prev, e.next = nil, nil
-	bindLen--
-}
-
-// bindPushFront makes e the most recently used entry. Callers hold bindMu.
-func bindPushFront(e *bindEntry) {
-	e.prev, e.next = nil, bindFront
-	if bindFront != nil {
-		bindFront.prev = e
-	}
-	bindFront = e
-	if bindBack == nil {
-		bindBack = e
-	}
-	bindLen++
-}
-
 // bindMemoCap matches the compile cache's capacity: the memo's strong
 // *sim.Design keys pin designs (and their pooled engines) against the LRU's
-// eviction, so the cap bounds that pinning to about one LRU's worth. Entries
-// past the cap are evicted one at a time in LRU order — a single insert no
-// longer drops every live binding at once, which mattered little for solo
-// runs but would thundering-rebind under gang traffic.
+// eviction, so the cap bounds that pinning to about one LRU's worth.
 const bindMemoCap = 1024
+
+// bindMemo is single-flight: concurrent missers share one sc.bind. A
+// resolution that panics leaves no entry, so the next caller re-binds.
+var bindMemo = memo.New[bindKey, boundSchedule](bindMemoCap)
+
+// boundSchedule is one resolution's outcome.
+type boundSchedule struct {
+	b  binding
+	ok bool
+}
 
 // cachedBind resolves (and memoizes) the binding of sc against the compiled
 // design d, probing handles on inst.
 func cachedBind(d *sim.Design, sc *Schedule, inst sim.Instance, ifc *Interface) (binding, bool) {
-	key := bindKey{d: d, sc: sc}
-	bindMu.Lock()
-	e, hit := bindMemo[key]
-	if hit {
-		if bindFront != e {
-			bindUnlink(e)
-			bindPushFront(e)
-		}
-	} else {
-		e = &bindEntry{key: key}
-		bindMemo[key] = e
-		bindPushFront(e)
-		for bindLen > bindMemoCap {
-			oldest := bindBack
-			for oldest != nil && !oldest.done.Load() {
-				oldest = oldest.prev
-			}
-			if oldest == nil {
-				break // all in flight; retry on a later insert
-			}
-			bindUnlink(oldest)
-			delete(bindMemo, oldest.key)
-		}
-	}
-	bindMu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			e.done.Store(true)
-			if r := recover(); r != nil {
-				// The once is spent either way, so a crashed resolution
-				// must not poison the memo: drop the entry and let the
-				// next caller re-create it with a fresh once. Callers
-				// already blocked on this once see ok=false and take the
-				// solo fallback; the panic continues up to the per-
-				// candidate recovery.
-				bindMu.Lock()
-				if bindMemo[e.key] == e {
-					bindUnlink(e)
-					delete(bindMemo, e.key)
-				}
-				bindMu.Unlock()
-				panic(r)
-			}
-		}()
+	r := bindMemo.Do(bindKey{d: d, sc: sc}, func() boundSchedule {
 		faultinject.Fire(faultinject.PointBind, "")
-		e.b, e.ok = sc.bind(inst, ifc)
+		b, ok := sc.bind(inst, ifc)
+		return boundSchedule{b, ok}
 	})
-	return e.b, e.ok
+	return r.b, r.ok
 }
 
 // bind resolves every handle the scheduled run needs, once. Any resolution

@@ -146,12 +146,10 @@ func TestBindMemoLRUEviction(t *testing.T) {
 		}
 	}
 
-	bindMu.Lock()
-	_, victimAlive := bindMemo[bindKey{d: nil, sc: victim}]
-	_, keeperAlive := bindMemo[bindKey{d: nil, sc: keeper}]
-	_, inflightAlive := bindMemo[bindKey{d: nil, sc: inflight}]
-	memoLen := bindLen
-	bindMu.Unlock()
+	_, victimAlive := bindMemo.Resident(bindKey{d: nil, sc: victim})
+	_, keeperAlive := bindMemo.Resident(bindKey{d: nil, sc: keeper})
+	_, inflightAlive := bindMemo.Resident(bindKey{d: nil, sc: inflight})
+	memoLen := bindMemo.Len()
 
 	if victimAlive {
 		t.Error("cold entry survived cap overflow; LRU eviction not engaging")

@@ -126,11 +126,11 @@ func TestFPMemoEvictsAbortedClaims(t *testing.T) {
 	prev := SetFPMemoCap(limit)
 	defer SetFPMemoCap(prev)
 	for i := 0; i < 4*limit; i++ {
-		e := fpClaim(fpKey{st: decodeStim()})
-		if !e.claim() {
+		e, owner := fpMemo.Acquire(fpKey{st: decodeStim()})
+		if !owner {
 			t.Fatal("fresh entry already claimed")
 		}
-		e.abort()
+		e.Abort()
 	}
 	if n := FPMemoLen(); n > limit {
 		t.Fatalf("FPMemoLen = %d after aborting %d claims, want <= %d", n, 4*limit, limit)
@@ -140,22 +140,19 @@ func TestFPMemoEvictsAbortedClaims(t *testing.T) {
 	// entry has been evicted, the waiter still adopts the claim and the
 	// memo stays within its cap.
 	key := fpKey{st: decodeStim()}
-	e := fpClaim(key)
-	e.claim()
-	e.abort()
+	e, _ := fpMemo.Acquire(key)
+	e.Abort()
 	for i := 0; i < limit; i++ {
-		fpClaim(fpKey{st: decodeStim()})
+		other, _ := fpMemo.Acquire(fpKey{st: decodeStim()})
+		other.Abort()
 	}
-	fpMu.Lock()
-	_, resident := fpMemo[key]
-	fpMu.Unlock()
-	if resident {
+	if _, resident := fpMemo.Resident(key); resident {
 		t.Fatal("aborted entry survived eviction")
 	}
-	if _, adopted, err := e.wait(context.Background()); !adopted || err != nil {
+	if _, adopted, err := e.Wait(context.Background()); !adopted || err != nil {
 		t.Fatalf("waiter on an evicted entry: adopted %v, err %v", adopted, err)
 	}
-	e.abort()
+	e.Abort()
 	if n := FPMemoLen(); n > limit {
 		t.Fatalf("FPMemoLen = %d, want <= %d", n, limit)
 	}

@@ -383,9 +383,7 @@ func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
 		t.Fatalf("compiling lane errored: %v", gang[1].Err)
 	}
 
-	fpMu.Lock()
-	_, resident := fpMemo[memoKey(bad, "top_module", st, nil)]
-	fpMu.Unlock()
+	_, resident := fpMemo.Resident(memoKey(bad, "top_module", st, nil))
 	if resident {
 		t.Error("failed compile left a memo entry")
 	}

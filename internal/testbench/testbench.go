@@ -24,6 +24,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/serve/faultinject"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
@@ -217,58 +218,16 @@ func (g *Generator) Verification(ifc Interface) *Stimulus {
 // and every fresh oracle re-derives the same dense verification stimulus.
 // A generated Stimulus is immutable (runs only read it), so a process-wide
 // memo is safe — the same pattern the compile cache established for
-// elaboration. Cleared wholesale at the cap so it stays bounded; an entry
-// holds only its planes, so the cap bounds bytes too.
+// elaboration. An entry holds only its planes, so the LRU cap bounds bytes
+// too.
 //
 // Builds are single-flight per key: the fingerprint memo keys runs by
 // *Stimulus, so two concurrent missers that each kept their own build would
 // never share a memo entry.
 
-// stimEntry is one memo slot: the first caller for a key builds under the
-// once, and concurrent callers wait on it for the same pointer.
-type stimEntry struct {
-	once sync.Once
-	st   *Stimulus
-}
-
-var (
-	stimMu   sync.Mutex
-	stimMemo = make(map[string]*stimEntry)
-)
+var stimMemo = memo.New[string, *Stimulus](stimMemoCap)
 
 const stimMemoCap = 4096
-
-func cachedStimulus(key string, build func() *Stimulus) *Stimulus {
-	for {
-		stimMu.Lock()
-		e, hit := stimMemo[key]
-		if !hit {
-			if len(stimMemo) >= stimMemoCap {
-				stimMemo = make(map[string]*stimEntry, stimMemoCap)
-			}
-			e = &stimEntry{}
-			stimMemo[key] = e
-		}
-		stimMu.Unlock()
-		e.once.Do(func() {
-			defer func() {
-				if e.st == nil {
-					// The build panicked and spent the once: drop the
-					// entry so waiters and later callers build afresh.
-					stimMu.Lock()
-					if stimMemo[key] == e {
-						delete(stimMemo, key)
-					}
-					stimMu.Unlock()
-				}
-			}()
-			e.st = build()
-		})
-		if e.st != nil {
-			return e.st
-		}
-	}
-}
 
 // stimKey identifies a stimulus by everything generation depends on.
 func stimKey(kind string, seed int64, imperfection float64, ifc Interface) string {
@@ -306,7 +265,7 @@ func stimKey(kind string, seed int64, imperfection float64, ifc Interface) strin
 // imperfection, ifc), generating it at most once per process. The returned
 // stimulus is shared: callers must treat it as read-only.
 func RankingCached(seed int64, imperfection float64, ifc Interface) *Stimulus {
-	return cachedStimulus(stimKey("rank", seed, imperfection, ifc), func() *Stimulus {
+	return stimMemo.Do(stimKey("rank", seed, imperfection, ifc), func() *Stimulus {
 		g := NewGenerator(seed)
 		g.Imperfection = imperfection
 		return g.Ranking(ifc)
@@ -317,7 +276,7 @@ func RankingCached(seed int64, imperfection float64, ifc Interface) *Stimulus {
 // for (seed, ifc), generating it at most once per process. The returned
 // stimulus is shared: callers must treat it as read-only.
 func VerificationCached(seed int64, ifc Interface) *Stimulus {
-	return cachedStimulus(stimKey("verify", seed, 0, ifc), func() *Stimulus {
+	return stimMemo.Do(stimKey("verify", seed, 0, ifc), func() *Stimulus {
 		return NewGenerator(seed).Verification(ifc)
 	})
 }
@@ -992,9 +951,9 @@ func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Sti
 	if backend == BackendInterpreter {
 		return runFingerprintSoloCtx(ctx, src, top, st, backend)
 	}
-	e := fpClaim(memoKey(src, top, st, nil))
-	if !e.claim() {
-		tr, adopted, err := e.wait(ctx)
+	e, owner := fpMemo.Acquire(memoKey(src, top, st, nil))
+	if !owner {
+		tr, adopted, err := e.Wait(ctx)
 		if err != nil || !adopted {
 			return tr, err
 		}
@@ -1014,7 +973,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 	resolved := false
 	defer func() {
 		if !resolved {
-			e.abort()
+			e.Abort()
 		}
 	}()
 	// The claim is held, so this is the key's single flight across every
@@ -1024,7 +983,7 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 		return tr, nil
 	}
 	if _, err := sim.CompileCached(src, top); err != nil {
-		e.drop()
+		e.Drop()
 		resolved = true
 		return runFingerprintSoloCtx(ctx, src, top, st, backend)
 	}
@@ -1033,9 +992,9 @@ func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top s
 		return nil, err
 	}
 	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
-		e.publish(tr)
+		publish(e, tr)
 		resolved = true
-		storePut(ctx, e.key, tr)
+		storePut(ctx, e.Key(), tr)
 	}
 	return tr, nil
 }

@@ -158,10 +158,10 @@ func TestVerifyGangVerdicts(t *testing.T) {
 			wg.Wait()
 
 			// The verdict-grade entries live under the golden's key only.
-			if fpPeek(memoKey(srcs[1], "top_module", vst, golden)) == nil {
+			if _, ok := fpMemo.Peek(memoKey(srcs[1], "top_module", vst, golden)); !ok {
 				t.Error("verdict-grade entry missing from the memo")
 			}
-			if fpPeek(memoKey(srcs[1], "top_module", vst, nil)) != nil {
+			if _, ok := fpMemo.Peek(memoKey(srcs[1], "top_module", vst, nil)); ok {
 				t.Error("verdict-grade run published under the full-trace key")
 			}
 
