@@ -43,7 +43,7 @@ func TestNormalKeyRespectsBinding(t *testing.T) {
 	const seed = 9131
 	solo := map[*ast.Source]*testbench.FPTrace{}
 	for _, src := range []*ast.Source{a, b} {
-		solo[src] = testbench.RunFingerprint(src, eval.TopModule, freshStimulus(task, seed), testbench.BackendCompiled)
+		solo[src] = fingerprintOne(t, src, freshStimulus(task, seed))
 	}
 	if solo[a].Err != nil || solo[b].Err == nil {
 		t.Fatalf("premise: A's solo run should be clean (err %v) and B's should fail (err %v)", solo[a].Err, solo[b].Err)
@@ -68,11 +68,22 @@ func TestNormalKeyRespectsBinding(t *testing.T) {
 		// apart on its own.
 		st = freshStimulus(task, seed)
 		for i, src := range pool {
-			if got, want := testbench.RunFingerprint(src, eval.TopModule, st, testbench.BackendCompiled), solo[src]; !sameTrace(got, want) {
+			if got, want := fingerprintOne(t, src, st), solo[src]; !sameTrace(got, want) {
 				t.Errorf("memoized candidate %d: fingerprint %016x (err %v), want its solo %016x (err %v)", i, got.Fingerprint(), got.Err, want.Fingerprint(), want.Err)
 			}
 		}
 	}
+}
+
+// fingerprintOne runs src alone through testbench.RunFingerprints on the
+// compiled backend.
+func fingerprintOne(t *testing.T, src *ast.Source, st *testbench.Stimulus) *testbench.FPTrace {
+	t.Helper()
+	out, err := testbench.RunFingerprints(context.Background(), []*ast.Source{src}, eval.TopModule, st, testbench.BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
 }
 
 // sameTrace reports whether two fingerprint traces record the same run.

@@ -312,7 +312,15 @@ func (p *Pipeline) generateOne(ctx context.Context, task eval.Task, sampleIdx in
 	}
 	cand := Candidate{Index: sampleIdx, NormLen: -1}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		resp, err := p.generateWithTransientRetry(ctx, task, sampleIdx, attempt)
+		resp, err := withLLMRetry(ctx, p, func(t int) (llm.Response, error) {
+			return p.client.Generate(ctx, llm.GenerateRequest{
+				TaskID:      task.ID,
+				Spec:        task.Spec,
+				Guidelines:  Guidelines,
+				SampleIndex: sampleIdx,
+				Attempt:     attempt*p.cfg.LLMRetries + t,
+			})
+		})
 		if err != nil {
 			return cand, err
 		}
@@ -330,30 +338,37 @@ func (p *Pipeline) generateOne(ctx context.Context, task eval.Task, sampleIdx in
 	return cand, nil // still invalid after retries: keep, it will rank last
 }
 
-// generateWithTransientRetry retries ErrTransient failures with linear
-// backoff, mirroring production API clients.
-func (p *Pipeline) generateWithTransientRetry(ctx context.Context, task eval.Task, sampleIdx, attempt int) (llm.Response, error) {
-	transientRetries := p.cfg.LLMRetries
+// withLLMRetry makes one LLM call, call(t) for attempt t, retrying
+// ErrTransient failures up to LLMRetries attempts with linear backoff, as
+// production API clients do. Any other failure is wrapped as ErrLLM, which
+// refinement treats as best-effort, unless ctx is done: then the error is
+// ctx's own, so a cancelled run is never mistaken for a failed model call.
+func withLLMRetry[R any](ctx context.Context, p *Pipeline, call func(t int) (R, error)) (R, error) {
+	var zero R
 	var lastErr error
-	for t := 0; t < transientRetries; t++ {
-		resp, err := p.client.Generate(ctx, llm.GenerateRequest{
-			TaskID:      task.ID,
-			Spec:        task.Spec,
-			Guidelines:  Guidelines,
-			SampleIndex: sampleIdx,
-			Attempt:     attempt*transientRetries + t,
-		})
+	for t := 0; t < p.cfg.LLMRetries; t++ {
+		if err := ctx.Err(); err != nil {
+			return zero, err
+		}
+		resp, err := call(t)
 		if err == nil {
 			return resp, nil
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			return zero, cerr
+		}
 		lastErr = err
 		if !errors.Is(err, llm.ErrTransient) {
-			return llm.Response{}, fmt.Errorf("%w: %v", ErrLLM, err)
+			return zero, fmt.Errorf("%w: %v", ErrLLM, err)
 		}
 		p.sleep(p.cfg.RetryBaseDelay * time.Duration(t+1))
 	}
-	return llm.Response{}, fmt.Errorf("%w: %v", ErrLLM, lastErr)
+	return zero, fmt.Errorf("%w: %v", ErrLLM, lastErr)
 }
+
+// retrySampleStride offsets a refine or judge request's SampleIndex on each
+// transient retry, so the retry draws fresh randomness.
+const retrySampleStride = 1000
 
 // Guidelines is the prompt-engineering preamble applied at the sampling
 // stage (general tips plus typical LLM Verilog mistakes, following the

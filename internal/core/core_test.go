@@ -448,3 +448,80 @@ func TestTraceAgreementSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// cancellingClient cancels the run's context inside one kind of call and
+// returns the context's error, as a real client does when its request is
+// cut short. "refine" covers both refinement calls, Refine and JudgeOutput.
+type cancellingClient struct {
+	llm.Client
+	cancel context.CancelFunc
+	in     string // "generate" or "refine"
+	hit    bool
+}
+
+func (c *cancellingClient) cut(ctx context.Context) error {
+	c.hit = true
+	c.cancel()
+	return ctx.Err()
+}
+
+func (c *cancellingClient) Generate(ctx context.Context, req llm.GenerateRequest) (llm.Response, error) {
+	if c.in == "generate" {
+		return llm.Response{}, c.cut(ctx)
+	}
+	return c.Client.Generate(ctx, req)
+}
+
+func (c *cancellingClient) Refine(ctx context.Context, req llm.RefineRequest) (llm.Response, error) {
+	if c.in == "refine" {
+		return llm.Response{}, c.cut(ctx)
+	}
+	return c.Client.Refine(ctx, req)
+}
+
+func (c *cancellingClient) JudgeOutput(ctx context.Context, req llm.JudgeRequest) (llm.JudgeResponse, error) {
+	if c.in == "refine" {
+		return llm.JudgeResponse{}, c.cut(ctx)
+	}
+	return c.Client.JudgeOutput(ctx, req)
+}
+
+// TestLLMCancelNotSwallowed: a run cancelled inside an LLM call must fail
+// with the context's error, never with ErrLLM. Refinement treats ErrLLM as
+// best-effort and keeps the ranked result, so a cancel read as ErrLLM would
+// let a cancelled run return a Final as if it had succeeded.
+func TestLLMCancelNotSwallowed(t *testing.T) {
+	tasks := eval.Suite()[:3]
+	profile, err := llm.ProfileByName("qwq-32b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := llm.NewSimClient(profile, 11, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{"generate", "refine"} {
+		t.Run(in, func(t *testing.T) {
+			hit := false
+			for _, task := range tasks {
+				ctx, cancel := context.WithCancel(context.Background())
+				client := &cancellingClient{Client: sim, cancel: cancel, in: in}
+				cfg := DefaultConfig(VariantVFocus, profile.Name)
+				cfg.Samples = 10
+				cfg.RetryBaseDelay = 0
+				res, err := New(client, cfg).Run(ctx, task)
+				cancel()
+				if !client.hit {
+					continue // this task never reached the call
+				}
+				hit = true
+				if !errors.Is(err, context.Canceled) || errors.Is(err, ErrLLM) {
+					t.Fatalf("%s: cancel inside %s: err = %v (result %v), want context.Canceled and not ErrLLM", task.ID, in, err, res != nil)
+				}
+			}
+			if !hit {
+				t.Fatalf("premise: no task reached a %s call", in)
+			}
+		})
+	}
+}

@@ -124,8 +124,8 @@ func TestFingerprintPathMatchesReferee(t *testing.T) {
 }
 
 // TestFingerprintPathMatchesRefereeOnInterpreter repeats the referee check
-// on the interpreter backend, which lacks the streaming HashOutput fast path
-// and exercises the Value-rendering fallback in RunFingerprint.
+// on the interpreter backend, whose fingerprint runs take the solo path
+// instead of the lockstep gang.
 func TestFingerprintPathMatchesRefereeOnInterpreter(t *testing.T) {
 	all := eval.Suite()
 	for _, idx := range []int{30, 120} {

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
@@ -220,12 +219,14 @@ func (p *Pipeline) refineIntra(ctx context.Context, res *Result, ci int) error {
 			b = cl.Members[rng.Intn(len(cl.Members))]
 		}
 	}
-	resp, err := p.refineWithTransientRetry(ctx, llm.RefineRequest{
-		TaskID:      res.Task.ID,
-		Spec:        res.Task.Spec,
-		CandidateA:  res.Candidates[a].Code,
-		CandidateB:  res.Candidates[b].Code,
-		SampleIndex: ci,
+	resp, err := withLLMRetry(ctx, p, func(t int) (llm.Response, error) {
+		return p.client.Refine(ctx, llm.RefineRequest{
+			TaskID:      res.Task.ID,
+			Spec:        res.Task.Spec,
+			CandidateA:  res.Candidates[a].Code,
+			CandidateB:  res.Candidates[b].Code,
+			SampleIndex: ci + retrySampleStride*t,
+		})
 	})
 	if err != nil {
 		if errors.Is(err, ErrLLM) {
@@ -234,8 +235,7 @@ func (p *Pipeline) refineIntra(ctx context.Context, res *Result, ci int) error {
 		return err
 	}
 	res.Stats.RefineCalls++
-	p.admitRefined(res, ci, resp.Code)
-	return nil
+	return p.admitRefined(ctx, res, ci, resp.Code)
 }
 
 // repTrace returns a candidate's full printed ranking trace, simulating it
@@ -276,10 +276,13 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 	}
 	if res.Task.SimpleDesc && outBits <= 8 {
 		st := res.rankingStimulus
-		resp, err := p.judgeWithTransientRetry(ctx, llm.JudgeRequest{
-			TaskID: res.Task.ID,
-			Spec:   res.Task.Spec,
-			Case:   st.Case(caseIdx),
+		resp, err := withLLMRetry(ctx, p, func(t int) (llm.JudgeResponse, error) {
+			return p.client.JudgeOutput(ctx, llm.JudgeRequest{
+				TaskID:      res.Task.ID,
+				Spec:        res.Task.Spec,
+				Case:        st.Case(caseIdx),
+				SampleIndex: retrySampleStride * t,
+			})
 		})
 		if err != nil {
 			if errors.Is(err, ErrLLM) {
@@ -309,13 +312,15 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 	rng := p.rngFor(res.Task.ID, "inter")
 	a := c0.Members[rng.Intn(len(c0.Members))]
 	b := c1.Members[rng.Intn(len(c1.Members))]
-	resp, err := p.refineWithTransientRetry(ctx, llm.RefineRequest{
-		TaskID:      res.Task.ID,
-		Spec:        res.Task.Spec,
-		CandidateA:  res.Candidates[a].Code,
-		CandidateB:  res.Candidates[b].Code,
-		FocusHint:   hint,
-		SampleIndex: 100,
+	resp, err := withLLMRetry(ctx, p, func(t int) (llm.Response, error) {
+		return p.client.Refine(ctx, llm.RefineRequest{
+			TaskID:      res.Task.ID,
+			Spec:        res.Task.Spec,
+			CandidateA:  res.Candidates[a].Code,
+			CandidateB:  res.Candidates[b].Code,
+			FocusHint:   hint,
+			SampleIndex: 100 + retrySampleStride*t,
+		})
 	})
 	if err != nil {
 		if errors.Is(err, ErrLLM) {
@@ -324,8 +329,7 @@ func (p *Pipeline) refineInter(ctx context.Context, res *Result) error {
 		return err
 	}
 	res.Stats.RefineCalls++
-	p.admitRefinedInter(res, resp.Code)
-	return nil
+	return p.admitRefinedInter(ctx, res, resp.Code)
 }
 
 // divergenceHint renders the concrete disagreement for the focused prompt.
@@ -358,11 +362,15 @@ func writeCase(b *strings.Builder, task eval.Task, ct *testbench.CaseTrace) {
 
 // simulateRefined fingerprints a refined candidate under the ranking
 // stimulus and returns it ready for agreement checks.
-func (p *Pipeline) simulateRefined(res *Result, code string, src *ast.Source) Candidate {
+func (p *Pipeline) simulateRefined(ctx context.Context, res *Result, code string, src *ast.Source) (Candidate, error) {
 	cand := Candidate{Code: code, Source: src, Valid: true, NormLen: -1, Refined: true}
-	cand.FPTrace = testbench.RunFingerprint(src, eval.TopModule, res.rankingStimulus, p.cfg.Backend)
+	fps, err := testbench.RunFingerprints(ctx, []*ast.Source{src}, eval.TopModule, res.rankingStimulus, p.cfg.Backend)
+	if err != nil {
+		return cand, err
+	}
+	cand.FPTrace = fps[0]
 	res.Stats.SimRuns++
-	return cand
+	return cand, nil
 }
 
 // admitRefined validates and simulates a refined candidate for cluster ci.
@@ -370,38 +378,39 @@ func (p *Pipeline) simulateRefined(res *Result, code string, src *ast.Source) Ca
 // testbench does NOT cover, so a trustworthy refined candidate must agree
 // with its source cluster on every covered test case: any covered-case
 // divergence means the model wandered off and the candidate is rejected.
-func (p *Pipeline) admitRefined(res *Result, ci int, code string) {
+func (p *Pipeline) admitRefined(ctx context.Context, res *Result, ci int, code string) error {
 	src, ok := ValidateCandidate(code)
 	if !ok {
-		return
+		return nil
 	}
-	cand := p.simulateRefined(res, code, src)
-	if cand.FPTrace.Err != nil {
-		return
+	cand, err := p.simulateRefined(ctx, res, code, src)
+	if err != nil || cand.FPTrace.Err != nil {
+		return err
 	}
 	ref := res.Candidates[res.Clusters[ci].Members[0]].FPTrace
 	for i := 0; i < res.rankingStimulus.NumCases(); i++ {
 		if !testbench.FPCaseAgrees(cand.FPTrace, ref, i) {
-			return // covered-case divergence: distrust the rewrite
+			return nil // covered-case divergence: distrust the rewrite
 		}
 	}
 	idx := len(res.Candidates)
 	cand.Index = idx
 	res.Candidates = append(res.Candidates, cand)
 	res.Clusters[ci].RefinedIdx = append(res.Clusters[ci].RefinedIdx, idx)
+	return nil
 }
 
 // admitRefinedInter handles the cross-cluster refined candidate: it joins
 // whichever top cluster it agrees with and boosts that cluster's score by
 // one (it is one more independent, focused opinion).
-func (p *Pipeline) admitRefinedInter(res *Result, code string) {
+func (p *Pipeline) admitRefinedInter(ctx context.Context, res *Result, code string) error {
 	src, ok := ValidateCandidate(code)
 	if !ok {
-		return
+		return nil
 	}
-	cand := p.simulateRefined(res, code, src)
-	if cand.FPTrace.Err != nil {
-		return
+	cand, err := p.simulateRefined(ctx, res, code, src)
+	if err != nil || cand.FPTrace.Err != nil {
+		return err
 	}
 	idx := len(res.Candidates)
 	added := false
@@ -419,7 +428,7 @@ func (p *Pipeline) admitRefinedInter(res *Result, code string) {
 		}
 	}
 	if !added {
-		return // agrees with neither top cluster: discard
+		return nil // agrees with neither top cluster: discard
 	}
 	cand.Index = idx
 	res.Candidates = append(res.Candidates, cand)
@@ -427,6 +436,7 @@ func (p *Pipeline) admitRefinedInter(res *Result, code string) {
 	sort.SliceStable(res.Clusters, func(a, b int) bool {
 		return res.Clusters[a].Score > res.Clusters[b].Score
 	})
+	return nil
 }
 
 // pickFinal selects the output: the top cluster's refined candidate when one
@@ -459,42 +469,4 @@ func (p *Pipeline) pickFinal(res *Result) {
 		res.Final = res.Candidates[0].Code
 		res.FinalIndex = 0
 	}
-}
-
-// refineWithTransientRetry mirrors generateWithTransientRetry for Refine.
-func (p *Pipeline) refineWithTransientRetry(ctx context.Context, req llm.RefineRequest) (llm.Response, error) {
-	transientRetries := p.cfg.LLMRetries
-	var lastErr error
-	for t := 0; t < transientRetries; t++ {
-		resp, err := p.client.Refine(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !errors.Is(err, llm.ErrTransient) {
-			return llm.Response{}, fmt.Errorf("%w: %v", ErrLLM, err)
-		}
-		req.SampleIndex += 1000 // draw fresh randomness on retry
-		p.sleep(p.cfg.RetryBaseDelay * time.Duration(t+1))
-	}
-	return llm.Response{}, fmt.Errorf("%w: %v", ErrLLM, lastErr)
-}
-
-// judgeWithTransientRetry mirrors generateWithTransientRetry for JudgeOutput.
-func (p *Pipeline) judgeWithTransientRetry(ctx context.Context, req llm.JudgeRequest) (llm.JudgeResponse, error) {
-	transientRetries := p.cfg.LLMRetries
-	var lastErr error
-	for t := 0; t < transientRetries; t++ {
-		resp, err := p.client.JudgeOutput(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !errors.Is(err, llm.ErrTransient) {
-			return llm.JudgeResponse{}, fmt.Errorf("%w: %v", ErrLLM, err)
-		}
-		req.SampleIndex += 1000
-		p.sleep(p.cfg.RetryBaseDelay * time.Duration(t+1))
-	}
-	return llm.JudgeResponse{}, fmt.Errorf("%w: %v", ErrLLM, lastErr)
 }

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/testbench"
+	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
 )
 
@@ -41,7 +43,11 @@ func TestSuiteGoldensBackendEquivalence(t *testing.T) {
 			{"interpreter", ti, testbench.BackendInterpreter},
 			{"compiled", tc, testbench.BackendCompiled},
 		} {
-			fp := testbench.RunFingerprint(src, TopModule, st, pair.backend)
+			fps, err := testbench.RunFingerprints(context.Background(), []*ast.Source{src}, TopModule, st, pair.backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := fps[0]
 			if fp.Err != nil {
 				t.Fatalf("%s: %s fingerprint run failed: %v", task.ID, pair.name, fp.Err)
 			}

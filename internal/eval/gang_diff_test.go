@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -46,11 +47,11 @@ func fpEqual(t *testing.T, label string, got, want *testbench.FPTrace) {
 
 // TestSuiteGangFingerprintEquivalence runs every golden design in the
 // 156-task benchmark, plus random semantic mutants of each, through
-// RunFingerprintGang at several gang partitionings and requires bit-identical
-// fingerprints to solo runs of the same candidates. This is the suite-wide
-// acceptance gate for gang ranking: it covers every construct family the
-// benchmark exercises, healthy and buggy lanes in the same gang, and both the
-// lockstep drive loop and its solo fallbacks.
+// RunFingerprints at several gang partitionings and requires bit-identical
+// fingerprints to solo printed-trace runs of the same candidates. This is the
+// suite-wide acceptance gate for gang ranking: it covers every construct
+// family the benchmark exercises, healthy and buggy lanes in the same gang,
+// and both the lockstep drive loop and its solo fallbacks.
 func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 	rng := xrng.New(91)
 	for _, task := range Suite() {
@@ -74,15 +75,15 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 		}
 		st := testbench.NewGenerator(9 + int64(task.Index)).Ranking(task.Ifc)
 
-		// Solo baselines on a fresh stimulus value (memo-miss).
+		// Solo baselines: printed-trace runs, which share no memo or gang.
 		solo := make([]*testbench.FPTrace, len(srcs))
 		soloSt := freshStimulus(st)
 		for i, src := range srcs {
-			solo[i] = testbench.RunFingerprint(src, TopModule, soloSt, testbench.BackendCompiled)
+			solo[i] = testbench.RunBackend(src, TopModule, soloSt, testbench.BackendCompiled).FP()
 		}
 
 		for _, chunk := range []int{1, 2, len(srcs)} {
-			got := runGangChunks(srcs, freshStimulus(st), chunk)
+			got := runGangChunks(t, srcs, freshStimulus(st), chunk)
 			for i := range srcs {
 				fpEqual(t, fmt.Sprintf("%s chunk=%d cand=%d", task.ID, chunk, i), got[i], solo[i])
 			}
@@ -90,12 +91,17 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 	}
 }
 
-// runGangChunks runs srcs through RunFingerprintGang in gangs of chunk lanes.
-func runGangChunks(srcs []*ast.Source, st *testbench.Stimulus, chunk int) []*testbench.FPTrace {
+// runGangChunks runs srcs through RunFingerprints in gangs of chunk lanes.
+func runGangChunks(t *testing.T, srcs []*ast.Source, st *testbench.Stimulus, chunk int) []*testbench.FPTrace {
+	t.Helper()
 	got := make([]*testbench.FPTrace, 0, len(srcs))
 	for lo := 0; lo < len(srcs); lo += chunk {
 		hi := min(lo+chunk, len(srcs))
-		got = append(got, testbench.RunFingerprintGang(srcs[lo:hi], TopModule, st, testbench.BackendCompiled)...)
+		out, err := testbench.RunFingerprints(context.Background(), srcs[lo:hi], TopModule, st, testbench.BackendCompiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, out...)
 	}
 	return got
 }
@@ -136,11 +142,11 @@ func TestSuiteGangWideLanes(t *testing.T) {
 		solo := make([]*testbench.FPTrace, len(srcs))
 		soloSt := freshStimulus(st)
 		for i, src := range srcs {
-			solo[i] = testbench.RunFingerprint(src, TopModule, soloSt, testbench.BackendCompiled)
+			solo[i] = testbench.RunBackend(src, TopModule, soloSt, testbench.BackendCompiled).FP()
 		}
 
 		for _, chunk := range []int{8, 64} {
-			got := runGangChunks(srcs, freshStimulus(st), chunk)
+			got := runGangChunks(t, srcs, freshStimulus(st), chunk)
 			for i := range srcs {
 				fpEqual(t, fmt.Sprintf("%s chunk=%d cand=%d", task.ID, chunk, i), got[i], solo[i])
 			}

@@ -108,7 +108,13 @@ func (o *Oracle) build(ot *oracleTask, task eval.Task) error {
 	if err != nil {
 		return fmt.Errorf("%w: golden parse: %v", ErrExperiment, err)
 	}
-	golden := testbench.RunFingerprint(src, eval.TopModule, st, o.Backend)
+	// A background context: the golden run is shared by every later caller
+	// of prepare, so no one caller's cancellation may cut it short.
+	fps, err := testbench.RunFingerprints(context.Background(), []*ast.Source{src}, eval.TopModule, st, o.Backend)
+	if err != nil {
+		return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, err)
+	}
+	golden := fps[0]
 	if golden.Err != nil {
 		return fmt.Errorf("%w: golden simulation: %v", ErrExperiment, golden.Err)
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Inline FNV-1a, matching hash/fnv's 64-bit variant byte for byte. The
 // streaming fingerprint path folds output bits into a running hash without
@@ -11,7 +8,7 @@ import (
 // either (hash/fnv boxes a new hasher per call).
 const (
 	// FNVOffset64 is the FNV-1a 64-bit offset basis — the seed callers pass
-	// for the first HashOutput call of a digest.
+	// for the first HashOutputH call of a digest.
 	FNVOffset64 uint64 = 0xcbf29ce484222325
 	// FNVPrime64 is the matching multiplier. Exported alongside the offset
 	// so callers folding their own bytes into the same digest (testbench's
@@ -20,24 +17,15 @@ const (
 	FNVPrime64 uint64 = 0x100000001b3
 )
 
-// HashOutput folds the binary rendering of a top-level net at the given
-// width into a running FNV-1a hash and returns the updated hash. The bytes
-// hashed are exactly the bytes AppendOutput would append (equivalently,
-// Output(name).Resize(width).String()): the decimal width, "'b", then one
-// character per bit MSB-first with bits beyond the net width reading as
-// known 0. Two outputs therefore collide exactly when their printed strings
-// are equal, which makes streaming fingerprints interchangeable with
-// printed-trace fingerprints. Allocates nothing.
-func (en *Engine) HashOutput(h uint64, name string, width int) (uint64, error) {
-	idx, ok := en.d.topIdx[name]
-	if !ok {
-		return h, fmt.Errorf("%w: %q", ErrUnknownNet, name)
-	}
-	return en.HashOutputH(h, int(idx), width), nil
-}
-
-// HashOutputH is HashOutput through a handle: the streaming fingerprint hot
-// path, with the per-output map lookup hoisted out entirely.
+// HashOutputH folds the binary rendering of the top-level net behind handle
+// idx (see OutputHandle) at the given width into a running FNV-1a hash and
+// returns the updated hash. The bytes hashed are exactly the bytes
+// AppendOutput would append (equivalently, Output(name).Resize(width).String()):
+// the decimal width, "'b", then one character per bit MSB-first with bits
+// beyond the net width reading as known 0. Two outputs therefore collide
+// exactly when their printed strings are equal, which makes streaming
+// fingerprints interchangeable with printed-trace fingerprints. It is the
+// streaming fingerprint hot path and allocates nothing.
 func (en *Engine) HashOutputH(h uint64, idx int, width int) uint64 {
 	cn := &en.d.nets[idx]
 	sv := en.val[cn.off : cn.off+cn.nw]

@@ -436,11 +436,12 @@ func (dp *diffPair) compareOutputs(t *testing.T, label, src string) {
 			if !ok {
 				continue
 			}
+			idx, err := en.OutputHandle(out.Name)
+			if err != nil {
+				t.Fatalf("%s OutputHandle(%s): %v", b.name, out.Name, err)
+			}
 			for _, w := range []int{vc.Width(), vc.Width() + 3} {
-				got, err := en.HashOutput(FNVOffset64, out.Name, w)
-				if err != nil {
-					t.Fatalf("%s HashOutput(%s): %v", b.name, out.Name, err)
-				}
+				got := en.HashOutputH(FNVOffset64, idx, w)
 				if want := fnvTest(FNVOffset64, vc.Resize(w).String()); got != want {
 					t.Fatalf("%s: output %s streaming hash diverges from printed hash at width %d (%s)\n%s",
 						label, out.Name, w, vc.Resize(w), src)

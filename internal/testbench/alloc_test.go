@@ -66,16 +66,9 @@ endmodule
 	}
 }
 
-// TestRunFingerprintAllocBudget is the fingerprint-path counterpart: a full
-// run on the compiled backend (warm compile cache, pooled engines) must
-// allocate a small constant — the FPTrace shell and backend closures — and
-// exactly ZERO per step or per recorded output. This is the
-// zero-alloc-per-step regression gate for the streaming ranking path.
-func TestRunFingerprintAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector perturbs sync.Pool and allocation accounting")
-	}
-	const src = `
+// allocAccumSrc is a 16-bit accumulator with two outputs, the design the
+// fingerprint allocation gates run.
+const allocAccumSrc = `
 module top_module (
     input clk,
     input reset,
@@ -90,11 +83,9 @@ module top_module (
     assign inv = ~q;
 endmodule
 `
-	parsed, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ifc := Interface{
+
+func allocAccumIfc() Interface {
+	return Interface{
 		Inputs: []PortSpec{
 			{Name: "clk", Width: 1}, {Name: "reset", Width: 1}, {Name: "d", Width: 16},
 		},
@@ -102,11 +93,25 @@ endmodule
 		Clock:   "clk",
 		Reset:   "reset",
 	}
-	st := NewGenerator(9).Verification(ifc)
+}
+
+// TestRunFingerprintAllocBudget is the fingerprint-path counterpart on a
+// memo hit: after the first run publishes the trace, a run of one must
+// allocate a small constant — the plan and its result slice — whatever the
+// stimulus size.
+func TestRunFingerprintAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool and allocation accounting")
+	}
+	parsed, err := parser.Parse(allocAccumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewGenerator(9).Verification(allocAccumIfc())
 
 	var last *FPTrace
 	run := func() {
-		last = RunFingerprint(parsed, "top_module", st, BackendCompiled)
+		last = runOne(parsed, "top_module", st, BackendCompiled)
 		if last.Err != nil {
 			t.Fatal(last.Err)
 		}
@@ -117,18 +122,56 @@ endmodule
 		t.Fatal("fingerprint run disagrees with trace run")
 	}
 
-	// Steps and recorded outputs number in the hundreds here; the budget is
-	// a flat constant so any per-step allocation fails loudly.
 	const budget = 8.0
 	allocs := testing.AllocsPerRun(10, run)
-	steps := 0
-	for _, c := range stimCases(st) {
-		steps += len(c.Steps)
-	}
-	t.Logf("fingerprint run: %.0f allocs over %d cases / %d steps (budget %.0f)",
-		allocs, st.NumCases(), steps, budget)
+	t.Logf("memo-hit fingerprint run: %.0f allocs over %d cases (budget %.0f)", allocs, st.NumCases(), budget)
 	if allocs > budget {
 		t.Fatalf("one fingerprint run allocates %.0f objects, budget %.0f", allocs, budget)
+	}
+}
+
+// TestRunFingerprintMissAllocBudget gates a run of one that simulates: the
+// memo entry is removed before each measured run, so every run claims it,
+// binds from the warm bind memo, drives a gang of one through every case and
+// publishes. It must allocate the same flat count at the 3-case ranking
+// stimulus and the 8-case verification stimulus: exactly ZERO per case, step
+// or recorded output. This is the zero-alloc-per-step regression gate for the
+// streaming ranking path.
+func TestRunFingerprintMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool and allocation accounting")
+	}
+	parsed, err := parser.Parse(allocAccumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(9)
+	stims := []*Stimulus{g.Ranking(allocAccumIfc()), g.Verification(allocAccumIfc())}
+	const budget = 12.0
+	counts := make([]float64, len(stims))
+	for i, st := range stims {
+		key := memoKey(parsed, "top_module", st, nil)
+		sims := ReadStoreStats().Sims
+		run := func() {
+			fpMemo.Remove(key)
+			if tr := runOne(parsed, "top_module", st, BackendCompiled); tr.Err != nil {
+				t.Fatal(tr.Err)
+			}
+		}
+		run() // warm the compile cache, the bind memo and the engine pool
+		allocs := testing.AllocsPerRun(10, run)
+		counts[i] = allocs
+		if got := ReadStoreStats().Sims - sims; got != 12 {
+			t.Fatalf("%d-case stimulus: %d simulations over 12 runs, want 12 (every run must miss)", st.NumCases(), got)
+		}
+		t.Logf("memo-miss fingerprint run: %.0f allocs over %d cases (budget %.0f)", allocs, st.NumCases(), budget)
+		if allocs > budget {
+			t.Fatalf("%d-case stimulus: one memo-miss fingerprint run allocates %.0f objects, budget %.0f", st.NumCases(), allocs, budget)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("memo-miss run allocates %.0f objects at %d cases but %.0f at %d: the count grows with the stimulus",
+			counts[0], stims[0].NumCases(), counts[1], stims[1].NumCases())
 	}
 }
 

@@ -114,11 +114,11 @@ func TestStimulusIdenticalAcrossBackendsAndWorkers(t *testing.T) {
 		t.Fatal("cached stimulus not shared")
 	}
 	src := mustParse(t, schedSeqSrc4bitAdapter)
-	want := RunFingerprint(src, "top_module", st, BackendCompiled)
+	want := runOne(src, "top_module", st, BackendCompiled)
 	if want.Err != nil {
 		t.Fatal(want.Err)
 	}
-	interp := RunFingerprint(src, "top_module", st, BackendInterpreter)
+	interp := runOne(src, "top_module", st, BackendInterpreter)
 	if !FPAgrees(want, interp) {
 		t.Fatal("backends disagree under the shared stimulus")
 	}
@@ -134,7 +134,7 @@ func TestStimulusIdenticalAcrossBackendsAndWorkers(t *testing.T) {
 			if i%4 == 3 {
 				backend = BackendInterpreter
 			}
-			results[i] = RunFingerprint(src, "top_module", st, backend)
+			results[i] = runOne(src, "top_module", st, backend)
 		}(i)
 	}
 	wg.Wait()

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/resultstore"
 	"repro/internal/serve/faultinject"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
@@ -35,7 +37,7 @@ func TestGangPanicIsolatedToCandidate(t *testing.T) {
 	faultinject.ArmFrom(faultinject.PointSimCase, victim, 1, func() {
 		panic("injected simulator crash")
 	})
-	out, err := RunFingerprintGangCtx(context.Background(), srcs, "top_module", st, BackendCompiled)
+	out, err := RunFingerprints(context.Background(), srcs, "top_module", st, BackendCompiled)
 	if err != nil {
 		t.Fatalf("faulted batch returned batch-level error: %v", err)
 	}
@@ -43,13 +45,13 @@ func TestGangPanicIsolatedToCandidate(t *testing.T) {
 		t.Fatalf("victim error = %v, want ErrSimPanic", out[1].Err)
 	}
 	for _, i := range []int{0, 2} {
-		fpTraceEqual(t, "faulted/survivor", out[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
+		fpTraceEqual(t, "faulted/survivor", out[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
 	}
 
 	faultinject.Reset()
-	clean := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
+	clean := runBatch(srcs, "top_module", st, BackendCompiled)
 	for i := range srcs {
-		fpTraceEqual(t, "post-fault rerun", clean[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
+		fpTraceEqual(t, "post-fault rerun", clean[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
 	}
 	if clean[1].Err != nil {
 		t.Fatalf("victim still failing after disarm: %v", clean[1].Err)
@@ -68,15 +70,15 @@ func TestGangCancelAtCaseN(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	faultinject.Arm(faultinject.PointSimCase, "", 3, cancel)
-	out, err := RunFingerprintGangCtx(ctx, srcs, "top_module", st, BackendCompiled)
+	out, err := RunFingerprints(ctx, srcs, "top_module", st, BackendCompiled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (out=%v), want context.Canceled", err, out)
 	}
 
 	faultinject.Reset()
-	clean := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
+	clean := runBatch(srcs, "top_module", st, BackendCompiled)
 	for i := range srcs {
-		fpTraceEqual(t, "post-cancel rerun", clean[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
+		fpTraceEqual(t, "post-cancel rerun", clean[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
 	}
 }
 
@@ -91,7 +93,7 @@ func TestMemoClaimReleasedUnderCancel(t *testing.T) {
 	defer faultinject.Reset()
 	src := mustParse(t, schedSeqSrc)
 	st := NewGenerator(41).Ranking(schedSeqIfc())
-	want := runFingerprintSolo(src, "top_module", st, BackendCompiled)
+	want := soloRun(src, "top_module", st, BackendCompiled)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -105,13 +107,13 @@ func TestMemoClaimReleasedUnderCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, cancelledErr = RunFingerprintCtx(ctx, src, "top_module", st, BackendCompiled)
+		_, cancelledErr = runOneCtx(ctx, src, "top_module", st, BackendCompiled)
 	}()
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunFingerprintCtx(context.Background(), src, "top_module", st, BackendCompiled)
+			results[i], errs[i] = runOneCtx(context.Background(), src, "top_module", st, BackendCompiled)
 		}(i)
 	}
 	wg.Wait()
@@ -145,14 +147,14 @@ func TestBindPanicDoesNotPoisonMemo(t *testing.T) {
 	faultinject.Arm(faultinject.PointBind, "", 1, func() {
 		panic("injected bind crash")
 	})
-	tr := runFingerprintSolo(src, "top_module", st, BackendCompiled)
+	tr := soloRun(src, "top_module", st, BackendCompiled)
 	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
 		t.Fatalf("faulted bind error = %v, want ErrSimPanic", tr.Err)
 	}
 
 	faultinject.Reset()
-	want := runFingerprintSolo(src, "top_module", NewGenerator(43).Ranking(schedSeqIfc()), BackendCompiled)
-	fpTraceEqual(t, "post-bind-crash", runFingerprintSolo(src, "top_module", st, BackendCompiled), want)
+	want := soloRun(src, "top_module", NewGenerator(43).Ranking(schedSeqIfc()), BackendCompiled)
+	fpTraceEqual(t, "post-bind-crash", soloRun(src, "top_module", st, BackendCompiled), want)
 }
 
 // TestGangBindPanicFallsBackSolo crashes the bind once during a gang run:
@@ -167,26 +169,116 @@ func TestGangBindPanicFallsBackSolo(t *testing.T) {
 	faultinject.Arm(faultinject.PointBind, "", 1, func() {
 		panic("injected bind crash")
 	})
-	out := RunFingerprintGang(srcs, "top_module", st, BackendCompiled)
+	out := runBatch(srcs, "top_module", st, BackendCompiled)
 	faultinject.Reset()
 	for i := range srcs {
-		fpTraceEqual(t, "gang-bind-crash", out[i], runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled))
+		fpTraceEqual(t, "gang-bind-crash", out[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
 	}
 }
 
 // TestRunFingerprintCtxPreCancelled: a context that is already dead must
-// reject the run before any simulation, leaving no claim behind.
+// reject a run of one before any simulation, leaving no claim behind.
 func TestRunFingerprintCtxPreCancelled(t *testing.T) {
 	src := mustParse(t, schedSeqSrc)
 	st := NewGenerator(53).Ranking(schedSeqIfc())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFingerprintCtx(ctx, src, "top_module", st, BackendCompiled); !errors.Is(err, context.Canceled) {
+	srcs := []*ast.Source{src}
+	if _, err := RunFingerprints(ctx, srcs, "top_module", st, BackendCompiled); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The claim must have been released: a clean run still works.
-	tr, err := RunFingerprintCtx(context.Background(), src, "top_module", st, BackendCompiled)
-	if err != nil || tr.Err != nil {
-		t.Fatalf("post-cancel run: %v / %v", err, tr.Err)
+	out, err := RunFingerprints(context.Background(), srcs, "top_module", st, BackendCompiled)
+	if err != nil || out[0].Err != nil {
+		t.Fatalf("post-cancel run: %v / %v", err, out)
+	}
+}
+
+// gateStore is an empty store whose Get reports its arrival and then blocks
+// until gate closes: it holds a plan that adopted a claim at the store
+// lookup Finish makes before running the job.
+type gateStore struct {
+	resultstore.Store
+	arrived chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gateStore) Get(ctx context.Context, k resultstore.Key) ([]byte, bool, error) {
+	select {
+	case g.arrived <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.Store.Get(ctx, k)
+}
+
+// TestGangPlanCrossedAdoption: a third caller holds the claims of two jobs,
+// and two plans wait on them in opposite orders. The third caller aborts
+// both, and each plan adopts the claim it waits on first; a gated store
+// holds both plans at their adoption until each holds one claim. A plan
+// that kept its adopted claim while it waited on the other entry would now
+// deadlock against the other plan. Finish runs each adopted job before it
+// waits again, so both return, with solo-identical traces. Run with -race.
+func TestGangPlanCrossedAdoption(t *testing.T) {
+	a, b := mustParse(t, schedSeqSrc), mustParse(t, gangSeqVariant)
+	st := NewGenerator(61).Ranking(schedSeqIfc())
+	var held []*fpEntry
+	for _, src := range []*ast.Source{a, b} {
+		e, owner := fpMemo.Acquire(memoKey(src, "top_module", st, nil))
+		if !owner {
+			t.Fatal("premise: a fresh stimulus must miss the memo")
+		}
+		held = append(held, e)
+	}
+
+	orders := [][]*ast.Source{{a, b}, {b, a}}
+	results := make([][]*FPTrace, len(orders))
+	errs := make([]error, len(orders))
+	var wg sync.WaitGroup
+	for i, srcs := range orders {
+		p := PlanGang(context.Background(), srcs, "top_module", st, BackendCompiled)
+		if p.Pending(0) || p.Pending(1) {
+			t.Fatal("premise: both jobs must wait on the held claims")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer p.Release()
+			if errs[i] = p.Run(context.Background(), []int{0, 1}); errs[i] == nil {
+				results[i], errs[i] = p.Finish(context.Background())
+			}
+		}()
+	}
+	// Installed only now, so planning above read no store.
+	gs := &gateStore{Store: resultstore.NewMemory(16), arrived: make(chan struct{}, len(orders)), gate: make(chan struct{})}
+	installStore(t, gs)
+	for _, e := range held {
+		e.Abort()
+	}
+	bound := time.After(30 * time.Second)
+	for range orders {
+		select {
+		case <-gs.arrived:
+		case <-bound:
+			close(gs.gate)
+			t.Fatal("the plans did not both adopt a claim")
+		}
+	}
+	close(gs.gate) // each plan now holds the claim the other waits on next
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-bound:
+		t.Fatal("plans that adopted crossed claims did not finish: deadlock")
+	}
+	for i, srcs := range orders {
+		if errs[i] != nil {
+			t.Fatalf("plan %d: %v", i, errs[i])
+		}
+		for j, src := range srcs {
+			fpTraceEqual(t, "crossed adoption", results[i][j], soloRun(src, "top_module", st, BackendCompiled))
+		}
 	}
 }

@@ -99,7 +99,7 @@ func TestRunFingerprintMatchesTrace(t *testing.T) {
 		}
 		for _, backend := range []Backend{BackendCompiled, BackendInterpreter} {
 			tr := RunBackend(parsed, "top_module", st, backend)
-			fp := RunFingerprint(parsed, "top_module", st, backend)
+			fp := runOne(parsed, "top_module", st, backend)
 			if (tr.Err == nil) != (fp.Err == nil) {
 				t.Fatalf("%s: error divergence: trace=%v fp=%v", backend, tr.Err, fp.Err)
 			}
@@ -118,7 +118,7 @@ func TestRunFingerprintMatchesTrace(t *testing.T) {
 				t.Fatalf("%s: whole-run fingerprint diverges", backend)
 			}
 			if ffp := tr.FP(); !FPAgrees(fp, ffp) || ffp.Fingerprint() != fp.Fingerprint() {
-				t.Fatalf("%s: Trace.FP() view disagrees with RunFingerprint", backend)
+				t.Fatalf("%s: Trace.FP() view disagrees with RunFingerprints", backend)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ endmodule
 	st := NewGenerator(7).Ranking(ifc)
 	for _, backend := range []Backend{BackendCompiled, BackendInterpreter} {
 		tr := RunBackend(parsed, "top_module", st, backend)
-		fp := RunFingerprint(parsed, "top_module", st, backend)
+		fp := runOne(parsed, "top_module", st, backend)
 		if tr.Err != nil || fp.Err != nil {
 			t.Fatalf("%s: run errors: %v / %v", backend, tr.Err, fp.Err)
 		}
@@ -186,7 +186,7 @@ endmodule
 	}
 	st := NewGenerator(3).Ranking(ifc)
 	tr := Run(badAst, "top_module", st)
-	fp := RunFingerprint(badAst, "top_module", st, BackendCompiled)
+	fp := runOne(badAst, "top_module", st, BackendCompiled)
 	if tr.Err == nil || fp.Err == nil {
 		t.Fatalf("expected runtime failure, got trace=%v fp=%v", tr.Err, fp.Err)
 	}
@@ -203,7 +203,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	okFP := RunFingerprint(okAst, "top_module", NewGenerator(3).Ranking(combIfc()), BackendCompiled)
+	okFP := runOne(okAst, "top_module", NewGenerator(3).Ranking(combIfc()), BackendCompiled)
 	if FPAgrees(fp, okFP) {
 		t.Fatal("errored run must not agree with a clean run")
 	}
@@ -222,8 +222,8 @@ func TestFPCaseAgreesMirrorsCaseAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	trX, trO := Run(xorAst, "top_module", st), Run(orAst, "top_module", st)
-	fpX := RunFingerprint(xorAst, "top_module", st, BackendCompiled)
-	fpO := RunFingerprint(orAst, "top_module", st, BackendCompiled)
+	fpX := runOne(xorAst, "top_module", st, BackendCompiled)
+	fpO := runOne(orAst, "top_module", st, BackendCompiled)
 	if Agrees(trX, trO) != FPAgrees(fpX, fpO) {
 		t.Fatal("whole-run agreement diverges between paths")
 	}

@@ -25,8 +25,9 @@ import (
 // constantly — the same candidate ranked under three pipeline variants,
 // verified against the same dense stimulus across runs, re-simulated per
 // bench iteration. The memo is a memo.Cache: single-flight, so concurrent
-// gangs and solo runs never duplicate a run, and LRU-bounded with in-flight
-// entries pinned.
+// plans never duplicate a run, and LRU-bounded with in-flight entries
+// pinned. GangPlan is the only code that claims, publishes, aborts and
+// stores its entries.
 //
 // Verification runs are verdict-grade: a lane stops at the first case whose
 // fingerprint differs from the golden's, so its trace is a prefix that
@@ -128,50 +129,46 @@ type gangLane struct {
 	tr  *FPTrace
 }
 
-// RunFingerprintGang is RunFingerprint over a batch of candidates sharing
-// one stimulus: every result is bit-identical to the solo run of the same
-// source, but all memo-missing candidates advance in lockstep on one SoA gang
-// (sim.SoAGang) through one schedule decode. Interpreter runs, compile
-// failures, irregular stimuli and failed bindings all take the solo path for
-// the affected candidate, preserving its exact solo behavior.
-func RunFingerprintGang(srcs []*ast.Source, top string, st *Stimulus, backend Backend) []*FPTrace {
-	out, err := RunFingerprintGangCtx(context.Background(), srcs, top, st, backend)
-	if err != nil {
-		// Unreachable with a background context: the only errors the ctx
-		// variant returns are the context's own.
-		panic(err)
-	}
-	return out
-}
-
-// RunFingerprintGangCtx is RunFingerprintGang under a cancellable context:
-// the run observes ctx between test cases and between lanes, so a cancel
+// RunFingerprints fingerprints a batch of candidates sharing one stimulus,
+// as one GangPlan; a single candidate is a batch of one. Every result equals
+// the solo run of the same source — the printed trace's fingerprints, with a
+// runtime failure folded into the trace rather than returned — but all
+// memo-missing candidates advance in lockstep on one SoA gang (sim.SoAGang)
+// through one schedule decode. Interpreter runs, compile failures, irregular
+// stimuli and failed bindings run solo for the affected candidate.
+//
+// Compiled runs are memoized process-wide by (design content, stimulus) and
+// read through the persistent store (see GangPlan): a memo or store hit
+// costs no compilation. Returned traces are shared and pre-warmed; callers
+// treat them as read-only.
+//
+// The run observes ctx between test cases and between lanes, so a cancel
 // lands within one case's worth of simulation. On cancellation it returns
 // ctx's error, aborting (never publishing) the memo claims of unfinished
-// lanes so the next job recomputes them to bit-identical results. A panic
+// jobs so the next caller recomputes them to bit-identical results. A panic
 // inside the lockstep walk never escapes: the crashed walk's unresolved
-// lanes are re-run solo, where a lane that crashes again resolves to a
-// per-candidate ErrSimPanic trace and every other lane reproduces its
-// bit-identical clean result.
-func RunFingerprintGangCtx(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend) ([]*FPTrace, error) {
-	return runFingerprintGang(ctx, srcs, top, st, backend, nil)
+// lanes re-run solo, where a lane that crashes again resolves to a
+// per-candidate ErrSimPanic trace and every other lane reproduces its clean
+// result.
+func RunFingerprints(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend) ([]*FPTrace, error) {
+	return runPlan(ctx, srcs, top, st, backend, nil)
 }
 
 // VerifyGang reports for each candidate whether it agrees with golden — a
 // clean run of st — on every case: the candidate must run clean and match
-// every case fingerprint. It is the verdict-only form of
-// RunFingerprintGangCtx: after each case the SoA gang retires every lane
-// whose case fingerprint differs from the golden's, and the walk stops once
-// no lane is live, so a failing candidate costs only the cases up to its
-// first disagreement. Verdicts equal comparing full traces. A retired lane's
-// prefix decides the verdict only against this golden, so the memo and the
-// persistent store keep verdict-grade results under keys that include it.
+// every case fingerprint. It is the verdict-only form of RunFingerprints:
+// after each case the SoA gang retires every lane whose case fingerprint
+// differs from the golden's, and the walk stops once no lane is live, so a
+// failing candidate costs only the cases up to its first disagreement.
+// Verdicts equal comparing full traces. A retired lane's prefix decides the
+// verdict only against this golden, so the memo and the persistent store
+// keep verdict-grade results under keys that include it.
 func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, golden *FPTrace) ([]bool, error) {
 	if golden.Err != nil || len(golden.CaseFPs) != st.NumCases() {
 		return nil, fmt.Errorf("testbench: verify: golden is not a clean run of the stimulus (err %v, %d of %d cases)",
 			golden.Err, len(golden.CaseFPs), st.NumCases())
 	}
-	trs, err := runFingerprintGang(ctx, srcs, top, st, backend, golden)
+	trs, err := runPlan(ctx, srcs, top, st, backend, golden)
 	if err != nil {
 		return nil, err
 	}
@@ -182,9 +179,9 @@ func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulu
 	return out, nil
 }
 
-// runFingerprintGang runs the batch with full traces (ref == nil) or
-// verdict-grade traces cut against the golden ref, as one GangPlan.
-func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, ref *FPTrace) ([]*FPTrace, error) {
+// runPlan runs the batch with full traces (ref == nil) or verdict-grade
+// traces cut against the golden ref, as one GangPlan.
+func runPlan(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, ref *FPTrace) ([]*FPTrace, error) {
 	p := planGang(ctx, srcs, top, st, backend, ref)
 	defer p.Release()
 	all := make([]int, len(srcs))
@@ -205,10 +202,12 @@ func runFingerprintGang(ctx context.Context, srcs []*ast.Source, top string, st 
 // stays claimed by the plan until Run simulates it. So a job's store record
 // is read once per plan, and only the jobs Run simulates are compiled.
 //
-// Run never waits on a claim, and Finish waits only once every claim the
-// plan held is published or released: two plans that each hold a claim the
-// other needs cannot deadlock. Release frees the claims of jobs that never
-// ran (cancellation, errors); call it when done with the plan.
+// Run never waits on a claim, and Finish waits only while the plan holds
+// none: every claim the plan took is published or released by then, and a
+// claim Finish adopts is run before it waits again. So two plans that each
+// need a claim the other holds cannot deadlock. Release frees the claims of
+// jobs that never ran (cancellation, errors); call it when done with the
+// plan.
 type GangPlan struct {
 	srcs    []*ast.Source
 	top     string
@@ -228,11 +227,13 @@ func PlanGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus,
 }
 
 func planGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, ref *FPTrace) *GangPlan {
+	n := len(srcs)
+	claims := make([]*fpEntry, 2*n) // owned, then wait: one allocation
 	p := &GangPlan{
 		srcs: srcs, top: top, st: st, backend: backend, ref: ref,
-		out:   make([]*FPTrace, len(srcs)),
-		owned: make([]*fpEntry, len(srcs)),
-		wait:  make([]*fpEntry, len(srcs)),
+		out:   make([]*FPTrace, n),
+		owned: claims[:n:n],
+		wait:  claims[n:],
 	}
 	if backend == BackendInterpreter {
 		return p
@@ -286,8 +287,8 @@ func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == 
 // On cancellation it returns ctx's error, leaving unfinished jobs claimed
 // for Release.
 func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
-	lanes := make([]gangLane, 0, len(jobs))
-	laneJob := make([]int, 0, len(jobs))
+	var lanes []gangLane // made on the first lane: a plan of hits allocates none
+	var laneJob []int
 	defer func() {
 		// On every exit, a panic included, resolved lanes leave the claims
 		// the plan still holds: finishLane has published or aborted them.
@@ -314,15 +315,22 @@ func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
 			}
 		}
 		if d == nil {
-			tr, err := runFingerprintSoloCtx(ctx, src, p.top, p.st, p.backend)
+			tr, err := runSolo(ctx, src, p.top, p.st, p.backend)
 			if err != nil {
 				return err
 			}
 			p.out[j] = tr
 			continue
 		}
+		if lanes == nil {
+			lanes = make([]gangLane, 0, len(jobs))
+			laneJob = make([]int, 0, len(jobs))
+		}
 		lanes = append(lanes, gangLane{src: src, d: d, e: p.owned[j]})
 		laneJob = append(laneJob, j)
+	}
+	if lanes == nil {
+		return nil
 	}
 	if err := runGangLanesCtx(ctx, lanes, p.top, p.st, p.backend, p.ref); err != nil {
 		return err
@@ -353,9 +361,12 @@ func (p *GangPlan) Fail(jobs []int, err error) {
 	}
 }
 
-// Finish collects the jobs left to other callers — adopting and computing
-// any whose owner released its claim — and returns every job's trace,
-// aligned with srcs. Call it after Run has covered every job.
+// Finish collects the jobs left to other callers and returns every job's
+// trace, aligned with srcs. Call it after Run has covered every job. A job
+// whose owner released its claim is adopted: answered from the store when it
+// holds the trace, else run by Run as a gang of one, before Finish waits on
+// the next entry — so the plan never waits while it holds a claim, and two
+// plans that adopt each other's aborted claims cannot deadlock.
 func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
 	for j, e := range p.wait {
 		if e == nil {
@@ -365,14 +376,17 @@ func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if adopted {
-			// The claim's previous owner aborted (cancelled or crashed
-			// elsewhere); this plan inherits the slot and computes solo.
-			if tr, err = runFingerprintOwned(ctx, e, p.srcs[j], p.top, p.st, p.backend); err != nil {
+		p.wait[j] = nil
+		if !adopted {
+			p.out[j] = tr
+			continue
+		}
+		if p.out[j] = lookupClaimed(ctx, e); p.out[j] == nil {
+			p.owned[j] = e
+			if err := p.Run(ctx, []int{j}); err != nil {
 				return nil, err
 			}
 		}
-		p.out[j], p.wait[j] = tr, nil
 	}
 	return p.out, nil
 }
@@ -403,14 +417,6 @@ func finishLane(ln *gangLane, tr *FPTrace) {
 	}
 }
 
-// runGangLanes is runGangLanesCtx without cancellation (tests drive it
-// directly with memo-bypassing lanes).
-func runGangLanes(lanes []gangLane, top string, st *Stimulus, backend Backend) {
-	if err := runGangLanesCtx(context.Background(), lanes, top, st, backend, nil); err != nil {
-		panic(err) // unreachable: a background context never cancels
-	}
-}
-
 // runGangLanesCtx computes lanes[k].tr for every lane, publishing each
 // lane's memo entry (when present) as it resolves. With a golden ref, the
 // lockstep lanes stop at their first case that disagrees with it. Lanes
@@ -436,12 +442,12 @@ func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stim
 	// The lockstep walk crashed. Gang-vs-solo equivalence means every lane
 	// untouched by the fault reproduces its result solo bit-for-bit, and
 	// the faulty lane's own solo run converts the crash into its private
-	// ErrSimPanic trace (runFingerprintSoloCtx recovers per candidate).
+	// ErrSimPanic trace (runSolo recovers per candidate).
 	for k := range lanes {
 		if lanes[k].tr != nil {
 			continue
 		}
-		tr, serr := runFingerprintSoloCtx(ctx, lanes[k].src, top, st, backend)
+		tr, serr := runSolo(ctx, lanes[k].src, top, st, backend)
 		if serr != nil {
 			return serr
 		}
@@ -466,7 +472,7 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 	for li := range lanes {
 		ln := &lanes[li]
 		if sched == nil {
-			tr, err := runFingerprintSoloCtx(ctx, ln.src, top, st, backend)
+			tr, err := runSolo(ctx, ln.src, top, st, backend)
 			if err != nil {
 				return err
 			}
@@ -477,7 +483,7 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 		b, ok := cachedBind(ln.d, sched, en, &st.Ifc)
 		if !ok {
 			ln.d.ReleaseEngine(en)
-			tr, err := runFingerprintSoloCtx(ctx, ln.src, top, st, backend)
+			tr, err := runSolo(ctx, ln.src, top, st, backend)
 			if err != nil {
 				return err
 			}

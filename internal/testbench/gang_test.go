@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sim"
@@ -70,6 +71,39 @@ module top_module (
 endmodule
 `
 
+// runOneCtx is RunFingerprints over one candidate.
+func runOneCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
+	out, err := RunFingerprints(ctx, []*ast.Source{src}, top, st, backend)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// runOne is runBatch over one candidate.
+func runOne(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
+	return runBatch([]*ast.Source{src}, top, st, backend)[0]
+}
+
+// runBatch is RunFingerprints under a background context.
+func runBatch(srcs []*ast.Source, top string, st *Stimulus, backend Backend) []*FPTrace {
+	out, err := RunFingerprints(context.Background(), srcs, top, st, backend)
+	if err != nil {
+		panic(err) // a background context never cancels
+	}
+	return out
+}
+
+// soloRun is the unmemoized solo run under a background context: the
+// referee the memo, the gang and the store are held to.
+func soloRun(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
+	tr, err := runSolo(context.Background(), src, top, st, backend)
+	if err != nil {
+		panic(err) // a background context never cancels
+	}
+	return tr
+}
+
 // fpTraceEqual requires two fingerprint traces to agree exactly: error
 // bytes, per-case fingerprints and the whole-run digest.
 func fpTraceEqual(t *testing.T, label string, got, want *FPTrace) {
@@ -93,8 +127,8 @@ func fpTraceEqual(t *testing.T, label string, got, want *FPTrace) {
 	}
 }
 
-// TestGangLanesMatchSolo drives runGangLanes (memo bypassed: nil fpEntry)
-// against runFingerprintSolo for every lane kind the gang distinguishes —
+// TestGangLanesMatchSolo drives runGangLanesCtx (memo bypassed: nil fpEntry)
+// against runSolo for every lane kind the gang distinguishes —
 // healthy lanes, a disagreeing mutant, a runtime-error lane that retires
 // mid-gang, and a bind-failure lane that falls back to the solo path — on
 // sequential and combinational interfaces, on the SoA gang. A retiring lane
@@ -124,9 +158,11 @@ func TestGangLanesMatchSolo(t *testing.T) {
 				}
 				lanes = append(lanes, gangLane{src: parsed[i], d: d})
 			}
-			runGangLanes(lanes, "top_module", st, BackendCompiled)
+			if err := runGangLanesCtx(context.Background(), lanes, "top_module", st, BackendCompiled, nil); err != nil {
+				t.Fatal(err)
+			}
 			for i := range lanes {
-				solo := runFingerprintSolo(parsed[i], "top_module", st, BackendCompiled)
+				solo := soloRun(parsed[i], "top_module", st, BackendCompiled)
 				fpTraceEqual(t, tc.name+"/lane", lanes[i].tr, solo)
 			}
 		})
@@ -152,11 +188,13 @@ func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	lanes := []gangLane{{src: src, d: d}}
-	runGangLanes(lanes, "top_module", st, BackendCompiled)
-	fpTraceEqual(t, "irregular", lanes[0].tr, runFingerprintSolo(src, "top_module", st, BackendCompiled))
+	if err := runGangLanesCtx(context.Background(), lanes, "top_module", st, BackendCompiled, nil); err != nil {
+		t.Fatal(err)
+	}
+	fpTraceEqual(t, "irregular", lanes[0].tr, soloRun(src, "top_module", st, BackendCompiled))
 }
 
-// TestRunFingerprintGangMatchesSolo exercises the public batched entry point
+// TestRunFingerprintGangMatchesSolo exercises RunFingerprints over a batch
 // — memo, duplicate candidates, compile failures and interpreter delegation —
 // against unmemoized solo runs.
 func TestRunFingerprintGangMatchesSolo(t *testing.T) {
@@ -176,12 +214,12 @@ func TestRunFingerprintGangMatchesSolo(t *testing.T) {
 			// Fresh stimulus value per subtest: a fresh pointer misses the
 			// (design, stimulus) memo, so the gang really runs.
 			st := NewGenerator(5).Ranking(schedSeqIfc())
-			out := RunFingerprintGang(srcs, "top_module", st, tc.backend)
+			out := runBatch(srcs, "top_module", st, tc.backend)
 			if len(out) != len(srcs) {
 				t.Fatalf("result count %d, want %d", len(out), len(srcs))
 			}
 			for i, src := range srcs {
-				fpTraceEqual(t, tc.name, out[i], runFingerprintSolo(src, "top_module", st, tc.backend))
+				fpTraceEqual(t, tc.name, out[i], soloRun(src, "top_module", st, tc.backend))
 			}
 			if out[0].Fingerprint() != out[2].Fingerprint() {
 				t.Error("duplicate candidates disagree")
@@ -195,10 +233,10 @@ func TestRunFingerprintGangMatchesSolo(t *testing.T) {
 func TestRunFingerprintMemoConsistency(t *testing.T) {
 	src := mustParse(t, schedSeqSrc)
 	st := NewGenerator(23).Ranking(schedSeqIfc())
-	first := RunFingerprint(src, "top_module", st, BackendCompiled)
-	second := RunFingerprint(src, "top_module", st, BackendCompiled)
+	first := runOne(src, "top_module", st, BackendCompiled)
+	second := runOne(src, "top_module", st, BackendCompiled)
 	if first != second {
 		t.Error("memoized run not shared across identical calls")
 	}
-	fpTraceEqual(t, "memo", first, runFingerprintSolo(src, "top_module", st, BackendCompiled))
+	fpTraceEqual(t, "memo", first, soloRun(src, "top_module", st, BackendCompiled))
 }

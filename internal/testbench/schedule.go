@@ -309,7 +309,7 @@ func runCaseSched(s sim.Instance, st *Stimulus, sc *Schedule, b *binding, ci int
 	return ct, nil
 }
 
-// runCaseFPSched is runCaseFP on the scheduled fast path: it folds exactly
+// runCaseFPSched is runCaseSched for fingerprints: it folds exactly
 // the bytes runCaseSched records, allocating nothing per step or output.
 func runCaseFPSched(s sim.Instance, st *Stimulus, sc *Schedule, b *binding, ci int) (uint64, error) {
 	if b.clock >= 0 {

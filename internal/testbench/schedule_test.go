@@ -98,7 +98,7 @@ func TestScheduledRunMatchesLegacy(t *testing.T) {
 						}
 					}
 				}
-				fp := RunFingerprint(parsed, "top_module", st, backend)
+				fp := runOne(parsed, "top_module", st, backend)
 				if fp.Err != nil || fp.Fingerprint() != sched.Fingerprint() {
 					t.Fatalf("%v: scheduled fingerprint run disagrees with trace run", backend)
 				}
@@ -136,7 +136,7 @@ endmodule
 		if want.Err == nil || got.Err.Error() != want.Err.Error() {
 			t.Fatalf("%v: fallback error %q, legacy error %q", backend, got.Err, want.Err)
 		}
-		fp := RunFingerprint(mustParse(t, missingD), "top_module", st, backend)
+		fp := runOne(mustParse(t, missingD), "top_module", st, backend)
 		if fp.Err == nil || fp.Fingerprint() != got.Fingerprint() {
 			t.Fatalf("%v: fingerprint fallback diverges", backend)
 		}

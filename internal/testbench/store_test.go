@@ -84,7 +84,7 @@ func TestStoreRoundTripEquivalence(t *testing.T) {
 			stim := func() *Stimulus { return NewGenerator(7301).Ranking(schedSeqIfc()) }
 
 			pre := ReadStoreStats()
-			direct := RunFingerprint(src, "top_module", stim(), BackendCompiled)
+			direct := runOne(src, "top_module", stim(), BackendCompiled)
 			mid := ReadStoreStats()
 			if mid.Puts == pre.Puts {
 				t.Fatal("cold pass published nothing to the store")
@@ -92,7 +92,7 @@ func TestStoreRoundTripEquivalence(t *testing.T) {
 			if mid.Sims == pre.Sims {
 				t.Fatal("cold pass did not simulate")
 			}
-			warm := RunFingerprint(src, "top_module", stim(), BackendCompiled)
+			warm := runOne(src, "top_module", stim(), BackendCompiled)
 			post := ReadStoreStats()
 
 			sameTraces(t, "warm vs direct", warm, direct)
@@ -129,12 +129,12 @@ func TestGangStoreWarmSkipsSimulation(t *testing.T) {
 	}
 	stim := func() *Stimulus { return NewGenerator(7401).Ranking(schedSeqIfc()) }
 
-	cold := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled)
+	cold := runBatch(srcs, "top_module", stim(), BackendCompiled)
 	mid := ReadStoreStats()
 	if mid.Sims == 0 {
 		t.Fatal("cold gang pass performed no simulations")
 	}
-	warm := RunFingerprintGang(srcs, "top_module", stim(), BackendCompiled)
+	warm := runBatch(srcs, "top_module", stim(), BackendCompiled)
 	post := ReadStoreStats()
 	if post.Sims != mid.Sims {
 		t.Fatalf("warm gang pass simulated %d times, want 0", post.Sims-mid.Sims)
@@ -158,7 +158,7 @@ func TestStoreStampedeSingleFlight(t *testing.T) {
 	stim := func() *Stimulus { return NewGenerator(7501).Ranking(schedSeqIfc()) }
 
 	// Warm the store (fresh stimulus pointer: in-process memo misses).
-	want := RunFingerprint(src, "top_module", stim(), BackendCompiled)
+	want := runOne(src, "top_module", stim(), BackendCompiled)
 
 	cs.gets.Store(0)
 	pre := ReadStoreStats()
@@ -170,7 +170,7 @@ func TestStoreStampedeSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			traces[g] = RunFingerprint(src, "top_module", st, BackendCompiled)
+			traces[g] = runOne(src, "top_module", st, BackendCompiled)
 		}(g)
 	}
 	wg.Wait()
@@ -210,7 +210,7 @@ func TestStoreCancelMidPutLeavesStoreClean(t *testing.T) {
 	defer cancel()
 	faultinject.Arm(faultinject.PointStorePut, "", 1, cancel)
 	pre := ReadStoreStats()
-	first, err := RunFingerprintCtx(ctx, src, "top_module", stim(), BackendCompiled)
+	first, err := runOneCtx(ctx, src, "top_module", stim(), BackendCompiled)
 	if err != nil {
 		// The cancel lands after the simulation published its result; the
 		// run itself must still succeed.
@@ -231,7 +231,7 @@ func TestStoreCancelMidPutLeavesStoreClean(t *testing.T) {
 
 	// Re-run: recomputes (memo misses on the fresh stimulus), persists,
 	// and matches bit-identically.
-	second, err := RunFingerprintCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
+	second, err := runOneCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStoreCancelMidPutLeavesStoreClean(t *testing.T) {
 
 	// And a third pass is served from the store without simulating.
 	preWarm := ReadStoreStats()
-	third, err := RunFingerprintCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
+	third, err := runOneCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStorePanicIsConfined(t *testing.T) {
 		panic("injected: store medium failure mid-publish")
 	})
 	pre := ReadStoreStats()
-	tr, err := RunFingerprintCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
+	tr, err := runOneCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
 	if err != nil || tr == nil || tr.Err != nil {
 		t.Fatalf("run under store-put panic = (%v, %v), want clean result", tr, err)
 	}
@@ -286,7 +286,7 @@ func TestStorePanicIsConfined(t *testing.T) {
 	if n, _ := d.Len(); n != 0 {
 		t.Fatalf("panicked Put left %d entries", n)
 	}
-	rerun, err := RunFingerprintCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
+	rerun, err := runOneCtx(context.Background(), src, "top_module", stim(), BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestFPMemoEvictionSmallCap(t *testing.T) {
 	srcs := make([]*ast.Source, len(codes))
 	for i, code := range codes {
 		srcs[i] = mustParse(t, code)
-		first[i] = RunFingerprint(srcs[i], "top_module", st, BackendCompiled)
+		first[i] = runOne(srcs[i], "top_module", st, BackendCompiled)
 	}
 	if n := FPMemoLen(); n > 2 {
 		t.Fatalf("FPMemoLen = %d after 3 runs at cap 2", n)
@@ -319,7 +319,7 @@ func TestFPMemoEvictionSmallCap(t *testing.T) {
 	// srcs[0] was evicted: re-running it must simulate again (memo miss)
 	// and reproduce the identical trace.
 	pre := ReadStoreStats()
-	again := RunFingerprint(srcs[0], "top_module", st, BackendCompiled)
+	again := runOne(srcs[0], "top_module", st, BackendCompiled)
 	post := ReadStoreStats()
 	if post.Sims == pre.Sims {
 		t.Fatal("evicted entry was still served from the memo")
@@ -328,7 +328,7 @@ func TestFPMemoEvictionSmallCap(t *testing.T) {
 
 	// A key still resident is served without simulation.
 	pre = ReadStoreStats()
-	cached := RunFingerprint(srcs[2], "top_module", st, BackendCompiled)
+	cached := runOne(srcs[2], "top_module", st, BackendCompiled)
 	post = ReadStoreStats()
 	if post.Sims != pre.Sims {
 		t.Fatal("resident entry missed the memo")
@@ -343,7 +343,7 @@ func TestFPMemoEvictionSmallCap(t *testing.T) {
 func TestFPMemoSurvivesCompileCacheEviction(t *testing.T) {
 	st := NewGenerator(7811).Ranking(combIfc())
 	x := mustParse(t, xorSrc)
-	first := RunFingerprint(x, "top_module", st, BackendCompiled)
+	first := runOne(x, "top_module", st, BackendCompiled)
 
 	// More distinct designs than the process-wide compile cache holds.
 	for i := 0; i < 1100; i++ {
@@ -354,7 +354,7 @@ func TestFPMemoSurvivesCompileCacheEviction(t *testing.T) {
 	}
 
 	pre := ReadStoreStats()
-	again := RunFingerprint(x, "top_module", st, BackendCompiled)
+	again := runOne(x, "top_module", st, BackendCompiled)
 	if sims := ReadStoreStats().Sims - pre.Sims; sims != 0 {
 		t.Fatalf("re-run after compile-cache eviction simulated %d times, want 0", sims)
 	}
@@ -372,12 +372,12 @@ func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
 	bad := mustParse(t, "module other(input a, output y);\n    assign y = a;\nendmodule\n")
 	good := mustParse(t, xorSrc)
 
-	solo := runFingerprintSolo(bad, "top_module", st, BackendCompiled)
+	solo := soloRun(bad, "top_module", st, BackendCompiled)
 	if solo.Err == nil {
 		t.Fatal("a design without the top module compiled")
 	}
-	sameTraces(t, "RunFingerprint", RunFingerprint(bad, "top_module", st, BackendCompiled), solo)
-	gang := RunFingerprintGang([]*ast.Source{bad, good}, "top_module", st, BackendCompiled)
+	sameTraces(t, "run of one", runOne(bad, "top_module", st, BackendCompiled), solo)
+	gang := runBatch([]*ast.Source{bad, good}, "top_module", st, BackendCompiled)
 	sameTraces(t, "gang lane", gang[0], solo)
 	if gang[1].Err != nil {
 		t.Fatalf("compiling lane errored: %v", gang[1].Err)

@@ -514,8 +514,8 @@ func (s rowSet) add(sc *Schedule, i int) bool {
 // hasher per call. Every fingerprint in this package — printed-trace and
 // streaming alike — is this fold over the same canonical bytes, so the two
 // paths produce interchangeable values. The constants alias sim's: a digest
-// routinely flows through both packages (runCaseFP seeds it, the engine's
-// HashOutput continues it), so there is exactly one definition.
+// routinely flows through both packages (runCaseFPSched seeds it, the
+// engine's HashOutputH continues it), so there is exactly one definition.
 const (
 	fnvOffset64 = sim.FNVOffset64
 	fnvPrime64  = sim.FNVPrime64
@@ -614,7 +614,7 @@ func (t *Trace) Fingerprint() uint64 {
 }
 
 // FP derives the fingerprint-only view of a printed trace: the exact values
-// RunFingerprint would have produced for the same run, including the
+// RunFingerprints would have produced for the same run, including the
 // completed-case fingerprints of an errored run (both runners record the
 // cases finished before the failure). Tests use it to referee the streaming
 // path against printed traces.
@@ -853,7 +853,7 @@ func (cr *caseRunner) prepare(d *sim.Design, s sim.Instance, ifc *Interface) {
 }
 
 // forEachCase drives the shared per-case instance lifecycle of RunBackend
-// and RunFingerprint: each sequential test case gets a fresh simulator
+// and runSolo: each sequential test case gets a fresh simulator
 // instance so cases are independent; combinational interfaces reuse one
 // instance across cases (deterministic for both golden and candidates, so
 // comparisons stay apples-to-apples even for buggy candidates with
@@ -918,101 +918,15 @@ func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Tra
 	return tr
 }
 
-// RunFingerprint executes the stimulus exactly like RunBackend but records
-// only per-case fingerprints: no StepRecord strings are ever materialized.
-// On the compiled backend the engine folds output bits straight into the
-// running hash (sim.Engine.HashOutputH), so a whole run allocates a small
-// constant independent of case and step counts. Errors fold into the trace
-// exactly as in RunBackend, and every fingerprint equals the one the printed
-// trace of the same run would produce.
-//
-// Compiled runs are memoized process-wide by (design content, stimulus):
-// the candidate's DesignKey and top module, and the stimulus — a
-// process-wide cached object. The experiment drivers re-run the same
-// candidate under the same stimulus across ranking variants, refinement
-// passes, verification pools and bench iterations. A memo or store hit costs
-// no compilation. The returned trace is shared and pre-warmed; callers treat
-// it as read-only (exactly as ranking already shares one FPTrace across
-// duplicate candidates).
-func RunFingerprint(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
-	tr, err := RunFingerprintCtx(context.Background(), src, top, st, backend)
-	if err != nil {
-		// Unreachable with a background context: the only errors the ctx
-		// variant returns are the context's own.
-		panic(err)
-	}
-	return tr
-}
-
-// RunFingerprintCtx is RunFingerprint under a cancellable context: the run
-// observes ctx between test cases, and on cancellation returns ctx's error
-// with any memo claim released so the next caller recomputes the entry.
-func RunFingerprintCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
-	if backend == BackendInterpreter {
-		return runFingerprintSoloCtx(ctx, src, top, st, backend)
-	}
-	e, owner := fpMemo.Acquire(memoKey(src, top, st, nil))
-	if !owner {
-		tr, adopted, err := e.Wait(ctx)
-		if err != nil || !adopted {
-			return tr, err
-		}
-		// The previous owner aborted; this caller inherits the claim and
-		// computes the entry itself.
-	}
-	return runFingerprintOwned(ctx, e, src, top, st, backend)
-}
-
-// runFingerprintOwned resolves a claimed memo entry: from the persistent
-// store when it holds the trace, else by compiling and running solo. Clean
-// runs and deterministic run errors publish, while cancellation and
-// recovered crashes abort — releasing the claim and waking waiters — so the
-// memo never retains a transient fault. A candidate that does not compile
-// drops its entry: its error trace is neither memoized nor stored.
-func runFingerprintOwned(ctx context.Context, e *fpEntry, src *ast.Source, top string, st *Stimulus, backend Backend) (*FPTrace, error) {
-	resolved := false
-	defer func() {
-		if !resolved {
-			e.Abort()
-		}
-	}()
-	// The claim is held, so this is the key's single flight across every
-	// tier: a store hit publishes without compiling or simulating at all.
-	if tr := lookupClaimed(ctx, e); tr != nil {
-		resolved = true
-		return tr, nil
-	}
-	if _, err := sim.CompileCached(src, top); err != nil {
-		e.Drop()
-		resolved = true
-		return runFingerprintSoloCtx(ctx, src, top, st, backend)
-	}
-	tr, err := runFingerprintSoloCtx(ctx, src, top, st, backend)
-	if err != nil {
-		return nil, err
-	}
-	if tr.Err == nil || !errors.Is(tr.Err, ErrSimPanic) {
-		publish(e, tr)
-		resolved = true
-		storePut(ctx, e.Key(), tr)
-	}
-	return tr, nil
-}
-
-// runFingerprintSolo is the unmemoized single-candidate fingerprint run.
-func runFingerprintSolo(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
-	tr, err := runFingerprintSoloCtx(context.Background(), src, top, st, backend)
-	if err != nil {
-		panic(err) // unreachable: a background context never cancels
-	}
-	return tr
-}
-
-// runFingerprintSoloCtx is the unmemoized single-candidate fingerprint run.
-// A panic anywhere in the run — compile, bind, or simulation — is recovered
-// into the trace as an ErrSimPanic error, so one crashing candidate stays a
-// per-candidate result instead of taking down its worker.
-func runFingerprintSoloCtx(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (tr *FPTrace, err error) {
+// runSolo is the unmemoized single-candidate fingerprint run: RunBackend's
+// run recording only per-case fingerprints, so no StepRecord string is
+// materialized on the bound path. It serves the jobs a lockstep gang cannot
+// take (the interpreter, compile failures, irregular stimuli, failed
+// bindings, a crashed walk). A panic anywhere in the run — compile, bind, or
+// simulation — is recovered into the trace as an ErrSimPanic error, so one
+// crashing candidate stays a per-candidate result instead of taking down its
+// worker. On cancellation it returns ctx's error and no trace.
+func runSolo(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (tr *FPTrace, err error) {
 	statSims.Add(1)
 	tr = &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, 0, st.NumCases())}
 	defer func() {
@@ -1031,17 +945,22 @@ func runFingerprintSoloCtx(ctx context.Context, src *ast.Source, top string, st 
 		if fire {
 			faultinject.Fire(faultinject.PointSimCase, fiKey)
 		}
-		var fp uint64
-		var err error
 		if cr.fast {
-			fp, err = runCaseFPSched(s, st, cr.sched, &cr.bind, ci)
-		} else {
-			fp, err = runCaseFP(s, st, cr.sched, ci)
+			fp, err := runCaseFPSched(s, st, cr.sched, &cr.bind, ci)
+			if err != nil {
+				return err
+			}
+			tr.CaseFPs = append(tr.CaseFPs, fp)
+			return nil
 		}
+		// The name-keyed fallback (a failed binding, an irregular stimulus)
+		// records the case and hashes its printed outputs: the bytes the
+		// fast path folds.
+		ct, err := runCase(s, st, cr.sched, ci)
 		if err != nil {
 			return err
 		}
-		tr.CaseFPs = append(tr.CaseFPs, fp)
+		tr.CaseFPs = append(tr.CaseFPs, ct.Fingerprint())
 		return nil
 	})
 	if ferr != nil {
@@ -1144,68 +1063,4 @@ func runCase(s sim.Instance, st *Stimulus, sc *Schedule, ci int) (CaseTrace, err
 	}
 	ct.Steps = steps
 	return ct, nil
-}
-
-// outputHasher is the streaming-digest fast path the compiled engine
-// provides: folding an output's bits into the running hash costs zero
-// allocations and never touches a string.
-type outputHasher interface {
-	HashOutput(h uint64, name string, width int) (uint64, error)
-}
-
-// runCaseFP drives one test case on one instance by input name and folds
-// its outputs into a fingerprint, hashing exactly the bytes runCase would
-// have recorded.
-func runCaseFP(s sim.Instance, st *Stimulus, sc *Schedule, ci int) (uint64, error) {
-	if st.Ifc.Clock != "" {
-		if err := s.SetInputUint(st.Ifc.Clock, 0); err != nil {
-			return 0, err
-		}
-	}
-	hasher, _ := s.(outputHasher)
-	h := fnvOffset64
-	for si, n := 0, caseSteps(st, sc, ci); si < n; si++ {
-		if err := driveByName(s, st, sc, ci, si); err != nil {
-			return 0, err
-		}
-		if st.Ifc.Clock != "" {
-			if err := s.Tick(st.Ifc.Clock); err != nil {
-				return 0, err
-			}
-		} else {
-			if err := s.Settle(); err != nil {
-				return 0, err
-			}
-		}
-		for _, out := range st.Ifc.Outputs {
-			if hasher != nil {
-				var err error
-				if h, err = hasher.HashOutput(h, out.Name, out.Width); err != nil {
-					return 0, err
-				}
-			} else {
-				v, err := s.Output(out.Name)
-				if err != nil {
-					return 0, err
-				}
-				h = fnvString(h, v.Resize(out.Width).String())
-			}
-			h = fnvByte(h, '\n')
-		}
-	}
-	return h, nil
-}
-
-// Verify runs the stimulus on both a candidate and a reference design and
-// reports whether their behaviors agree exactly on every case. Agreement is
-// defined over trace fingerprints (as in the ranking stage), so the check
-// runs on the allocation-free streaming path; verdicts are identical to
-// comparing full printed traces.
-func Verify(candidate, golden *ast.Source, top string, st *Stimulus) bool {
-	ct := RunFingerprint(candidate, top, st, BackendCompiled)
-	if ct.Err != nil {
-		return false
-	}
-	gt := RunFingerprint(golden, top, st, BackendCompiled)
-	return FPAgrees(ct, gt)
 }

@@ -1,9 +1,11 @@
 package testbench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
 )
 
@@ -271,10 +273,15 @@ func TestVerify(t *testing.T) {
 	st := g.Verification(combIfc())
 	xorAst, _ := parser.Parse(xorSrc)
 	orAst, _ := parser.Parse(orSrc)
-	if !Verify(xorAst, xorAst, "top_module", st) {
+	golden := runOne(xorAst, "top_module", st, BackendCompiled)
+	v, err := VerifyGang(context.Background(), []*ast.Source{xorAst, orAst}, "top_module", st, BackendCompiled, golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v[0] {
 		t.Error("design must verify against itself")
 	}
-	if Verify(orAst, xorAst, "top_module", st) {
+	if v[1] {
 		t.Error("different design must fail verification")
 	}
 }

@@ -84,11 +84,11 @@ func TestVerifyGangMatchesFullTraces(t *testing.T) {
 			full := make([]*FPTrace, len(b.codes))
 			for i, code := range b.codes {
 				srcs[i] = mustParse(t, code)
-				full[i] = runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
+				full[i] = soloRun(srcs[i], "top_module", st, BackendCompiled)
 			}
 			golden := full[0]
 			vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)} // fresh pointer: memo-cold
-			got, err := runFingerprintGang(context.Background(), srcs, "top_module", vst, BackendCompiled, golden)
+			got, err := runPlan(context.Background(), srcs, "top_module", vst, BackendCompiled, golden)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,10 +116,10 @@ func TestVerifyGangVerdicts(t *testing.T) {
 			st := NewGenerator(8102).Verification(b.ifc)
 			srcs := make([]*ast.Source, len(b.codes))
 			want := make([]bool, len(b.codes))
-			golden := runFingerprintSolo(mustParse(t, b.codes[0]), "top_module", st, BackendCompiled)
+			golden := soloRun(mustParse(t, b.codes[0]), "top_module", st, BackendCompiled)
 			for i, code := range b.codes {
 				srcs[i] = mustParse(t, code)
-				tr := runFingerprintSolo(srcs[i], "top_module", st, BackendCompiled)
+				tr := soloRun(srcs[i], "top_module", st, BackendCompiled)
 				want[i] = tr.Err == nil && FPAgrees(tr, golden)
 			}
 			vst := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}

@@ -16,7 +16,19 @@ cd "$(dirname "$0")/.."
 PORT="${SMOKE_PORT:-18080}"
 BASE="http://127.0.0.1:${PORT}"
 LOG="$(mktemp)"
-BIN="$(mktemp -d)/vfocusd"
+BINDIR="$(mktemp -d)"
+BIN="$BINDIR/vfocusd"
+STOREDIR=""
+PID=""
+
+# On every exit: kill a daemon still running, print its log, and remove what
+# this script made under the temp dir (log, built binary, store directory).
+cleanup() {
+    if [ -n "$PID" ]; then kill -9 "$PID" 2>/dev/null || true; fi
+    cat "$LOG"
+    rm -rf "$LOG" "$BINDIR" ${STOREDIR:+"$STOREDIR"}
+}
+trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/vfocusd
 
@@ -26,7 +38,6 @@ go build -o "$BIN" ./cmd/vfocusd
 VFOCUSD_SLOW_BATCH_MS=300 \
     "$BIN" -addr "127.0.0.1:${PORT}" -workers 1 -queue-cap 8 -drain-timeout 8s >"$LOG" 2>&1 &
 PID=$!
-trap 'kill -9 $PID 2>/dev/null || true; cat "$LOG"' EXIT
 
 for _ in $(seq 1 100); do
     curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
@@ -74,7 +85,7 @@ if ! wait "$PID"; then
     echo "FAIL: vfocusd exited non-zero on SIGTERM"
     exit 1
 fi
-trap 'cat "$LOG"' EXIT
+PID=""
 grep -q "drained cleanly" "$LOG" || { echo "FAIL: no clean-drain log line"; exit 1; }
 
 # --- warm restart via the persistent result store -------------------------
@@ -83,7 +94,6 @@ grep -q "drained cleanly" "$LOG" || { echo "FAIL: no clean-drain log line"; exit
 # ZERO simulations — every fingerprint comes off disk — which /statsz makes
 # externally observable.
 STOREDIR="$(mktemp -d)"
-trap 'kill -9 $PID 2>/dev/null || true; rm -rf "$STOREDIR"; cat "$LOG"' EXIT
 
 start_store_daemon() {
     "$BIN" -addr "127.0.0.1:${PORT}" -workers 1 -store disk -store-dir "$STOREDIR" >"$LOG" 2>&1 &
@@ -125,6 +135,7 @@ curl -fsS "$BASE/statsz" | grep -q '"remote_retries"' \
 [ "$COLD_PUTS" -gt 0 ] || { echo "FAIL: cold daemon published nothing to the store"; exit 1; }
 kill -TERM "$PID"
 wait "$PID" || { echo "FAIL: store daemon exited non-zero on SIGTERM"; exit 1; }
+PID=""
 
 start_store_daemon
 run_store_job smoke-store-warm
@@ -135,6 +146,6 @@ echo "warm-restarted daemon: fp_sims=$WARM_SIMS store_hits=$WARM_HITS"
 [ "$WARM_HITS" -gt 0 ] || { echo "FAIL: warm-restarted daemon reported no store hits"; exit 1; }
 kill -TERM "$PID"
 wait "$PID" || { echo "FAIL: store daemon exited non-zero on SIGTERM"; exit 1; }
+PID=""
 
-trap 'rm -rf "$STOREDIR"; cat "$LOG"' EXIT
 echo "PASS: vfocusd smoke"
