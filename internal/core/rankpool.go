@@ -120,10 +120,10 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	// no lane), then pending jobs ordered by behavior class, so
 	// alpha-equivalent candidates (register renames, repeated mutations —
 	// the bulk of an LLM pool's redundancy) land in the same gang, where the
-	// SoA gang dedups whole lanes and shares kernels. Each lane's
-	// fingerprints are independent of its batch, so any ordering yields
-	// bit-identical decisions; ties keep first-seen order, so batches are
-	// deterministic. The compiles here feed the same process-wide cache the
+	// SoA gang runs one lane per equivalence class and mirrors the rest.
+	// Each lane's fingerprints are independent of its batch, so any ordering
+	// yields bit-identical decisions; ties keep first-seen order, so batches
+	// are deterministic. The compiles here feed the same process-wide cache the
 	// gang's bind step reads.
 	order := make([]int, len(jobs))
 	pending := 0

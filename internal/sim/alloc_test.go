@@ -223,48 +223,38 @@ func TestHashOutputZeroAlloc(t *testing.T) {
 }
 
 // TestSoAGangTickZeroAlloc gates the shared-plane gang at the solo floor:
-// with the gang sealed (planes allocated, program lowered, arena sized), a
-// full clock cycle across every lane — per-lane drives, two merged settles
-// with gang-program activations and NBA traffic — must allocate nothing. The
-// mask arena, participant buffers, and batch swaps all reuse seal-time
-// storage, so any per-step allocation here is a regression.
+// with the gang sealed (planes allocated, lane engines built), a full clock
+// cycle across every lane — per-lane drives, then one Advance running each
+// lane's solo closures with NBA traffic — must allocate nothing. Lane
+// engines reuse their seal-time queues and arenas, so any per-step
+// allocation here is a regression.
 func TestSoAGangTickZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs sync.Pool and allocation accounting")
 	}
 	d := compileMust(t, allocSeq, "top_module")
+	clk, err := d.InputHandle("clk")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const lanes = 2
 	g := NewSoAGang(lanes)
-	// Identical lanes would dedup to one leader; the alloc gate covers the
-	// gang-kernel execution path, so force both lanes to run.
+	// Identical lanes would dedup to one leader; the alloc gate covers
+	// every lane's execution, so force both lanes to run.
 	g.dedup = false
 	for l := 0; l < lanes; l++ {
-		g.AddLane(d, nil, -1, nil, nil)
+		g.AddLane(d, nil, clk, nil, nil)
 	}
 	g.BeginCase() // seal the layout and reset the lanes
-	for l := 0; l < lanes; l++ {
-		for k, c := range g.lanes[l].class {
-			if c < 0 {
-				t.Fatalf("lane %d process %d did not lower to the gang program", l, k)
-			}
-		}
-	}
 	set := func(l int, name string, v uint64) {
-		if err := g.run.engines[l].SetInputUint(name, v); err != nil {
+		if err := g.engines[l].SetInputUint(name, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tick := func() {
+		g.Advance()
 		for l := 0; l < lanes; l++ {
-			set(l, "clk", 1)
-		}
-		g.settleAll()
-		for l := 0; l < lanes; l++ {
-			set(l, "clk", 0)
-		}
-		g.settleAll()
-		for l := 0; l < lanes; l++ {
-			if err := g.run.laneErr[l]; err != nil {
+			if err := g.Err(l); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,17 +10,22 @@
 // use; each concurrent evaluation gets its own cheap Engine (pooled via
 // AcquireEngine/ReleaseEngine).
 //
-// Two lowering strategies share this file's Design:
+// Every process is lowered once, by one of two strategies sharing this
+// file's Design:
 //
 //   - The register-file path (regfile.go) statically sizes every slot. It
 //     handles every construct whose result width has a compile-time bound —
 //     in practice all real designs.
-//   - The boxed path below (the PR-1 compiler, kept verbatim in semantics)
-//     lowers processes the register-file path cannot bound statically:
-//     part-selects with non-constant [a:b] bounds or non-constant indexed
-//     widths, replications with non-constant counts, and pathologically wide
-//     intermediates. It evaluates immutable Values exactly like the
-//     interpreter and converts to/from the flat planes at net accesses.
+//   - The boxed path below lowers processes the register-file path cannot
+//     bound statically: part-selects with non-constant [a:b] bounds or
+//     non-constant indexed widths, replications with non-constant counts,
+//     and pathologically wide intermediates. It evaluates immutable Values
+//     exactly like the interpreter and converts to/from the flat planes at
+//     net accesses.
+//
+// The resulting closures are the only compiled form: a solo Engine runs
+// them over its own frame, and every lane of an SoA gang (soa.go) runs its
+// design's closures over its block of the gang's shared planes.
 //
 // Both compilers deliberately mirror the interpreter (eval.go) construct by
 // construct — width contexts, X-propagation, part-select bounds, event
@@ -94,35 +99,25 @@ type Design struct {
 	boxedProcs int // processes lowered via the boxed fallback (observability)
 
 	// procArts records, per lowered process (aligned with procs), what the
-	// SoA gang compares to share one gang program across lanes.
+	// SoA gang's whole-lane dedup compares (laneEqual).
 	procArts []procArt
 
 	// gangLayoutSig is the name-blind layout hash (gangsig.go): net shapes
-	// and order without hierarchical names. It keys gang-program sharing
-	// across designs that differ only by identifier renaming.
+	// and order without hierarchical names. With procArts it lets whole-lane
+	// dedup equate designs that differ only by identifier renaming.
 	gangLayoutSig uint64
 	// gangClassHash folds everything whole-lane dedup compares (laneEqual);
 	// precomputed at compile time for the ranking batcher (GangClassHash).
 	gangClassHash uint64
 
-	// gangProcs and gangNetIdx retain the elaborated process list (aligned
-	// with procs) and the net index map, so the shared gang program
-	// (gangrf.go) can be lowered lazily from the same sources the solo
-	// closures came from. gangProg caches that lowering; it is lane-count
-	// independent, so one program serves every SoA gang of this design.
-	gangProcs  []*process
-	gangNetIdx map[*net]int32
-	gangOnce   sync.Once
-	gangProg   *gangProg
-
 	pool sync.Pool // recycled Engines (AcquireEngine/ReleaseEngine)
 }
 
-// procArt describes one lowered process to the SoA gang: lanes whose
-// processes at one position hash equal and take the same lowering share one
-// gang program there.
+// procArt describes one lowered process to the SoA gang's whole-lane dedup:
+// two designs whose processes hash equal and take the same lowering at every
+// position (and agree on everything else laneEqual checks) are one machine.
 type procArt struct {
-	gangSig uint64 // alpha-renaming-blind hash for gang sharing (gangsig.go)
+	gangSig uint64 // alpha-renaming-blind process hash (gangsig.go)
 	boxed   bool   // lowered through the boxed fallback
 }
 
@@ -250,9 +245,7 @@ func compileFrom(s *Simulator, forceBoxed bool) (*Design, error) {
 		procID[p] = int32(len(d.procs))
 		d.procs = append(d.procs, cp)
 		d.procArts = append(d.procArts, procArt{gangSig: gangProcSig(p, c.netIdx), boxed: d.boxedProcs > boxedMark})
-		d.gangProcs = append(d.gangProcs, p)
 	}
-	d.gangNetIdx = c.netIdx
 
 	d.levelFan = make([][]int32, len(s.nets))
 	d.edgeFan = make([][]cedgeSub, len(s.nets))

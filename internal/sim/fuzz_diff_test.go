@@ -1,0 +1,355 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/verilog/parser"
+)
+
+// FuzzSimDifferential holds every simulation path to one semantics over the
+// seeded random designs of random_expr_test.go. The fuzz input seeds both
+// the designs and the stimulus, and picks the design kind and the operand
+// width (fuzzWidths: one word, the word boundary, several words). Each input
+// builds three designs of that kind and width:
+// a random one, the same design with its internal net renamed (textually
+// distinct, the same machine), and a second random one. Each runs under the
+// interpreter, the compiled solo engine and the forced boxed lowering, whose
+// outputs must agree in all four states after every step. The designs then
+// fill SoA gangs of 1, 8 and 64 lanes (lane l runs design l mod 3), with
+// whole-lane dedup on and off, driven through the same stimulus the way the
+// testbench drives them: every lane must fail exactly when its design's
+// interpreter run does, and otherwise its running case fingerprint must
+// equal the one folded from the interpreter's outputs, after every step.
+func FuzzSimDifferential(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 2, 777, 888, 999} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		kind, w := int(seed%3), fuzzWidths[seed/3%uint64(len(fuzzWidths))]
+		tmpl := genFuzzDesign(rng, kind, w)
+		in := &fuzzInput{
+			srcs: []string{
+				strings.ReplaceAll(tmpl, fuzzHelper, "hv"),
+				strings.ReplaceAll(tmpl, fuzzHelper, "hv_r"),
+				strings.ReplaceAll(genFuzzDesign(rng, kind, w), fuzzHelper, "hv"),
+			},
+			seq: kind == 2,
+		}
+		in.st = genFuzzStim(rng, in.seq, w)
+		for _, src := range in.srcs {
+			d, fps, fail := fuzzReference(t, src, in.seq, in.st)
+			in.designs = append(in.designs, d)
+			in.refs = append(in.refs, fps)
+			in.fails = append(in.fails, fail)
+		}
+		for _, lanes := range []int{1, 8, 64} {
+			for _, dedup := range []bool{true, false} {
+				fuzzGang(t, fmt.Sprintf("seed %d lanes %d dedup %v", seed, lanes, dedup), in, lanes, dedup)
+			}
+		}
+	})
+}
+
+// fuzzHelper is the placeholder name of a generated design's internal net.
+const fuzzHelper = "@H"
+
+// fuzzWidths are the operand widths a fuzz input chooses from.
+var fuzzWidths = []int{8, 16, 63, 64, 65, 128, 130}
+
+// genFuzzDesign renders one random design of the given kind and operand
+// width w — 0: continuous
+// assigns through an internal wire; 1: an always @(*) block with a blocking
+// temporary and an if; 2: a clocked design with a for loop, a case and a
+// reset — with its internal net named fuzzHelper. A quarter of the designs
+// also carry a zero-delay oscillator that fails to converge whenever
+// a[0] & b[0] is 1, so lanes fail and retire mid-run.
+func genFuzzDesign(rng *rand.Rand, kind, w int) string {
+	ab := &richExprGen{rng: rng, vars: []string{"a", "b"}, width: w}
+	abh := &richExprGen{rng: rng, vars: []string{"a", "b", fuzzHelper}, width: w}
+	osc := ""
+	if rng.Intn(4) == 0 {
+		osc = "wire osc;\n    assign osc = (a[0] & b[0]) ? ~osc : 1'b0;"
+	}
+	switch kind {
+	case 0:
+		return fmt.Sprintf(`
+module top_module (
+    input [%[6]d:0] a,
+    input [%[6]d:0] b,
+    output [%[6]d:0] y,
+    output [%[6]d:0] z
+);
+    wire [%[6]d:0] %[1]s;
+    assign %[1]s = %[2]s;
+    assign y = %[3]s;
+    assign z = %[4]s;
+    %[5]s
+endmodule
+`, fuzzHelper, ab.gen(3), abh.gen(3), ab.gen(2), osc, w-1)
+	case 1:
+		return fmt.Sprintf(`
+module top_module (
+    input [%[7]d:0] a,
+    input [%[7]d:0] b,
+    output reg [%[7]d:0] y,
+    output [%[7]d:0] z
+);
+    reg [%[7]d:0] %[1]s;
+    always @(*) begin
+        %[1]s = %[2]s;
+        if (%[1]s[0])
+            y = %[3]s;
+        else
+            y = %[4]s;
+    end
+    assign z = %[5]s;
+    %[6]s
+endmodule
+`, fuzzHelper, ab.gen(3), abh.gen(2), abh.gen(2), ab.gen(2), osc, w-1)
+	default:
+		abq := &richExprGen{rng: rng, vars: []string{"a", "b", "q"}, width: w}
+		return fmt.Sprintf(`
+module top_module (
+    input clk,
+    input reset,
+    input [%[8]d:0] a,
+    input [%[8]d:0] b,
+    output reg [%[8]d:0] q,
+    output [%[8]d:0] y
+);
+    integer i;
+    reg [3:0] %[1]s;
+    always @(posedge clk) begin
+        if (reset)
+            q <= %[9]d'd%[2]d;
+        else begin
+            for (i = 0; i < 4; i = i + 1)
+                %[1]s[i] = a[i] ^ q[i];
+            case (q[1:0])
+                2'd0: q <= %[3]s;
+                2'd1: q <= %[4]s + {%[10]d'd0, %[1]s};
+                default: q <= %[5]s;
+            endcase
+        end
+    end
+    assign y = %[6]s;
+    %[7]s
+endmodule
+`, fuzzHelper, rng.Intn(256), abq.gen(3), abq.gen(2), abq.gen(2), abq.gen(2), osc, w-1, w, w-4)
+	}
+}
+
+// fuzzInput is one fuzz input's designs and stimulus, with each design's
+// interpreter reference: its running case fingerprint after every step
+// (refs) and the step, counted across cases, at which it failed, or -1
+// (fails).
+type fuzzInput struct {
+	srcs    []string
+	designs []*Design
+	seq     bool
+	st      *fuzzStim
+	refs    [][][]uint64
+	fails   []int
+}
+
+// fuzzStim is a generated stimulus: cases of steps, each step one value per
+// driven input (in inputs order). Sequential designs are clocked once per
+// step; combinational ones settle.
+type fuzzStim struct {
+	inputs []string
+	cases  [][][]Value
+}
+
+func genFuzzStim(rng *rand.Rand, seq bool, w int) *fuzzStim {
+	st := &fuzzStim{inputs: []string{"a", "b"}}
+	if seq {
+		st.inputs = []string{"reset", "a", "b"}
+	}
+	st.cases = make([][][]Value, 1+rng.Intn(2))
+	for c := range st.cases {
+		st.cases[c] = make([][]Value, 3+rng.Intn(6))
+		for s := range st.cases[c] {
+			row := make([]Value, len(st.inputs))
+			for i, name := range st.inputs {
+				if name == "reset" {
+					var r uint64
+					if s == 0 || rng.Intn(8) == 0 {
+						r = 1
+					}
+					row[i] = NewKnown(1, r)
+					continue
+				}
+				row[i] = randFourState(rng, w, []float64{0, 0, 0.15, 0.3}[rng.Intn(4)])
+			}
+			st.cases[c][s] = row
+		}
+	}
+	return st
+}
+
+// fuzzReference runs src under the interpreter, the compiled solo engine
+// and the forced boxed lowering through st, with the testbench's lifecycle
+// (sequential cases start from a fresh instance with the clock driven low,
+// combinational ones share one instance), requiring four-state-exact
+// outputs after every step. It returns the compiled design, the
+// interpreter's running case fingerprint after every step, and the index
+// (counted across cases) of the step at which the design failed, or -1.
+func fuzzReference(t *testing.T, src string, seq bool, st *fuzzStim) (*Design, [][]uint64, int) {
+	t.Helper()
+	parsed, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, src)
+	}
+	d, err := Compile(parsed, "top_module")
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, src)
+	}
+	s, err := New(parsed, "top_module")
+	if err != nil {
+		t.Fatalf("boxed elaborate: %v\n%s", err, src)
+	}
+	db, err := compileFrom(s, true)
+	if err != nil {
+		t.Fatalf("boxed compile: %v\n%s", err, src)
+	}
+	names := []string{"interp", "compiled", "boxed"}
+	var ins []Instance
+	fresh := func() {
+		s, err := New(parsed, "top_module")
+		if err != nil {
+			t.Fatalf("interpreter elaborate: %v\n%s", err, src)
+		}
+		ins = []Instance{s, d.NewEngine(), db.NewEngine()}
+	}
+	fps := make([][]uint64, len(st.cases))
+	flat := 0
+	for c, steps := range st.cases {
+		if c == 0 || seq {
+			fresh()
+		}
+		if seq {
+			for _, in := range ins {
+				if err := in.SetInputUint("clk", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		h := FNVOffset64
+		for si, row := range steps {
+			var errs [3]error
+			for k, in := range ins {
+				for i, name := range st.inputs {
+					if err := in.SetInput(name, row[i]); err != nil {
+						t.Fatalf("%s SetInput(%s): %v", names[k], name, err)
+					}
+				}
+				if seq {
+					errs[k] = in.Tick("clk")
+				} else {
+					errs[k] = in.Settle()
+				}
+			}
+			for k := 1; k < len(ins); k++ {
+				if (errs[0] == nil) != (errs[k] == nil) {
+					t.Fatalf("case %d step %d: interp=%v %s=%v\n%s", c, si, errs[0], names[k], errs[k], src)
+				}
+			}
+			if errs[0] != nil {
+				return d, fps, flat
+			}
+			for _, out := range d.outputs {
+				want, err := ins[0].Output(out.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 1; k < len(ins); k++ {
+					if got, _ := ins[k].Output(out.Name); got.String() != want.String() {
+						t.Fatalf("case %d step %d: output %s: interp=%s %s=%s\n%s",
+							c, si, out.Name, want, names[k], got, src)
+					}
+				}
+				h = (fnvTest(h, want.Resize(out.Width).String()) ^ uint64('\n')) * FNVPrime64
+			}
+			fps[c] = append(fps[c], h)
+			flat++
+		}
+	}
+	return d, fps, -1
+}
+
+// fuzzGang drives an SoA gang of the given width, lane l running design
+// l mod len(in.designs), through the input's stimulus and checks every lane
+// against its design's reference after every step.
+func fuzzGang(t *testing.T, label string, in *fuzzInput, lanes int, dedup bool) {
+	t.Helper()
+	designs, st := in.designs, in.st
+	g := NewSoAGang(lanes)
+	defer g.Close()
+	g.dedup = dedup
+	handle := func(h int, err error) int {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for l := 0; l < lanes; l++ {
+		d := designs[l%len(designs)]
+		ins := make([]int, len(st.inputs))
+		for i, name := range st.inputs {
+			ins[i] = handle(d.InputHandle(name))
+		}
+		outs := make([]int, len(d.outputs))
+		for i, out := range d.outputs {
+			outs[i] = handle(d.OutputHandle(out.Name))
+		}
+		clk, en := -1, (*Engine)(nil)
+		if in.seq {
+			clk = handle(d.InputHandle("clk"))
+		} else {
+			en = d.AcquireEngine()
+		}
+		g.AddLane(d, en, clk, ins, outs)
+	}
+	outputs := designs[0].outputs
+	flat := 0
+	for c, steps := range st.cases {
+		g.BeginCase()
+		if c == 0 {
+			// The renamed design is the same machine as the first: with dedup
+			// on, its lanes and the first design's all mirror lane 0. Without
+			// dedup every lane executes itself.
+			for l := 0; l < lanes; l++ {
+				v, got := l%len(designs), g.leader(l)
+				if (!dedup && got != l) || (dedup && v < 2 && got != 0) {
+					t.Fatalf("%s: lane %d executes as lane %d\n%s", label, l, got, in.srcs[v])
+				}
+			}
+		}
+		for si, row := range steps {
+			for pos, v := range row {
+				g.Drive(pos, v)
+			}
+			g.Advance()
+			for col, out := range outputs {
+				g.HashOutput(col, out.Width)
+			}
+			for l := 0; l < lanes; l++ {
+				v := l % len(designs)
+				failed := in.fails[v] >= 0 && flat >= in.fails[v]
+				if err := g.Err(l); (err != nil) != failed {
+					t.Fatalf("%s: case %d step %d lane %d: gang err=%v, reference failed=%v\n%s",
+						label, c, si, l, err, failed, in.srcs[v])
+				}
+				if !failed && g.Hash(l) != in.refs[v][c][si] {
+					t.Fatalf("%s: case %d step %d lane %d: gang fingerprint %#x, reference %#x\n%s",
+						label, c, si, l, g.Hash(l), in.refs[v][c][si], in.srcs[v])
+				}
+			}
+			flat++
+		}
+	}
+}

@@ -2,34 +2,36 @@ package sim
 
 import "repro/internal/verilog/ast"
 
-// Gang-compat signatures: alpha-renaming-insensitive hashes deciding when two
-// designs can share one lowered gang program (soa.go).
+// Gang signatures: alpha-renaming-insensitive hashes deciding when two
+// designs are the same machine, so that one SoA gang lane can mirror
+// another's fingerprints and errors instead of executing (laneEqual in
+// soa.go), and so that ranking can batch such designs into one gang
+// (GangClassHash).
 //
 // A name-sensitive key (printed process text, hierarchical net names) is the
-// wrong sharing key for ranking gangs: LLM candidates habitually rename
+// wrong equivalence for ranking gangs: LLM candidates habitually rename
 // internal registers (hist vs hist_r vs hist_v) while keeping the circuit
 // identical, and a renamed process prints differently even though it lowers
-// to the same kernel. A gang kernel captures no names — only net
+// to the same closures. A lowered process captures no names — only net
 // indices, frame offsets derived from widths, and constant values — so the
-// honest compatibility relation is structural:
+// honest equivalence is structural:
 //
 //   - gangLayoutSigOf hashes the flattened net shapes in order (width, LSB)
 //     and the lowering mode, but not names. Equal signatures mean net index i
 //     occupies the same frame range with the same bit addressing in both
-//     designs, which is all a kernel's loads and stores depend on.
+//     designs, which is all a lowered process's loads and stores depend on.
 //   - gangProcSig hashes one process with every identifier resolved the way
 //     lowering resolves it: parameters fold as their elaborated constant
 //     value, nets fold as their index. Two processes with equal signatures
-//     are structurally identical modulo renaming, so the base design's
-//     lowered kernel computes exactly what the lane's own process would.
+//     are structurally identical modulo renaming, so they compute the same
+//     thing on the same frame.
 //
 // Everything lowering reads is covered: AST shape and operators, parameter
 // values (constFold consults only sc.params), resolved net indices (net
 // width/LSB then come from the layout signature), literal values (numbers
 // fold by value, so 4'd15 and 4'b1111 hash equal, matching numberValue), and
 // assignment/case/select kinds. Sensitivity lists are deliberately excluded:
-// activation is per-lane through each lane's own fanout tables, so only the
-// executed body must agree.
+// laneEqual compares the dispatch tables, which carry them, directly.
 
 // Node tags folded ahead of each node so that different shapes cannot collide
 // by concatenation reshuffling (every variable-length child list is folded
@@ -98,11 +100,11 @@ func gangLayoutSigOf(s *Simulator, forceBoxed bool) uint64 {
 // dedup compares (laneEqual): name-blind layout, per-process signatures and
 // boxed-ness, dispatch tables, and the initial frame snapshot. Callers use
 // it to order candidates so alpha-equivalent designs land in the same gang,
-// where dedup and kernel sharing collapse them. The hash is advisory — the
-// gang re-verifies equality field by field — so a collision costs batching
-// quality, never correctness. Computed once at compile time: the walk
-// covers the whole frame snapshot, which is too much to redo per ranking
-// call on the memo-warm path.
+// where dedup collapses them. The hash is advisory — the gang re-verifies
+// equality field by field — so a collision costs batching quality, never
+// correctness. Computed once at compile time: the walk covers the whole
+// frame snapshot, which is too much to redo per ranking call on the
+// memo-warm path.
 func (d *Design) GangClassHash() uint64 { return d.gangClassHash }
 
 func (d *Design) computeGangClassHash() uint64 {
@@ -132,7 +134,7 @@ func (d *Design) computeGangClassHash() uint64 {
 	return h
 }
 
-// gangProcSig canonically hashes one process for gang-program sharing, with
+// gangProcSig canonically hashes one process for whole-lane dedup, with
 // identifiers resolved to what lowering reads instead of what the source
 // calls them.
 func gangProcSig(p *process, netIdx map[*net]int32) uint64 {
@@ -150,7 +152,7 @@ func gangProcSig(p *process, netIdx map[*net]int32) uint64 {
 }
 
 // gangSigExpr folds one expression in rvalue position. Resolution mirrors
-// compileGExpr and constFold: parameters shadow nets, a parameter folds as
+// compileRExpr and constFold: parameters shadow nets, a parameter folds as
 // its constant value, a net folds as its index. An identifier resolving to
 // neither keeps its name (elaboration rejects such processes anyway; the
 // name-sensitive fallback just keeps the hash total).
@@ -217,7 +219,7 @@ func gangSigExpr(h uint64, e ast.Expr, sc *scope, netIdx map[*net]int32) uint64 
 }
 
 // gangSigLValue folds one expression in lvalue position, where lowering
-// (compileGLValue) resolves base identifiers as nets only — parameters never
+// (compileRLValue) resolves base identifiers as nets only — parameters never
 // shadow an assignment target. Select bounds inside the lvalue are ordinary
 // rvalue expressions.
 func gangSigLValue(h uint64, e ast.Expr, sc *scope, netIdx map[*net]int32) uint64 {

@@ -330,10 +330,11 @@ var soaLaneCounts = []int{1, 2, 8}
 // TestSoAKernelWidthLanes runs every kernel family at every boundary width
 // through a shared-plane SoA gang at several lane counts, with DISTINCT
 // per-lane stimulus, and requires each lane to agree bit-exactly with a solo
-// engine fed the same values. Distinct stimulus is the point: a strided
-// kernel that reads or writes a neighboring lane's words produces identical
-// lanes under broadcast stimulus and would pass trivially; here any
-// cross-lane smear diverges from the solo referee immediately.
+// engine fed the same values. Distinct stimulus is the point: a lane whose
+// frame block overlaps a neighbor's in the shared planes (a wrong stride or
+// block offset) produces identical lanes under broadcast stimulus and would
+// pass trivially; here any cross-lane smear diverges from the solo referee
+// immediately.
 func TestSoAKernelWidthLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for _, tmpl := range kernelTemplates() {
@@ -343,46 +344,54 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 			}
 			src := tmpl.src(w)
 			d := compileForTest(t, src, "top_module", false)
+			clk := -1
+			if tmpl.seq {
+				var err error
+				if clk, err = d.InputHandle("clk"); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, lanes := range soaLaneCounts {
 				label := fmt.Sprintf("%s/w%d/lanes%d", tmpl.name, w, lanes)
 				g := NewSoAGang(lanes)
 				// Identical lanes would dedup to one leader; this test wants
-				// every lane walked by the gang kernels, so force execution.
+				// every lane executed over its own plane block.
 				g.dedup = false
 				for l := 0; l < lanes; l++ {
-					g.AddLane(d, nil, -1, nil, nil)
+					g.AddLane(d, nil, clk, nil, nil)
 				}
-				g.BeginCase() // seals the layout and resets every lane
-				for l := 0; l < lanes; l++ {
-					for k, c := range g.lanes[l].class {
-						// Sharing needs at least two lanes in a class; a
-						// single-lane gang legitimately runs everything solo.
-						if c < 0 && lanes > 1 {
-							t.Fatalf("%s: lane %d process %d did not lower to the gang program", label, l, k)
-						}
-					}
-				}
+				g.BeginCase() // seals the layout, resets every lane, drives clk low
 				solo := make([]*Engine, lanes)
+				soloErr := make([]error, lanes)
 				for l := range solo {
 					solo[l] = d.NewEngine()
+					if tmpl.seq {
+						solo[l].SetInputUintH(clk, 0)
+					}
 				}
 
 				drive := func(l int, name string, v Value) {
-					if err := g.run.engines[l].SetInput(name, v); err != nil {
+					if err := g.engines[l].SetInput(name, v); err != nil {
 						t.Fatalf("%s: gang lane %d SetInput(%s): %v", label, l, name, err)
 					}
 					if err := solo[l].SetInput(name, v); err != nil {
 						t.Fatalf("%s: solo lane %d SetInput(%s): %v", label, l, name, err)
 					}
 				}
-				settle := func(vec string) {
-					g.settleAll()
+				advance := func(vec string) {
+					g.Advance()
 					for l := 0; l < lanes; l++ {
-						serr := solo[l].Settle()
-						gerr := g.run.laneErr[l]
+						if soloErr[l] == nil {
+							if tmpl.seq {
+								soloErr[l] = solo[l].TickH(clk)
+							} else {
+								soloErr[l] = solo[l].Settle()
+							}
+						}
+						serr, gerr := soloErr[l], g.Err(l)
 						if (serr == nil) != (gerr == nil) ||
 							(serr != nil && serr.Error() != gerr.Error()) {
-							t.Fatalf("%s/%s: lane %d settle divergence: solo=%v gang=%v", label, vec, l, serr, gerr)
+							t.Fatalf("%s/%s: lane %d step divergence: solo=%v gang=%v", label, vec, l, serr, gerr)
 						}
 					}
 				}
@@ -393,7 +402,7 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 							if err != nil {
 								continue // template has no such output
 							}
-							got, err := g.run.engines[l].Output(out)
+							got, err := g.engines[l].Output(out)
 							if err != nil {
 								t.Fatalf("%s/%s: gang lane %d Output(%s): %v", label, vec, l, out, err)
 							}
@@ -410,26 +419,8 @@ func TestSoAKernelWidthLanes(t *testing.T) {
 						drive(l, "a", av)
 						drive(l, "b", bv)
 					}
-					if tmpl.seq {
-						for l := 0; l < lanes; l++ {
-							drive(l, "clk", NewKnown(1, 1))
-						}
-						settle(vec)
-						for l := 0; l < lanes; l++ {
-							if g.run.laneErr[l] == nil {
-								drive(l, "clk", NewKnown(1, 0))
-							}
-						}
-						settle(vec)
-					} else {
-						settle(vec)
-					}
+					advance(vec)
 					compare(vec)
-				}
-				if tmpl.seq {
-					for l := 0; l < lanes; l++ {
-						drive(l, "clk", NewKnown(1, 0))
-					}
 				}
 				// Corners, rotated so neighboring lanes always differ.
 				ones := Not(NewKnown(w, 0))

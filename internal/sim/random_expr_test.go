@@ -480,21 +480,27 @@ func randFourState(rng *rand.Rand, width int, pUnknown float64) Value {
 	return v
 }
 
-// richExprGen generates expressions over arbitrary named 8-bit operands using
-// the full supported operator set (no Go reference needed: the two backends
-// referee each other).
+// richExprGen generates expressions over arbitrary named operands of one
+// width (8 bits unless width is set, and at least 8) using the full
+// supported operator set (no Go reference needed: the backends referee each
+// other).
 type richExprGen struct {
-	rng  *rand.Rand
-	vars []string
+	rng   *rand.Rand
+	vars  []string
+	width int
 }
 
 func (g *richExprGen) gen(depth int) string {
+	w := g.width
+	if w == 0 {
+		w = 8
+	}
 	if depth <= 0 || g.rng.Float64() < 0.2 {
 		switch g.rng.Intn(4) {
 		case 0:
-			return fmt.Sprintf("8'd%d", g.rng.Intn(256))
+			return fmt.Sprintf("%d'd%d", w, g.rng.Intn(256))
 		case 1:
-			return fmt.Sprintf("8'b%03b", g.rng.Intn(8))
+			return fmt.Sprintf("%d'b%03b", w, g.rng.Intn(8))
 		default:
 			return g.vars[g.rng.Intn(len(g.vars))]
 		}
@@ -508,37 +514,40 @@ func (g *richExprGen) gen(depth int) string {
 		return "(" + g.gen(depth-1) + " " + ops[g.rng.Intn(len(ops))] + " " + g.gen(depth-1) + ")"
 	case 2:
 		ops := []string{"<", "<=", ">", ">=", "==", "!=", "===", "!=="}
-		return "{8{(" + g.gen(depth-1) + " " + ops[g.rng.Intn(len(ops))] + " " + g.gen(depth-1) + ")}}"
+		return fmt.Sprintf("{%d{(", w) + g.gen(depth-1) + " " + ops[g.rng.Intn(len(ops))] + " " + g.gen(depth-1) + ")}}"
 	case 3:
 		ops := []string{"&&", "||"}
-		return "{8{(" + g.gen(depth-1) + " " + ops[g.rng.Intn(len(ops))] + " " + g.gen(depth-1) + ")}}"
+		return fmt.Sprintf("{%d{(", w) + g.gen(depth-1) + " " + ops[g.rng.Intn(len(ops))] + " " + g.gen(depth-1) + ")}}"
 	case 4:
-		return fmt.Sprintf("(%s << %d)", g.gen(depth-1), g.rng.Intn(9))
+		return fmt.Sprintf("(%s << %d)", g.gen(depth-1), g.rng.Intn(w+1))
 	case 5:
-		return fmt.Sprintf("(%s >> %d)", g.gen(depth-1), g.rng.Intn(9))
+		return fmt.Sprintf("(%s >> %d)", g.gen(depth-1), g.rng.Intn(w+1))
 	case 6:
-		return fmt.Sprintf("(%s >>> %d)", g.gen(depth-1), g.rng.Intn(9))
+		return fmt.Sprintf("(%s >>> %d)", g.gen(depth-1), g.rng.Intn(w+1))
 	case 7:
 		return "(" + g.gen(depth-1) + " ? " + g.gen(depth-1) + " : " + g.gen(depth-1) + ")"
 	case 8:
-		hi := g.rng.Intn(8)
+		hi := g.rng.Intn(w)
 		lo := g.rng.Intn(hi + 1)
-		return fmt.Sprintf("{%d'd0, %s[%d:%d]}", 8-(hi-lo+1), v, hi, lo)
+		if hi-lo == w-1 {
+			return fmt.Sprintf("%s[%d:0]", v, w-1) // no zero-width padding literal
+		}
+		return fmt.Sprintf("{%d'd0, %s[%d:%d]}", w-(hi-lo+1), v, hi, lo)
 	case 9:
-		return fmt.Sprintf("{7'd0, %s[%d]}", v, g.rng.Intn(8))
+		return fmt.Sprintf("{%d'd0, %s[%d]}", w-1, v, g.rng.Intn(w))
 	case 10:
-		return fmt.Sprintf("{7'd0, %s[%s[2:0]]}", v, g.vars[g.rng.Intn(len(g.vars))])
+		return fmt.Sprintf("{%d'd0, %s[%s[2:0]]}", w-1, v, g.vars[g.rng.Intn(len(g.vars))])
 	case 11:
-		return "{" + g.gen(depth-1) + "[3:0], " + g.gen(depth-1) + "[7:4]}"
+		return fmt.Sprintf("{%s[%d:0], %s[%d:%d]}", g.gen(depth-1), w/2-1, g.gen(depth-1), w-1, w/2)
 	case 12:
 		red := []string{"&", "|", "^", "~&", "~|", "~^"}
-		return fmt.Sprintf("{7'd0, %s%s}", red[g.rng.Intn(len(red))], v)
+		return fmt.Sprintf("{%d'd0, %s%s}", w-1, red[g.rng.Intn(len(red))], v)
 	case 13:
-		return "{8{!(" + g.gen(depth-1) + ")}}"
+		return fmt.Sprintf("{%d{!(", w) + g.gen(depth-1) + ")}}"
 	case 14:
-		return fmt.Sprintf("(%s %% (8'd%d))", g.gen(depth-1), 1+g.rng.Intn(15))
+		return fmt.Sprintf("(%s %% (%d'd%d))", g.gen(depth-1), w, 1+g.rng.Intn(15))
 	default:
-		return fmt.Sprintf("(%s / (8'd%d))", g.gen(depth-1), 1+g.rng.Intn(15))
+		return fmt.Sprintf("(%s / (%d'd%d))", g.gen(depth-1), w, 1+g.rng.Intn(15))
 	}
 }
 

@@ -1,8 +1,11 @@
 // Register-file lowering: processes become destination-passing kernels over
-// the Engine's flat val/xz planes. Every expression node owns a statically
-// sized scratch slot (a word range in the frame); evaluating a node runs its
-// operand kernels and then computes the node's value in place. Net and
-// constant leaves have no kernel at all — their slot IS the storage.
+// the Engine's flat val/xz planes. It is the compiled lowering of every
+// construct with a static width bound, for solo engines and SoA gang lanes
+// alike: a gang lane's Engine frames its block of the gang's shared planes,
+// so the same closures run unchanged. Every expression node owns a
+// statically sized scratch slot (a word range in the frame); evaluating a
+// node runs its operand kernels and then computes the node's value in place.
+// Net and constant leaves have no kernel at all — their slot IS the storage.
 //
 // Width rules mirror Simulator.evalCtx exactly. A node's produced width can
 // vary at run time (ternaries whose branches differ in width, concats of

@@ -245,11 +245,10 @@ endmodule
 }
 
 // TestSoAGangDriveAllocBudget gates the gang drive loop at its floor: after
-// the first case seals the shared planes and lowers the gang program, one
+// the first case seals the shared planes and builds the lane engines, one
 // whole warm test case — BeginCase lane resets, decode-once broadcast drives,
-// merged lockstep advances with gang-program activations, per-lane
-// fingerprint folds, EndCase — must allocate exactly ZERO objects across
-// every lane.
+// lockstep advances of every lane's solo closures, per-lane fingerprint
+// folds — must allocate exactly ZERO objects across every lane.
 func TestSoAGangDriveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs sync.Pool and allocation accounting")
@@ -292,7 +291,6 @@ func TestSoAGangDriveAllocBudget(t *testing.T) {
 				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
 			}
 		}
-		g.EndCase()
 		last = g.Hash(0)
 	}
 	drive() // seal the gang, warm the queue buffers

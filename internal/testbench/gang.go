@@ -559,7 +559,6 @@ func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stim
 				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
 			}
 		}
-		g.EndCase()
 		// Gang lane ids are assigned in AddLane order, so id == k. A lane
 		// records the case fingerprint only if it survived the whole case,
 		// exactly like the solo per-case append. The divergence check runs
