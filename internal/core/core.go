@@ -117,12 +117,6 @@ type Config struct {
 	// every core (the experiment drivers already parallelize across tasks,
 	// so they keep per-pipeline ranking sequential).
 	Workers int
-	// GangSize is how many candidates a ranking worker simulates in
-	// lockstep per pickup on one SoA gang (testbench.GangPlan): each gang
-	// decodes the shared stimulus schedule once for all its lanes. Results
-	// are bit-identical for any value. Zero selects DefaultGangSize; 1
-	// degrades to solo runs.
-	GangSize int
 	// LLMRetries bounds the pipeline-level transient-retry loops around
 	// Generate/Refine/JudgeOutput. Zero selects the default (4). The value
 	// also strides the Attempt field of generate requests, so changing it
@@ -136,12 +130,6 @@ type Config struct {
 // default shared by the experiment drivers (Table I, Fig. 3, Fig. 4) and
 // the CLI.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// DefaultGangSize is the ranking gang width used when a config leaves
-// GangSize unset. Eight lanes amortize the schedule decode well while a
-// typical ranked pool (tens of unique candidates) still splits into enough
-// gangs to keep a multi-worker pool busy.
-const DefaultGangSize = 8
 
 // DefaultConfig returns the paper's settings for a variant and model.
 func DefaultConfig(v Variant, model string) Config {

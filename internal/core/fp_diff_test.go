@@ -124,8 +124,8 @@ func TestFingerprintPathMatchesReferee(t *testing.T) {
 }
 
 // TestFingerprintPathMatchesRefereeOnInterpreter repeats the referee check
-// on the interpreter backend, whose fingerprint runs take the solo path
-// instead of the lockstep gang.
+// on the interpreter backend, whose fingerprint runs bypass the memo and the
+// store.
 func TestFingerprintPathMatchesRefereeOnInterpreter(t *testing.T) {
 	all := eval.Suite()
 	for _, idx := range []int{30, 120} {

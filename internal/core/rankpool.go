@@ -8,24 +8,20 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/serve/faultinject"
-	"repro/internal/sim"
 	"repro/internal/testbench"
 	"repro/internal/verilog/ast"
 )
 
 // RankPoolConfig configures one RankPool invocation. The zero value ranks
-// sequentially on the compiled backend at DefaultGangSize.
+// sequentially on the compiled backend.
 type RankPoolConfig struct {
 	// Backend selects the simulation backend for every run.
 	Backend testbench.Backend
-	// Workers bounds the concurrent gang batches. Results are bit-identical
-	// for any value; zero or one runs inline without goroutines.
+	// Workers bounds the concurrent simulation units. Results are
+	// bit-identical for any value; zero or one runs inline without
+	// goroutines.
 	Workers int
-	// GangSize is the lockstep gang width; zero selects DefaultGangSize.
-	GangSize int
-	// Golden is the task's golden design. Setting it turns on gang-class
-	// batching (see RankPool) for pools that span several gangs; the daemon
-	// and the pipeline always set it. Results do not depend on it.
+	// Golden is the task's golden design. Ranking does not read it.
 	Golden *ast.Source
 	// OnBatch, when set, is called after each completed simulation unit
 	// with (completed, total) counts. Calls are serialized and monotonic
@@ -49,6 +45,10 @@ type RankPoolResult struct {
 	UniqueJobs int
 }
 
+// rankUnit is how many unique designs a ranking worker picks up at once:
+// the unit behind each OnBatch call and each PointRankBatch fault point.
+const rankUnit = 8
+
 // srcJobsPool recycles RankPool's AST-to-job maps: a daemon job ranks ~120
 // candidates per call, and allocating the map afresh cost more than keying
 // every copy of a text.
@@ -61,17 +61,18 @@ var srcJobsPool = sync.Pool{New: func() any { return make(map[*ast.Source]int) }
 // a nil entry marks an ineligible candidate (invalid, filtered) that takes
 // no part in simulation or clustering but keeps indices aligned.
 //
-// Candidates with one testbench.DesignKey share one simulation; unique
-// designs run gang-batched on a Workers-bounded pool. Results are
-// bit-identical for any worker count and gang size.
+// Candidates with one testbench.DesignKey share one simulation; each unique
+// design runs once on its own compiled engine, rankUnit designs to a unit
+// of a Workers-bounded pool. Results are bit-identical for any worker
+// count.
 //
-// RankPool observes ctx between gang batches and (through the testbench)
+// RankPool observes ctx between units and (through the testbench)
 // between test cases, so a cancel lands in bounded time; on cancellation it
 // returns ctx's error with every fingerprint-memo claim released, leaving
 // all process-wide caches reusable — re-running the same pool yields
 // bit-identical results. A panic while simulating one candidate is confined
 // to that candidate's trace error; a panic outside the per-candidate
-// recovery errors only its own batch. Neither kills the calling process.
+// recovery errors only its own unit. Neither kills the calling process.
 func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, cfg RankPoolConfig) (*RankPoolResult, error) {
 	// Pass 1: dedup behaviourally identical candidates — one
 	// testbench.DesignKey, so cosmetic variants collapse — in first-seen
@@ -102,75 +103,33 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 	srcJobsPool.Put(jobOfSrc)
 	out := &RankPoolResult{UniqueJobs: len(jobs)}
 
-	// Pass 2: simulate each unique design. Jobs are batched into gangs of
-	// GangSize lanes advancing in lockstep over the shared schedule; a worker
-	// picks up a whole gang. Gang results are bit-identical to solo runs, and
-	// batches are indexed, so results are bit-identical for any gang size and
-	// worker count.
-	gang := cfg.GangSize
-	if gang <= 0 {
-		gang = DefaultGangSize
-	}
-	// Answer what the fingerprint memo and the persistent store already hold
-	// before compiling anything: the plan reads each job's store record once
-	// and keeps the remaining jobs claimed until a batch simulates them.
+	// Pass 2: simulate each unique design. Answer what the fingerprint memo
+	// and the persistent store already hold before compiling anything: the
+	// plan reads each job's store record once and keeps the remaining jobs
+	// claimed until their unit simulates them. A worker picks up rankUnit
+	// jobs at a time; every job's trace is independent of its unit, so
+	// results are bit-identical for any worker count.
 	plan := testbench.PlanGang(ctx, jobs, eval.TopModule, st, cfg.Backend)
 	defer plan.Release()
-	// Gang-aware batching: answered jobs go first (they need no compile and
-	// no lane), then pending jobs ordered by behavior class, so
-	// alpha-equivalent candidates (register renames, repeated mutations —
-	// the bulk of an LLM pool's redundancy) land in the same gang, where the
-	// SoA gang runs one lane per equivalence class and mirrors the rest.
-	// Each lane's fingerprints are independent of its batch, so any ordering
-	// yields bit-identical decisions; ties keep first-seen order, so batches
-	// are deterministic. The compiles here feed the same process-wide cache the
-	// gang's bind step reads.
-	order := make([]int, len(jobs))
-	pending := 0
-	for j := range order {
-		order[j] = j
-		if plan.Pending(j) {
-			pending++
-		}
-	}
-	if pending > 0 && len(jobs) > gang && cfg.Golden != nil && cfg.Backend != testbench.BackendInterpreter {
-		type jobKey struct {
-			pending bool
-			h       uint64
-		}
-		keys := make([]jobKey, len(jobs))
-		for j, src := range jobs {
-			if keys[j].pending = plan.Pending(j); keys[j].pending {
-				if d, derr := sim.CompileCached(src, eval.TopModule); derr == nil {
-					keys[j].h = d.GangClassHash()
-				}
-			}
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ka, kb := keys[order[a]], keys[order[b]]
-			if ka.pending != kb.pending {
-				return kb.pending
-			}
-			return ka.h < kb.h
-		})
+	all := make([]int, len(jobs))
+	for j := range all {
+		all[j] = j
 	}
 	run := func(b int) error {
-		lo := b * gang
-		hi := min(lo+gang, len(jobs))
-		batch := order[lo:hi]
-		// Per-candidate crashes are already confined inside the gang
-		// (crashed walks re-run unresolved lanes solo); this recover is the
-		// last line for anything outside that, erroring only this batch's
-		// unresolved candidates instead of unwinding the worker.
+		lo := b * rankUnit
+		unit := all[lo:min(lo+rankUnit, len(jobs))]
+		// Per-candidate crashes are confined inside each run; this recover
+		// is the last line for anything outside that, erroring only this
+		// unit's unresolved candidates instead of unwinding the worker.
 		defer func() {
 			if r := recover(); r != nil {
-				plan.Fail(batch, fmt.Errorf("%w: %v", testbench.ErrSimPanic, r))
+				plan.Fail(unit, fmt.Errorf("%w: %v", testbench.ErrSimPanic, r))
 			}
 		}()
 		faultinject.Fire(faultinject.PointRankBatch, "")
-		return plan.Run(ctx, batch)
+		return plan.Run(ctx, unit)
 	}
-	nUnits := (len(jobs) + gang - 1) / gang
+	nUnits := (len(jobs) + rankUnit - 1) / rankUnit
 	if err := RunUnits(ctx, nUnits, cfg.Workers, cfg.OnBatch, run); err != nil {
 		return nil, err
 	}
@@ -239,7 +198,7 @@ func RankPool(ctx context.Context, srcs []*ast.Source, st *testbench.Stimulus, c
 // already-started units run to their own ctx checks. The first error wins
 // (a ctx error if nothing else failed first). onDone, when non-nil, is
 // called under the pool's lock after each successful unit. The ranker runs
-// its gang batches on it, and the experiment drivers their cells.
+// its simulation units on it, and the experiment drivers their cells.
 func RunUnits(ctx context.Context, n, workers int, onDone func(done, total int), run func(b int) error) error {
 	if workers < 1 {
 		workers = 1

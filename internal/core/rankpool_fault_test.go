@@ -58,10 +58,10 @@ func TestRankPoolPanicConfinedToCandidate(t *testing.T) {
 	defer faultinject.Reset()
 	task, golden, srcs := gatePool(t)
 	st := testbench.RankingCached(9101, 0, task.Ifc)
-	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 3, GangSize: 2, Golden: golden}
+	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 3, Golden: golden}
 
-	// srcs[2] is the XOR mutant; sticky, so the solo re-run the gang falls
-	// back to after the crash panics again.
+	// srcs[2] is the XOR mutant. The arm is sticky: every run of it crashes
+	// until the reset below.
 	faultinject.ArmFrom(faultinject.PointSimCase, sim.CanonicalKey(srcs[2]), 1, func() {
 		panic("injected simulator crash")
 	})
@@ -110,25 +110,17 @@ func TestRankPoolPanicConfinedToCandidate(t *testing.T) {
 }
 
 // TestRankPoolCancelLeavesCachesReusable cancels a rank mid-flight (at the
-// second gang batch) and then re-runs the identical pool twice: the cancel
-// must surface as the context error, and the aborted run must leave every
-// process-wide memo reusable, with the re-runs bit-identical to each other
-// AND agreeing with the independent printed-trace referee, which shares none
-// of the fingerprint memos.
+// second simulation unit) and then re-runs the identical pool twice: the
+// cancel must surface as the context error, and the aborted run must leave
+// every process-wide memo reusable, with the re-runs bit-identical to each
+// other AND agreeing with the independent printed-trace referee, which
+// shares none of the fingerprint memos.
 func TestRankPoolCancelLeavesCachesReusable(t *testing.T) {
 	defer faultinject.Reset()
 	task, golden, _ := gatePool(t)
-	exprs := []string{"a & b", "a | b", "a ^ b", "~(a & b)", "~(a | b)", "~(a ^ b)", "a", "b"}
-	srcs := make([]*ast.Source, len(exprs))
-	for i, e := range exprs {
-		src, err := eval.ParseCached("module top_module(\n    input a,\n    input b,\n    output y\n);\n    assign y = " + e + ";\nendmodule\n")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs[i] = src
-	}
+	srcs := gateExprs(t, gateExprPool)
 	st := testbench.RankingCached(9103, 0, task.Ifc)
-	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, GangSize: 2, Golden: golden}
+	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, Golden: golden}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -162,45 +154,48 @@ func TestRankPoolCancelLeavesCachesReusable(t *testing.T) {
 }
 
 // TestRankPoolDeterministicAcrossWorkers: identical pools ranked with
-// different worker counts and gang sizes must produce identical clusters,
-// and OnBatch progress must be serialized and monotonic up to completion.
+// different worker counts must produce identical clusters, and OnBatch
+// progress must be serialized and monotonic up to completion, one call per
+// rank unit.
 func TestRankPoolDeterministicAcrossWorkers(t *testing.T) {
-	task, golden, srcs := gatePool(t)
+	task, golden, pool := gatePool(t)
+	srcs := append(gateExprs(t, gateExprPool), pool...)
 	st := testbench.RankingCached(9107, 0, task.Ifc)
 
 	var ref *RankPoolResult
 	for _, w := range []int{1, 2, 4} {
-		for _, gangN := range []int{1, 2, 8} {
-			var progress []int
-			res, err := RankPool(context.Background(), srcs, st, RankPoolConfig{
-				Backend: testbench.BackendCompiled, Workers: w, GangSize: gangN, Golden: golden,
-				OnBatch: func(done, total int) { progress = append(progress, done, total) },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = res
-			} else if !reflect.DeepEqual(res.Clusters, ref.Clusters) {
-				t.Fatalf("workers=%d gang=%d clusters diverged: %v vs %v", w, gangN, res.Clusters, ref.Clusters)
-			}
-			nUnits := (res.UniqueJobs + gangN - 1) / gangN
-			if len(progress) != 2*nUnits {
-				t.Fatalf("workers=%d gang=%d: %d OnBatch calls, want %d", w, gangN, len(progress)/2, nUnits)
-			}
-			for u := 0; u < nUnits; u++ {
-				if progress[2*u] != u+1 || progress[2*u+1] != nUnits {
-					t.Fatalf("workers=%d gang=%d: OnBatch call %d = (%d,%d), want (%d,%d)",
-						w, gangN, u, progress[2*u], progress[2*u+1], u+1, nUnits)
-				}
+		var progress []int
+		res, err := RankPool(context.Background(), srcs, st, RankPoolConfig{
+			Backend: testbench.BackendCompiled, Workers: w, Golden: golden,
+			OnBatch: func(done, total int) { progress = append(progress, done, total) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res
+		} else if !reflect.DeepEqual(res.Clusters, ref.Clusters) {
+			t.Fatalf("workers=%d clusters diverged: %v vs %v", w, res.Clusters, ref.Clusters)
+		}
+		nUnits := (res.UniqueJobs + rankUnit - 1) / rankUnit
+		if nUnits < 2 {
+			t.Fatalf("premise: %d unique jobs make %d rank unit(s), want several", res.UniqueJobs, nUnits)
+		}
+		if len(progress) != 2*nUnits {
+			t.Fatalf("workers=%d: %d OnBatch calls, want %d", w, len(progress)/2, nUnits)
+		}
+		for u := 0; u < nUnits; u++ {
+			if progress[2*u] != u+1 || progress[2*u+1] != nUnits {
+				t.Fatalf("workers=%d: OnBatch call %d = (%d,%d), want (%d,%d)",
+					w, u, progress[2*u], progress[2*u+1], u+1, nUnits)
 			}
 		}
 	}
 }
 
-// TestRankPoolBatchPanicReleasesClaims crashes the second gang batch before
+// TestRankPoolBatchPanicReleasesClaims crashes the second rank unit before
 // it runs. Its jobs were claimed when the call started, so the last-line
-// recovery must release those claims: the batch's candidates come back with
+// recovery must release those claims: the unit's candidates come back with
 // ErrSimPanic, every other candidate is clean, and a re-run of the pool is
 // not left waiting on a claim nobody will resolve.
 func TestRankPoolBatchPanicReleasesClaims(t *testing.T) {
@@ -208,7 +203,7 @@ func TestRankPoolBatchPanicReleasesClaims(t *testing.T) {
 	task, golden, _ := gatePool(t)
 	srcs := gateExprs(t, gateExprPool)
 	const seed = 9115
-	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, GangSize: 2, Golden: golden}
+	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, Golden: golden}
 	clean, err := RankPool(context.Background(), srcs, freshStimulus(task, seed), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +224,8 @@ func TestRankPoolBatchPanicReleasesClaims(t *testing.T) {
 			t.Fatalf("candidate %d outside the crashed batch diverged: %v", i, fp.Err)
 		}
 	}
-	if crashed != cfg.GangSize {
-		t.Fatalf("%d candidates crashed, want the batch's %d", crashed, cfg.GangSize)
+	if crashed != rankUnit {
+		t.Fatalf("%d candidates crashed, want the unit's %d", crashed, rankUnit)
 	}
 
 	faultinject.Reset()

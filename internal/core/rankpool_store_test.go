@@ -49,7 +49,11 @@ func (c *countingStore) Get(ctx context.Context, k resultstore.Key) ([]byte, boo
 	return c.Store.Get(ctx, k)
 }
 
-var gateExprPool = []string{"a & b", "a | b", "a ^ b", "~(a & b)", "~(a | b)", "~(a ^ b)", "a", "b"}
+// gateExprPool is sixteen distinct two-input gate designs: two rank units.
+var gateExprPool = []string{
+	"a & b", "a | b", "a ^ b", "~(a & b)", "~(a | b)", "~(a ^ b)", "a", "b",
+	"~a", "~b", "a & ~b", "~a & b", "a | ~b", "~a | b", "1'b0", "1'b1",
+}
 
 // TestRankPoolStoreReadOnce ranks a pool whose store holds half of its
 // results: every unique job's record is read exactly once — hits are not
@@ -60,7 +64,7 @@ func TestRankPoolStoreReadOnce(t *testing.T) {
 	srcs := gateExprs(t, gateExprPool)
 	const seed = 9111
 	for _, workers := range []int{1, 2} {
-		cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: workers, GangSize: 2, Golden: golden}
+		cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: workers, Golden: golden}
 		cold, err := RankPool(context.Background(), srcs, freshStimulus(task, seed), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -107,8 +111,8 @@ func (s slowStore) Get(ctx context.Context, k resultstore.Key) ([]byte, bool, er
 }
 
 // TestRankPoolOverlappingPoolsNoDeadlock ranks two pools over the same
-// candidates in opposite orders at once, under one memo-cold stimulus, one
-// lane per gang and one worker each: each call claims the jobs it reaches
+// candidates in opposite orders at once, under one memo-cold stimulus and
+// one worker each: each call claims the jobs it reaches
 // first and finds the rest claimed by the other. Neither may wait on the
 // other while holding claims the other needs, and each result must equal
 // its solo ranking. A slow store makes the two claim passes overlap.
@@ -120,7 +124,7 @@ func TestRankPoolOverlappingPoolsNoDeadlock(t *testing.T) {
 		rev[len(fwd)-1-i] = src
 	}
 	const seed = 9113
-	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, GangSize: 1, Golden: golden}
+	cfg := RankPoolConfig{Backend: testbench.BackendCompiled, Workers: 1, Golden: golden}
 	solo := make([]*RankPoolResult, 2)
 	for k, pool := range [][]*ast.Source{fwd, rev} {
 		res, err := RankPool(context.Background(), pool, freshStimulus(task, seed), cfg)

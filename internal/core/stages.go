@@ -119,10 +119,10 @@ func (p *Pipeline) densityFilter(ctx context.Context, res *Result) error {
 
 // rank simulates every usable candidate under the generated printing
 // testbench and clusters by strict full-trace agreement, scoring clusters by
-// size (the paper's Eq. 2-3). The work — dedup, gang-batched concurrent
-// simulation, clustering — lives in RankPool; rank maps the candidate pool
-// in and attaches the aligned results back. Results are bit-identical for
-// any worker count and gang size.
+// size (the paper's Eq. 2-3). The work — dedup, concurrent simulation,
+// clustering — lives in RankPool; rank maps the candidate pool in and
+// attaches the aligned results back. Results are bit-identical for any
+// worker count.
 //
 // Each run streams straight to a per-case fingerprint record: no trace
 // string is ever built, and the only per-candidate retention is a handful of
@@ -140,17 +140,9 @@ func (p *Pipeline) rank(ctx context.Context, res *Result) error {
 			srcs[i] = c.Source
 		}
 	}
-	var golden *ast.Source
-	if p.cfg.Backend != testbench.BackendInterpreter {
-		if gsrc, gerr := eval.ParseCached(res.Task.Golden); gerr == nil {
-			golden = gsrc
-		}
-	}
 	pool, err := RankPool(ctx, srcs, st, RankPoolConfig{
-		Backend:  p.cfg.Backend,
-		Workers:  p.cfg.Workers,
-		GangSize: p.cfg.GangSize,
-		Golden:   golden,
+		Backend: p.cfg.Backend,
+		Workers: p.cfg.Workers,
 	})
 	if err != nil {
 		return err

@@ -47,11 +47,11 @@ func fpEqual(t *testing.T, label string, got, want *testbench.FPTrace) {
 
 // TestSuiteGangFingerprintEquivalence runs every golden design in the
 // 156-task benchmark, plus random semantic mutants of each, through
-// RunFingerprints at several gang partitionings and requires bit-identical
+// RunFingerprints at several batch partitionings and requires bit-identical
 // fingerprints to solo printed-trace runs of the same candidates. This is the
-// suite-wide acceptance gate for gang ranking: it covers every construct
-// family the benchmark exercises, healthy and buggy lanes in the same gang,
-// and both the lockstep drive loop and its solo fallbacks.
+// suite-wide acceptance gate for the fingerprint path: it covers every
+// construct family the benchmark exercises and healthy and buggy candidates
+// in one batch.
 func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 	rng := xrng.New(91)
 	for _, task := range Suite() {
@@ -91,7 +91,8 @@ func TestSuiteGangFingerprintEquivalence(t *testing.T) {
 	}
 }
 
-// runGangChunks runs srcs through RunFingerprints in gangs of chunk lanes.
+// runGangChunks runs srcs through RunFingerprints in batches of chunk
+// candidates.
 func runGangChunks(t *testing.T, srcs []*ast.Source, st *testbench.Stimulus, chunk int) []*testbench.FPTrace {
 	t.Helper()
 	got := make([]*testbench.FPTrace, 0, len(srcs))
@@ -106,12 +107,11 @@ func runGangChunks(t *testing.T, srcs []*ast.Source, st *testbench.Stimulus, chu
 	return got
 }
 
-// TestSuiteGangWideLanes exercises the wide gang sizes of the acceptance
-// matrix (8 and 64 lanes) that the per-task test above cannot reach with a
-// handful of mutants: for a spread of benchmark tasks it builds a 64-candidate
-// pool of distinct mutants of the golden and requires the gang to match solo
-// fingerprints when the pool is partitioned into gangs of 8 and one gang of
-// 64.
+// TestSuiteGangWideLanes exercises the wide batches (8 and 64 candidates)
+// that the per-task test above cannot reach with a handful of mutants: for a
+// spread of benchmark tasks it builds a 64-candidate pool of distinct mutants
+// of the golden and requires solo fingerprints when the pool is partitioned
+// into batches of 8 and one batch of 64.
 func TestSuiteGangWideLanes(t *testing.T) {
 	rng := xrng.New(177)
 	tasks := Suite()

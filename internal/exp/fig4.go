@@ -166,7 +166,7 @@ func fig4Task(ctx context.Context, cfg Fig4Config, oracle *Oracle, profile llm.P
 		return core.New(client, pcfg).Run(ctx, task)
 	}
 
-	// Baseline: verify the raw pool as one gang batch.
+	// Baseline: verify the raw pool as one batch.
 	baseRes, err := runVariant(core.VariantBaseline)
 	if err != nil {
 		return cell, err

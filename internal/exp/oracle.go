@@ -135,12 +135,12 @@ func (o *Oracle) Verify(taskID, code string) (bool, error) {
 }
 
 // VerifyBatch verifies a batch of candidates for one task. All unverified
-// parseable candidates run as one verdict-only gang (testbench.VerifyGang)
-// over the shared dense verification stimulus: each lane retires at its
-// first case that disagrees with the golden.
+// parseable candidates run as one verdict-only batch (testbench.VerifyGang)
+// over the shared dense verification stimulus: each candidate's run stops
+// at its first case that disagrees with the golden.
 //
 // A batch with candidates left to verify fails with ctx's error, wrapped in
-// ErrExperiment, once ctx is done: before it starts, or from the gang. A
+// ErrExperiment, once ctx is done: before it starts, or from the run. A
 // failed batch memoizes no verdict.
 func (o *Oracle) VerifyBatch(ctx context.Context, taskID string, codes []string) ([]bool, error) {
 	out := make([]bool, len(codes))
@@ -168,19 +168,19 @@ func (o *Oracle) VerifyBatch(ctx context.Context, taskID string, codes []string)
 			return nil, err
 		}
 		verdicts := make([]bool, len(pending)) // unparseable: stays false
-		gangSrcs := make([]*ast.Source, 0, len(pending))
-		gangAt := make([]int, 0, len(pending))
+		batch := make([]*ast.Source, 0, len(pending))
+		batchAt := make([]int, 0, len(pending))
 		for k, i := range pending {
 			if src := mustParse(codes[i]); src != nil {
-				gangSrcs = append(gangSrcs, src)
-				gangAt = append(gangAt, k)
+				batch = append(batch, src)
+				batchAt = append(batchAt, k)
 			}
 		}
-		gv, err := testbench.VerifyGang(ctx, gangSrcs, eval.TopModule, ot.st, o.Backend, ot.golden)
+		gv, err := testbench.VerifyGang(ctx, batch, eval.TopModule, ot.st, o.Backend, ot.golden)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrExperiment, err)
 		}
-		for j, k := range gangAt {
+		for j, k := range batchAt {
 			verdicts[k] = gv[j]
 		}
 		o.mu.Lock()

@@ -163,8 +163,8 @@ func evalTaskRun(ctx context.Context, cfg Table1Config, oracle *Oracle, profile 
 		return pipe.Run(ctx, task)
 	}
 
-	// Baseline: verify the raw pool (attempt-0 candidates) as one gang
-	// batch — verdicts identical to per-candidate Verify calls.
+	// Baseline: verify the raw pool (attempt-0 candidates) as one batch —
+	// verdicts identical to per-candidate Verify calls.
 	baseRes, err := runVariant(core.VariantBaseline)
 	if err != nil {
 		return out, err

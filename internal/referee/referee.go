@@ -1,7 +1,7 @@
 // Package referee ranks and verifies candidates the slow, independent way:
 // every candidate runs solo under testbench.RunBackend, which prints its
 // full trace, and agreement is decided on the printed strings. It shares no
-// fingerprint memo, gang, result store or gang plan with production ranking,
+// fingerprint memo, result store or gang plan with production ranking,
 // so tests use it to referee the streaming fingerprint path. Only tests
 // import it.
 package referee

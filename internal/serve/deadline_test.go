@@ -143,7 +143,7 @@ func TestStreamOutlivesDeadlines(t *testing.T) {
 		close(entered)
 		<-hold
 	})
-	id, resp := submitJob(t, client, base, SubmitRequest{TaskID: gateTaskID, Candidates: gateCandidates(), Seed: 5, GangSize: 2})
+	id, resp := submitJob(t, client, base, SubmitRequest{TaskID: gateTaskID, Candidates: gateCandidates(), Seed: 5})
 	if id == "" {
 		t.Fatalf("submit rejected: HTTP %d", resp.StatusCode)
 	}

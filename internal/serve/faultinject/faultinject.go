@@ -25,15 +25,15 @@ type Point string
 // Instrumented sites. Keys at each site are documented next to the Fire
 // call; "" arms match any key.
 const (
-	// PointSimCase fires once per (candidate, test case) on both the gang
-	// and the solo fingerprint paths, keyed by the candidate's canonical
-	// design hash. Panicking here models a simulator crash mid-candidate;
+	// PointSimCase fires once per (candidate, test case) on the
+	// fingerprint path, keyed by the candidate's canonical design hash. Panicking here models a simulator crash mid-candidate;
 	// cancelling here models cancel-at-step-N.
 	PointSimCase Point = "testbench.sim.case"
 	// PointBind fires inside the single-flight binding resolution, keyed
 	// by "". Panicking here models a binder crash while holding the claim.
 	PointBind Point = "testbench.bind"
-	// PointRankBatch fires before each ranking gang batch, keyed by "".
+	// PointRankBatch fires before each ranking worker's unit of designs,
+	// keyed by "".
 	PointRankBatch Point = "core.rank.batch"
 	// PointSchedRun fires in a scheduler worker just before it invokes a
 	// job's task, keyed by the job ID. Panicking here models a worker
@@ -91,9 +91,9 @@ func Arm(point Point, key string, n int, fn func()) {
 }
 
 // ArmFrom is Arm, but sticky: fn runs on the n-th matching Fire and every
-// one after it until Reset. Use it for faults the code under test retries
-// past — e.g. a simulated crash that must also crash the solo re-run the
-// gang falls back to, so the fault stays attached to its candidate.
+// one after it until Reset. Use it for faults the code under test may retry
+// past — e.g. a simulated crash that must crash every run of its candidate,
+// so the fault stays attached to that candidate.
 func ArmFrom(point Point, key string, n int, fn func()) {
 	arm(point, key, n, true, fn)
 }

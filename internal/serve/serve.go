@@ -197,7 +197,6 @@ type SubmitRequest struct {
 	Samples    int      `json:"samples,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`
 	Model      string   `json:"model,omitempty"`
-	GangSize   int      `json:"gang_size,omitempty"`
 }
 
 // Event is one NDJSON line of a job's stream.
@@ -566,15 +565,9 @@ func (s *Server) runJob(ctx context.Context, rec *jobRecord, req SubmitRequest, 
 	// RankingCached is keyed by (seed, imperfection, interface): every job
 	// naming the same task and seed shares one stimulus and one schedule.
 	st := testbench.RankingCached(req.Seed+int64(task.Index), 0, task.Ifc)
-	var golden *ast.Source
-	if gsrc, gerr := eval.ParseCached(task.Golden); gerr == nil {
-		golden = gsrc
-	}
 	pool, err := core.RankPool(ctx, srcs, st, core.RankPoolConfig{
-		Backend:  testbench.BackendCompiled,
-		Workers:  s.cfg.RankWorkers,
-		GangSize: req.GangSize,
-		Golden:   golden,
+		Backend: testbench.BackendCompiled,
+		Workers: s.cfg.RankWorkers,
 		OnBatch: func(done, total int) {
 			rec.append(Event{Type: "progress", Done: done, Total: total})
 		},

@@ -333,8 +333,8 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 }
 
-// TestCancelMidFlightThenRerunBitIdentical is the ISSUE's acceptance drill:
-// cancel a job between gang batches through the real HTTP endpoint, observe
+// TestCancelMidFlightThenRerunBitIdentical is the cancellation drill:
+// cancel a job between rank units through the real HTTP endpoint, observe
 // the cancelled terminal event, then resubmit the identical job twice — the
 // cancelled run must have left every process-wide cache reusable, so the
 // re-runs stream bit-identical cluster sets that also match a direct
@@ -343,14 +343,20 @@ func TestCancelMidFlightThenRerunBitIdentical(t *testing.T) {
 	defer faultinject.Reset()
 	_, ts, client := newTestServer(t, Config{Workers: 1, QueueCap: 4, RankWorkers: 1})
 
-	// A pool big enough for several gang-2 batches.
+	// Sixteen distinct designs: two rank units of eight.
 	mk := func(expr string) string {
 		return "module top_module(\n    input a,\n    input b,\n    output y\n);\n    assign y = " + expr + ";\nendmodule\n"
 	}
-	pool := []string{mk("a & b"), mk("a | b"), mk("a ^ b"), mk("~(a & b)"), mk("~(a | b)"), mk("~(a ^ b)"), mk("a"), mk("b")}
-	req := SubmitRequest{TaskID: gateTaskID, Candidates: pool, Seed: 99, GangSize: 2}
+	var pool []string
+	for _, expr := range []string{
+		"a & b", "a | b", "a ^ b", "~(a & b)", "~(a | b)", "~(a ^ b)", "a", "b",
+		"~a", "~b", "a & ~b", "~a & b", "a | ~b", "~a | b", "1'b0", "1'b1",
+	} {
+		pool = append(pool, mk(expr))
+	}
+	req := SubmitRequest{TaskID: gateTaskID, Candidates: pool, Seed: 99}
 
-	// The second gang batch fires the hook, which cancels the job through
+	// The second rank unit fires the hook, which cancels the job through
 	// the daemon's own endpoint — the full cancel-by-ID path, mid-compute.
 	faultinject.Arm(faultinject.PointRankBatch, "", 2, func() {
 		resp, err := client.Post(ts.URL+"/jobs/victim/cancel", "application/json", nil)
@@ -465,7 +471,7 @@ func TestShutdownMidDrainForceCancels(t *testing.T) {
 		close(entered)
 		<-hold
 	})
-	if id, resp := submitJob(t, client, ts.URL, SubmitRequest{ID: "stuck", TaskID: gateTaskID, Candidates: gateCandidates(), GangSize: 2}); id == "" {
+	if id, resp := submitJob(t, client, ts.URL, SubmitRequest{ID: "stuck", TaskID: gateTaskID, Candidates: gateCandidates()}); id == "" {
 		t.Fatalf("stuck rejected: HTTP %d", resp.StatusCode)
 	}
 	<-entered

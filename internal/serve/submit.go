@@ -248,7 +248,7 @@ func (d *submitDecoder) object(req *SubmitRequest) error {
 }
 
 // submitKeys are the accepted keys, in SubmitRequest field order.
-var submitKeys = [...]string{"id", "task_id", "candidates", "samples", "seed", "model", "gang_size"}
+var submitKeys = [...]string{"id", "task_id", "candidates", "samples", "seed", "model"}
 
 func (d *submitDecoder) member(req *SubmitRequest, seen *[len(submitKeys)]bool) error {
 	if err := d.expect('"', "a key"); err != nil {
@@ -302,9 +302,6 @@ func (d *submitDecoder) member(req *SubmitRequest, seen *[len(submitKeys)]bool) 
 		req.Seed, err = d.integer(name, 64)
 	case "model":
 		req.Model, err = d.str(name)
-	case "gang_size":
-		n, err = d.integer(name, strconv.IntSize)
-		req.GangSize = int(n)
 	}
 	return err
 }

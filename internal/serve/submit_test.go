@@ -97,8 +97,8 @@ func TestDecodeSubmit(t *testing.T) {
 	accept := []string{
 		string(hotBody(t)),
 		` {"task_id":"t","candidates":[]} `,
-		`{"id":null,"task_id":"t","candidates":null,"samples":null,"seed":null,"model":null,"gang_size":null}`,
-		`{"task_id":"a\nb\"c\\d\/é😀\u0000","seed":-0,"samples":3,"gang_size":8}`,
+		`{"id":null,"task_id":"t","candidates":null,"samples":null,"seed":null,"model":null}`,
+		`{"task_id":"a\nb\"c\\d\/é😀\u0000","seed":-0,"samples":3}`,
 		`{"task_id":"é","seed":-9223372036854775808,"model":"qwq-32b","id":"x"}`,
 		`{}`,
 	}
@@ -122,6 +122,7 @@ func TestDecodeSubmit(t *testing.T) {
 		{`[]`, "want '{'"},
 		{`{"task_id":"t","candidate":["x"]}`, `unknown key "candidate"`},
 		{`{"Task_ID":"t"}`, `unknown key "Task_ID"`},
+		{`{"task_id":"t","gang_size":8}`, `unknown key "gang_size"`},
 		{`{"task_id":"t","task_id":"u"}`, `duplicate key "task_id"`},
 		{`{"task_id":"t"} x`, "trailing data"},
 		{`{"task_id":"t"}{}`, "trailing data"},
@@ -168,7 +169,8 @@ func postRaw(t *testing.T, client *http.Client, base, body string) (int, string)
 	return resp.StatusCode, string(msg)
 }
 
-// TestSubmitStrictKeys: a misspelled, duplicated or wrong-case key is a 400
+// TestSubmitStrictKeys: a misspelled, duplicated or wrong-case key, or the
+// retired gang_size, is a 400
 // naming the key, never a job that silently ranks a server-generated pool
 // in place of the one submitted.
 func TestSubmitStrictKeys(t *testing.T) {
@@ -181,6 +183,7 @@ func TestSubmitStrictKeys(t *testing.T) {
 		{`{"task_id":"` + gateTaskID + `","candidate":` + string(pool) + `}`, `unknown key "candidate"`},
 		{`{"task_id":"` + gateTaskID + `","candidates":` + string(pool) + `,"candidates":[]}`, `duplicate key "candidates"`},
 		{`{"Task_ID":"` + gateTaskID + `","candidates":` + string(pool) + `}`, `unknown key "Task_ID"`},
+		{`{"task_id":"` + gateTaskID + `","candidates":` + string(pool) + `,"gang_size":2}`, `unknown key "gang_size"`},
 	} {
 		code, msg := postRaw(t, client, ts.URL, tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {

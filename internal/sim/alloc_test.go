@@ -222,69 +222,6 @@ func TestHashOutputZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSoAGangTickZeroAlloc gates the shared-plane gang at the solo floor:
-// with the gang sealed (planes allocated, lane engines built), a full clock
-// cycle across every lane — per-lane drives, then one Advance running each
-// lane's solo closures with NBA traffic — must allocate nothing. Lane
-// engines reuse their seal-time queues and arenas, so any per-step
-// allocation here is a regression.
-func TestSoAGangTickZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector perturbs sync.Pool and allocation accounting")
-	}
-	d := compileMust(t, allocSeq, "top_module")
-	clk, err := d.InputHandle("clk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lanes = 2
-	g := NewSoAGang(lanes)
-	// Identical lanes would dedup to one leader; the alloc gate covers
-	// every lane's execution, so force both lanes to run.
-	g.dedup = false
-	for l := 0; l < lanes; l++ {
-		g.AddLane(d, nil, clk, nil, nil)
-	}
-	g.BeginCase() // seal the layout and reset the lanes
-	set := func(l int, name string, v uint64) {
-		if err := g.engines[l].SetInputUint(name, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tick := func() {
-		g.Advance()
-		for l := 0; l < lanes; l++ {
-			if err := g.Err(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for l := 0; l < lanes; l++ {
-		set(l, "reset", 1)
-	}
-	tick()
-	for l := 0; l < lanes; l++ {
-		set(l, "reset", 0)
-	}
-	step := func(i uint64) {
-		for l := 0; l < lanes; l++ {
-			set(l, "d", 0x1357_9BDF^(i+uint64(l)*0x1111))
-		}
-		tick()
-	}
-	for i := uint64(0); i < 8; i++ {
-		step(i)
-	}
-	i := uint64(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		i++
-		step(i)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state SoA gang tick allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
 // TestEngineResetMatchesFresh checks that a recycled engine is
 // indistinguishable from a new one, including after a run that left NBA and
 // scheduler state behind.

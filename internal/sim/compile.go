@@ -23,9 +23,8 @@
 //     exactly like the interpreter and converts to/from the flat planes at
 //     net accesses.
 //
-// The resulting closures are the only compiled form: a solo Engine runs
-// them over its own frame, and every lane of an SoA gang (soa.go) runs its
-// design's closures over its block of the gang's shared planes.
+// The resulting closures are the only compiled form: every Engine runs them
+// over its own frame.
 //
 // Both compilers deliberately mirror the interpreter (eval.go) construct by
 // construct — width contexts, X-propagation, part-select bounds, event
@@ -98,27 +97,7 @@ type Design struct {
 
 	boxedProcs int // processes lowered via the boxed fallback (observability)
 
-	// procArts records, per lowered process (aligned with procs), what the
-	// SoA gang's whole-lane dedup compares (laneEqual).
-	procArts []procArt
-
-	// gangLayoutSig is the name-blind layout hash (gangsig.go): net shapes
-	// and order without hierarchical names. With procArts it lets whole-lane
-	// dedup equate designs that differ only by identifier renaming.
-	gangLayoutSig uint64
-	// gangClassHash folds everything whole-lane dedup compares (laneEqual);
-	// precomputed at compile time for the ranking batcher (GangClassHash).
-	gangClassHash uint64
-
 	pool sync.Pool // recycled Engines (AcquireEngine/ReleaseEngine)
-}
-
-// procArt describes one lowered process to the SoA gang's whole-lane dedup:
-// two designs whose processes hash equal and take the same lowering at every
-// position (and agree on everything else laneEqual checks) are one machine.
-type procArt struct {
-	gangSig uint64 // alpha-renaming-blind process hash (gangsig.go)
-	boxed   bool   // lowered through the boxed fallback
 }
 
 // Top returns the top module name the design was compiled for.
@@ -231,20 +210,17 @@ func compileFrom(s *Simulator, forceBoxed bool) (*Design, error) {
 
 	// Initial-only processes ran during New and never re-trigger, so they are
 	// dropped; everything else is lowered in registration order.
-	d.gangLayoutSig = gangLayoutSigOf(s, forceBoxed)
 	procID := make(map[*process]int32, len(s.procs))
 	for _, p := range s.procs {
 		if p.initialOnly {
 			continue
 		}
-		boxedMark := d.boxedProcs
 		cp, err := c.compileProcess(p)
 		if err != nil {
 			return nil, err
 		}
 		procID[p] = int32(len(d.procs))
 		d.procs = append(d.procs, cp)
-		d.procArts = append(d.procArts, procArt{gangSig: gangProcSig(p, c.netIdx), boxed: d.boxedProcs > boxedMark})
 	}
 
 	d.levelFan = make([][]int32, len(s.nets))
@@ -276,10 +252,6 @@ func compileFrom(s *Simulator, forceBoxed bool) (*Design, error) {
 		copy(d.initVal[cp.off:], cp.v.val)
 		copy(d.initXZ[cp.off:], cp.v.xz)
 	}
-	// Everything the gang's whole-lane equality compares is now fixed, so the
-	// advisory batching hash is computed once here instead of re-walking the
-	// frame snapshot and fanout tables on every ranking call.
-	d.gangClassHash = d.computeGangClassHash()
 	return d, nil
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,12 +18,9 @@ import (
 // a random one, the same design with its internal net renamed (textually
 // distinct, the same machine), and a second random one. Each runs under the
 // interpreter, the compiled solo engine and the forced boxed lowering, whose
-// outputs must agree in all four states after every step. The designs then
-// fill SoA gangs of 1, 8 and 64 lanes (lane l runs design l mod 3), with
-// whole-lane dedup on and off, driven through the same stimulus the way the
-// testbench drives them: every lane must fail exactly when its design's
-// interpreter run does, and otherwise its running case fingerprint must
-// equal the one folded from the interpreter's outputs, after every step.
+// outputs must agree in all four states after every step, and the renamed
+// copy must fail exactly where the first design does and otherwise fold the
+// same running case fingerprint after every step.
 func FuzzSimDifferential(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 2, 777, 888, 999} {
 		f.Add(seed)
@@ -31,25 +29,21 @@ func FuzzSimDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		kind, w := int(seed%3), fuzzWidths[seed/3%uint64(len(fuzzWidths))]
 		tmpl := genFuzzDesign(rng, kind, w)
-		in := &fuzzInput{
-			srcs: []string{
-				strings.ReplaceAll(tmpl, fuzzHelper, "hv"),
-				strings.ReplaceAll(tmpl, fuzzHelper, "hv_r"),
-				strings.ReplaceAll(genFuzzDesign(rng, kind, w), fuzzHelper, "hv"),
-			},
-			seq: kind == 2,
+		srcs := []string{
+			strings.ReplaceAll(tmpl, fuzzHelper, "hv"),
+			strings.ReplaceAll(tmpl, fuzzHelper, "hv_r"),
+			strings.ReplaceAll(genFuzzDesign(rng, kind, w), fuzzHelper, "hv"),
 		}
-		in.st = genFuzzStim(rng, in.seq, w)
-		for _, src := range in.srcs {
-			d, fps, fail := fuzzReference(t, src, in.seq, in.st)
-			in.designs = append(in.designs, d)
-			in.refs = append(in.refs, fps)
-			in.fails = append(in.fails, fail)
+		seq := kind == 2
+		st := genFuzzStim(rng, seq, w)
+		refs := make([][][]uint64, len(srcs))
+		fails := make([]int, len(srcs))
+		for i, src := range srcs {
+			refs[i], fails[i] = fuzzReference(t, src, seq, st)
 		}
-		for _, lanes := range []int{1, 8, 64} {
-			for _, dedup := range []bool{true, false} {
-				fuzzGang(t, fmt.Sprintf("seed %d lanes %d dedup %v", seed, lanes, dedup), in, lanes, dedup)
-			}
+		if fails[1] != fails[0] || !reflect.DeepEqual(refs[1], refs[0]) {
+			t.Fatalf("seed %d: renaming the internal net changed the run (failed at %d, not %d)\n%s",
+				seed, fails[1], fails[0], srcs[1])
 		}
 	})
 }
@@ -143,19 +137,6 @@ endmodule
 	}
 }
 
-// fuzzInput is one fuzz input's designs and stimulus, with each design's
-// interpreter reference: its running case fingerprint after every step
-// (refs) and the step, counted across cases, at which it failed, or -1
-// (fails).
-type fuzzInput struct {
-	srcs    []string
-	designs []*Design
-	seq     bool
-	st      *fuzzStim
-	refs    [][][]uint64
-	fails   []int
-}
-
 // fuzzStim is a generated stimulus: cases of steps, each step one value per
 // driven input (in inputs order). Sequential designs are clocked once per
 // step; combinational ones settle.
@@ -195,10 +176,10 @@ func genFuzzStim(rng *rand.Rand, seq bool, w int) *fuzzStim {
 // and the forced boxed lowering through st, with the testbench's lifecycle
 // (sequential cases start from a fresh instance with the clock driven low,
 // combinational ones share one instance), requiring four-state-exact
-// outputs after every step. It returns the compiled design, the
-// interpreter's running case fingerprint after every step, and the index
-// (counted across cases) of the step at which the design failed, or -1.
-func fuzzReference(t *testing.T, src string, seq bool, st *fuzzStim) (*Design, [][]uint64, int) {
+// outputs after every step. It returns the interpreter's running case
+// fingerprint after every step, and the index (counted across cases) of the
+// step at which the design failed, or -1.
+func fuzzReference(t *testing.T, src string, seq bool, st *fuzzStim) ([][]uint64, int) {
 	t.Helper()
 	parsed, err := parser.Parse(src)
 	if err != nil {
@@ -259,7 +240,7 @@ func fuzzReference(t *testing.T, src string, seq bool, st *fuzzStim) (*Design, [
 				}
 			}
 			if errs[0] != nil {
-				return d, fps, flat
+				return fps, flat
 			}
 			for _, out := range d.outputs {
 				want, err := ins[0].Output(out.Name)
@@ -278,78 +259,5 @@ func fuzzReference(t *testing.T, src string, seq bool, st *fuzzStim) (*Design, [
 			flat++
 		}
 	}
-	return d, fps, -1
-}
-
-// fuzzGang drives an SoA gang of the given width, lane l running design
-// l mod len(in.designs), through the input's stimulus and checks every lane
-// against its design's reference after every step.
-func fuzzGang(t *testing.T, label string, in *fuzzInput, lanes int, dedup bool) {
-	t.Helper()
-	designs, st := in.designs, in.st
-	g := NewSoAGang(lanes)
-	defer g.Close()
-	g.dedup = dedup
-	handle := func(h int, err error) int {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	for l := 0; l < lanes; l++ {
-		d := designs[l%len(designs)]
-		ins := make([]int, len(st.inputs))
-		for i, name := range st.inputs {
-			ins[i] = handle(d.InputHandle(name))
-		}
-		outs := make([]int, len(d.outputs))
-		for i, out := range d.outputs {
-			outs[i] = handle(d.OutputHandle(out.Name))
-		}
-		clk, en := -1, (*Engine)(nil)
-		if in.seq {
-			clk = handle(d.InputHandle("clk"))
-		} else {
-			en = d.AcquireEngine()
-		}
-		g.AddLane(d, en, clk, ins, outs)
-	}
-	outputs := designs[0].outputs
-	flat := 0
-	for c, steps := range st.cases {
-		g.BeginCase()
-		if c == 0 {
-			// The renamed design is the same machine as the first: with dedup
-			// on, its lanes and the first design's all mirror lane 0. Without
-			// dedup every lane executes itself.
-			for l := 0; l < lanes; l++ {
-				v, got := l%len(designs), g.leader(l)
-				if (!dedup && got != l) || (dedup && v < 2 && got != 0) {
-					t.Fatalf("%s: lane %d executes as lane %d\n%s", label, l, got, in.srcs[v])
-				}
-			}
-		}
-		for si, row := range steps {
-			for pos, v := range row {
-				g.Drive(pos, v)
-			}
-			g.Advance()
-			for col, out := range outputs {
-				g.HashOutput(col, out.Width)
-			}
-			for l := 0; l < lanes; l++ {
-				v := l % len(designs)
-				failed := in.fails[v] >= 0 && flat >= in.fails[v]
-				if err := g.Err(l); (err != nil) != failed {
-					t.Fatalf("%s: case %d step %d lane %d: gang err=%v, reference failed=%v\n%s",
-						label, c, si, l, err, failed, in.srcs[v])
-				}
-				if !failed && g.Hash(l) != in.refs[v][c][si] {
-					t.Fatalf("%s: case %d step %d lane %d: gang fingerprint %#x, reference %#x\n%s",
-						label, c, si, l, g.Hash(l), in.refs[v][c][si], in.srcs[v])
-				}
-			}
-			flat++
-		}
-	}
+	return fps, -1
 }

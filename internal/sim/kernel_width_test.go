@@ -322,137 +322,6 @@ func TestKernelWidthBoundaries(t *testing.T) {
 	}
 }
 
-// soaLaneCounts are the gang widths every strided SoA kernel family must
-// survive: a degenerate single lane, the smallest true gang, and the default
-// ranking gang width.
-var soaLaneCounts = []int{1, 2, 8}
-
-// TestSoAKernelWidthLanes runs every kernel family at every boundary width
-// through a shared-plane SoA gang at several lane counts, with DISTINCT
-// per-lane stimulus, and requires each lane to agree bit-exactly with a solo
-// engine fed the same values. Distinct stimulus is the point: a lane whose
-// frame block overlaps a neighbor's in the shared planes (a wrong stride or
-// block offset) produces identical lanes under broadcast stimulus and would
-// pass trivially; here any cross-lane smear diverges from the solo referee
-// immediately.
-func TestSoAKernelWidthLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	for _, tmpl := range kernelTemplates() {
-		for _, w := range kernelWidths {
-			if tmpl.seq && w == 1 {
-				continue // the slice-shuffling sequential templates need ≥ 2 bits
-			}
-			src := tmpl.src(w)
-			d := compileForTest(t, src, "top_module", false)
-			clk := -1
-			if tmpl.seq {
-				var err error
-				if clk, err = d.InputHandle("clk"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, lanes := range soaLaneCounts {
-				label := fmt.Sprintf("%s/w%d/lanes%d", tmpl.name, w, lanes)
-				g := NewSoAGang(lanes)
-				// Identical lanes would dedup to one leader; this test wants
-				// every lane executed over its own plane block.
-				g.dedup = false
-				for l := 0; l < lanes; l++ {
-					g.AddLane(d, nil, clk, nil, nil)
-				}
-				g.BeginCase() // seals the layout, resets every lane, drives clk low
-				solo := make([]*Engine, lanes)
-				soloErr := make([]error, lanes)
-				for l := range solo {
-					solo[l] = d.NewEngine()
-					if tmpl.seq {
-						solo[l].SetInputUintH(clk, 0)
-					}
-				}
-
-				drive := func(l int, name string, v Value) {
-					if err := g.engines[l].SetInput(name, v); err != nil {
-						t.Fatalf("%s: gang lane %d SetInput(%s): %v", label, l, name, err)
-					}
-					if err := solo[l].SetInput(name, v); err != nil {
-						t.Fatalf("%s: solo lane %d SetInput(%s): %v", label, l, name, err)
-					}
-				}
-				advance := func(vec string) {
-					g.Advance()
-					for l := 0; l < lanes; l++ {
-						if soloErr[l] == nil {
-							if tmpl.seq {
-								soloErr[l] = solo[l].TickH(clk)
-							} else {
-								soloErr[l] = solo[l].Settle()
-							}
-						}
-						serr, gerr := soloErr[l], g.Err(l)
-						if (serr == nil) != (gerr == nil) ||
-							(serr != nil && serr.Error() != gerr.Error()) {
-							t.Fatalf("%s/%s: lane %d step divergence: solo=%v gang=%v", label, vec, l, serr, gerr)
-						}
-					}
-				}
-				compare := func(vec string) {
-					for l := 0; l < lanes; l++ {
-						for _, out := range []string{"y", "z"} {
-							want, err := solo[l].Output(out)
-							if err != nil {
-								continue // template has no such output
-							}
-							got, err := g.engines[l].Output(out)
-							if err != nil {
-								t.Fatalf("%s/%s: gang lane %d Output(%s): %v", label, vec, l, out, err)
-							}
-							if got.String() != want.String() {
-								t.Fatalf("%s/%s: lane %d output %s diverges: solo=%s gang=%s\n%s",
-									label, vec, l, out, want, got, src)
-							}
-						}
-					}
-				}
-				step := func(vals func(l int) (Value, Value), vec string) {
-					for l := 0; l < lanes; l++ {
-						av, bv := vals(l)
-						drive(l, "a", av)
-						drive(l, "b", bv)
-					}
-					advance(vec)
-					compare(vec)
-				}
-				// Corners, rotated so neighboring lanes always differ.
-				ones := Not(NewKnown(w, 0))
-				step(func(l int) (Value, Value) {
-					if l%2 == 0 {
-						return NewKnown(w, 0), ones
-					}
-					return ones, NewKnown(w, uint64(l))
-				}, "corners")
-				for _, bit := range []int{0, w / 2, w - 1} {
-					step(func(l int) (Value, Value) {
-						oneHot := NewKnown(w, 0)
-						oneHot.setBit((bit+l)%w, '1')
-						return oneHot, ones
-					}, fmt.Sprintf("hot%d", bit))
-				}
-				// Random known and four-state vectors, fresh per lane.
-				for vec := 0; vec < 4; vec++ {
-					step(func(l int) (Value, Value) {
-						return randFourState(rng, w, 0), randFourState(rng, w, 0)
-					}, fmt.Sprintf("rand%d", vec))
-				}
-				for vec := 0; vec < 4; vec++ {
-					step(func(l int) (Value, Value) {
-						return randFourState(rng, w, 0.25), randFourState(rng, w, 0.25)
-					}, fmt.Sprintf("xz%d", vec))
-				}
-			}
-		}
-	}
-}
-
 // TestKernelWidthBoundariesBoxedFallback pins the fallback boundary: a
 // dynamic [a:b] part-select cannot be statically sized, must lower via the
 // boxed path, and must still agree with the interpreter.

@@ -1,8 +1,6 @@
 // Register-file lowering: processes become destination-passing kernels over
 // the Engine's flat val/xz planes. It is the compiled lowering of every
-// construct with a static width bound, for solo engines and SoA gang lanes
-// alike: a gang lane's Engine frames its block of the gang's shared planes,
-// so the same closures run unchanged. Every expression node owns a
+// construct with a static width bound. Every expression node owns a
 // statically sized scratch slot (a word range in the frame); evaluating a
 // node runs its operand kernels and then computes the node's value in place.
 // Net and constant leaves have no kernel at all — their slot IS the storage.

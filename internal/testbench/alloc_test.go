@@ -132,7 +132,7 @@ func TestRunFingerprintAllocBudget(t *testing.T) {
 
 // TestRunFingerprintMissAllocBudget gates a run of one that simulates: the
 // memo entry is removed before each measured run, so every run claims it,
-// binds from the warm bind memo, drives a gang of one through every case and
+// binds from the warm bind memo, runs every case on its solo engine and
 // publishes. It must allocate the same flat count at the 3-case ranking
 // stimulus and the 8-case verification stimulus: exactly ZERO per case, step
 // or recorded output. This is the zero-alloc-per-step regression gate for the
@@ -241,65 +241,5 @@ endmodule
 	t.Logf("warm scheduled case: %.0f allocs (%d steps), fp=%#x", allocs, len(st.Case(0).Steps), last)
 	if allocs != 0 {
 		t.Fatalf("warm scheduled fingerprint case allocates %.0f objects, want 0", allocs)
-	}
-}
-
-// TestSoAGangDriveAllocBudget gates the gang drive loop at its floor: after
-// the first case seals the shared planes and builds the lane engines, one
-// whole warm test case — BeginCase lane resets, decode-once broadcast drives,
-// lockstep advances of every lane's solo closures, per-lane fingerprint
-// folds — must allocate exactly ZERO objects across every lane.
-func TestSoAGangDriveAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector perturbs sync.Pool and allocation accounting")
-	}
-	ifc := schedSeqIfc()
-	st := NewGenerator(9).Verification(ifc)
-	sc := st.schedule()
-	if sc == nil {
-		t.Fatal("generated stimulus must compile to a schedule")
-	}
-	g := sim.NewSoAGang(2)
-	for _, code := range []string{schedSeqSrc, gangSeqVariant} {
-		d, err := sim.CompileCached(mustParse(t, code), "top_module")
-		if err != nil {
-			t.Fatal(err)
-		}
-		en := d.AcquireEngine()
-		b, ok := cachedBind(d, sc, en, &ifc)
-		if !ok {
-			t.Fatal("binding failed")
-		}
-		d.ReleaseEngine(en) // sequential lifecycle: lanes reset per case
-		g.AddLane(d, nil, b.clock, b.ins, b.outs)
-	}
-	defer g.Close()
-
-	var last uint64
-	drive := func() {
-		g.BeginCase()
-		nSteps := int(sc.stepOff[1] - sc.stepOff[0])
-		off := int(sc.stepOff[0]) * sc.rowWords
-		for si := 0; si < nSteps; si++ {
-			for pos := range sc.names {
-				nw := int(sc.wordsOf[pos])
-				g.Drive(pos, sim.ValueView(int(sc.widths[pos]), sc.val[off:off+nw], sc.xz[off:off+nw]))
-				off += nw
-			}
-			g.Advance()
-			for oi := range st.Ifc.Outputs {
-				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
-			}
-		}
-		last = g.Hash(0)
-	}
-	drive() // seal the gang, warm the queue buffers
-	if g.LiveLanes() != 2 {
-		t.Fatalf("lanes retired during warm case: %d live", g.LiveLanes())
-	}
-	allocs := testing.AllocsPerRun(20, drive)
-	t.Logf("warm SoA gang case (2 lanes): %.0f allocs, fp=%#x", allocs, last)
-	if allocs != 0 {
-		t.Fatalf("warm SoA gang case allocates %.0f objects, want 0", allocs)
 	}
 }

@@ -22,10 +22,9 @@ func faultSrcs(t *testing.T) []*ast.Source {
 }
 
 // TestGangPanicIsolatedToCandidate injects a simulator crash into exactly
-// one candidate of a gang (sticky, so the solo re-run the gang falls back
-// to crashes too). The faulty candidate must resolve to its own
-// ErrSimPanic trace, every other lane must stay bit-identical to a clean
-// solo run, and after disarming, a re-run of the whole batch must be
+// one candidate of a batch (sticky: every run of it crashes until the
+// reset). The faulty candidate must resolve to its own ErrSimPanic trace,
+// every other candidate must stay bit-identical to a clean solo run, and after disarming, a re-run of the whole batch must be
 // bit-identical to a never-faulted run — the crash may not leave a
 // poisoned or stale memo entry behind.
 func TestGangPanicIsolatedToCandidate(t *testing.T) {
@@ -157,10 +156,13 @@ func TestBindPanicDoesNotPoisonMemo(t *testing.T) {
 	fpTraceEqual(t, "post-bind-crash", soloRun(src, "top_module", st, BackendCompiled), want)
 }
 
-// TestGangBindPanicFallsBackSolo crashes the bind once during a gang run:
-// the gang walk dies, the solo fallback re-binds cleanly (the one-shot arm
-// is spent and the entry was dropped), and every lane must come out
-// bit-identical to an unfaulted solo run.
+// TestGangBindPanicFallsBackSolo crashes the bind once during a batch run.
+// The crash lands in the first candidate's own run: its trace is
+// ErrSimPanic and its memo claim is aborted, not published. Every other
+// candidate equals its solo run — the golden's duplicate included, which
+// adopts the aborted claim and re-binds cleanly (the one-shot arm is spent
+// and the bind memo dropped the entry) — and after the reset a rerun of the
+// batch is solo-identical for every candidate.
 func TestGangBindPanicFallsBackSolo(t *testing.T) {
 	defer faultinject.Reset()
 	srcs := faultSrcs(t)
@@ -171,8 +173,20 @@ func TestGangBindPanicFallsBackSolo(t *testing.T) {
 	})
 	out := runBatch(srcs, "top_module", st, BackendCompiled)
 	faultinject.Reset()
+	if out[0].Err == nil || !errors.Is(out[0].Err, ErrSimPanic) {
+		t.Fatalf("crashed candidate error = %v, want ErrSimPanic", out[0].Err)
+	}
+	for _, i := range []int{1, 2} {
+		fpTraceEqual(t, "bind-crash/survivor", out[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
+	}
+	// The memo holds the duplicate's clean run, never the crash.
+	if tr, ok := fpMemo.Peek(memoKey(srcs[0], "top_module", st, nil)); !ok || tr == out[0] || tr.Err != nil {
+		t.Fatalf("memo entry after the crash = %+v (published %v), want the clean rerun", tr, ok)
+	}
+
+	rerun := runBatch(srcs, "top_module", st, BackendCompiled)
 	for i := range srcs {
-		fpTraceEqual(t, "gang-bind-crash", out[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
+		fpTraceEqual(t, "post-bind-crash rerun", rerun[i], soloRun(srcs[i], "top_module", st, BackendCompiled))
 	}
 }
 

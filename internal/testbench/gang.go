@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/memo"
-	"repro/internal/serve/faultinject"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
 )
@@ -29,7 +28,7 @@ import (
 // pinned. GangPlan is the only code that claims, publishes, aborts and
 // stores its entries.
 //
-// Verification runs are verdict-grade: a lane stops at the first case whose
+// Verification runs are verdict-grade: a run stops at the first case whose
 // fingerprint differs from the golden's, so its trace is a prefix that
 // decides the verdict only against that golden. Such entries carry the
 // golden in their key (ref); full-trace entries have ref == nil.
@@ -118,51 +117,37 @@ func publish(e *fpEntry, tr *FPTrace) {
 	e.Publish(tr)
 }
 
-// --- Gang runs ---------------------------------------------------------------
-
-// gangLane is one candidate slot of a gang run: source and compiled design
-// in, fingerprint trace out.
-type gangLane struct {
-	src *ast.Source
-	d   *sim.Design
-	e   *fpEntry // nil when the caller bypasses the memo (tests)
-	tr  *FPTrace
-}
+// --- Batch runs --------------------------------------------------------------
 
 // RunFingerprints fingerprints a batch of candidates sharing one stimulus,
 // as one GangPlan; a single candidate is a batch of one. Every result equals
-// the solo run of the same source — the printed trace's fingerprints, with a
-// runtime failure folded into the trace rather than returned — but all
-// memo-missing candidates advance in lockstep on one SoA gang (sim.SoAGang)
-// through one schedule decode. Interpreter runs, compile failures, irregular
-// stimuli and failed bindings run solo for the affected candidate.
+// the candidate's solo run — the printed trace's fingerprints, with a
+// runtime failure folded into the trace rather than returned — and each
+// memo-missing candidate simulates once, on its own compiled engine.
 //
 // Compiled runs are memoized process-wide by (design content, stimulus) and
 // read through the persistent store (see GangPlan): a memo or store hit
 // costs no compilation. Returned traces are shared and pre-warmed; callers
 // treat them as read-only.
 //
-// The run observes ctx between test cases and between lanes, so a cancel
-// lands within one case's worth of simulation. On cancellation it returns
-// ctx's error, aborting (never publishing) the memo claims of unfinished
-// jobs so the next caller recomputes them to bit-identical results. A panic
-// inside the lockstep walk never escapes: the crashed walk's unresolved
-// lanes re-run solo, where a lane that crashes again resolves to a
-// per-candidate ErrSimPanic trace and every other lane reproduces its clean
-// result.
+// The run observes ctx between test cases, so a cancel lands within one
+// case's worth of simulation. On cancellation it returns ctx's error,
+// aborting (never publishing) the memo claims of unfinished jobs so the next
+// caller recomputes them to bit-identical results. A panic while simulating
+// a candidate never escapes: it resolves to that candidate's ErrSimPanic
+// trace, whose memo claim is aborted rather than published.
 func RunFingerprints(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend) ([]*FPTrace, error) {
 	return runPlan(ctx, srcs, top, st, backend, nil)
 }
 
 // VerifyGang reports for each candidate whether it agrees with golden — a
 // clean run of st — on every case: the candidate must run clean and match
-// every case fingerprint. It is the verdict-only form of RunFingerprints:
-// after each case the SoA gang retires every lane whose case fingerprint
-// differs from the golden's, and the walk stops once no lane is live, so a
-// failing candidate costs only the cases up to its first disagreement.
-// Verdicts equal comparing full traces. A retired lane's prefix decides the
-// verdict only against this golden, so the memo and the persistent store
-// keep verdict-grade results under keys that include it.
+// every case fingerprint. It is the verdict-only form of RunFingerprints: a
+// candidate's run stops after its first case whose fingerprint differs from
+// the golden's, so a failing candidate costs only the cases up to its first
+// disagreement. Verdicts equal comparing full traces. A cut trace decides
+// the verdict only against this golden, so the memo and the persistent
+// store keep verdict-grade results under keys that include it.
 func VerifyGang(ctx context.Context, srcs []*ast.Source, top string, st *Stimulus, backend Backend, golden *FPTrace) ([]bool, error) {
 	if golden.Err != nil || len(golden.CaseFPs) != st.NumCases() {
 		return nil, fmt.Errorf("testbench: verify: golden is not a clean run of the stimulus (err %v, %d of %d cases)",
@@ -281,65 +266,39 @@ func lookupClaimed(ctx context.Context, e *fpEntry) *FPTrace {
 // Pending reports whether job j is still the plan's to simulate.
 func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == nil }
 
-// Run simulates the pending jobs among jobs as one lockstep gang. A job that
-// does not compile releases its claim and runs solo, leaving no memo entry
-// and no store record. Run may be called concurrently on disjoint job sets.
-// On cancellation it returns ctx's error, leaving unfinished jobs claimed
-// for Release.
+// Run simulates the pending jobs among jobs, one after another, each on its
+// own compiled engine (runSolo) and, for a verdict-grade plan, cut against
+// its golden. A finished run publishes its claim and reaches the store,
+// except a crash: an ErrSimPanic trace aborts the claim, so the next caller
+// simulates afresh. A job that does not compile drops its claim, leaving no
+// memo entry and no store record. Run may be called concurrently on disjoint
+// job sets. On cancellation it returns ctx's error, leaving unfinished jobs
+// claimed for Release.
 func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
-	var lanes []gangLane // made on the first lane: a plan of hits allocates none
-	var laneJob []int
-	defer func() {
-		// On every exit, a panic included, resolved lanes leave the claims
-		// the plan still holds: finishLane has published or aborted them.
-		for k, j := range laneJob {
-			if lanes[k].tr != nil {
-				p.out[j], p.owned[j] = lanes[k].tr, nil
-			}
-		}
-	}()
 	for _, j := range jobs {
 		if !p.Pending(j) {
 			continue
 		}
-		src := p.srcs[j]
-		var d *sim.Design
-		if p.backend != BackendInterpreter {
-			var err error
-			if d, err = sim.CompileCached(src, p.top); err != nil {
-				// No trace to memoize: the solo run reproduces the
-				// error trace, and the compile cache makes it cheap.
-				d = nil
-				p.owned[j].Drop()
-				p.owned[j] = nil
-			}
+		is := newInstSource(p.srcs[j], p.top, p.backend)
+		if is.err != nil && p.owned[j] != nil {
+			// No trace to memoize: the run reproduces the compile error.
+			p.owned[j].Drop()
+			p.owned[j] = nil
 		}
-		if d == nil {
-			tr, err := runSolo(ctx, src, p.top, p.st, p.backend)
-			if err != nil {
-				return err
-			}
-			p.out[j] = tr
-			continue
+		tr, err := runSolo(ctx, is, p.st, p.ref)
+		if err != nil {
+			return err
 		}
-		if lanes == nil {
-			lanes = make([]gangLane, 0, len(jobs))
-			laneJob = make([]int, 0, len(jobs))
-		}
-		lanes = append(lanes, gangLane{src: src, d: d, e: p.owned[j]})
-		laneJob = append(laneJob, j)
-	}
-	if lanes == nil {
-		return nil
-	}
-	if err := runGangLanesCtx(ctx, lanes, p.top, p.st, p.backend, p.ref); err != nil {
-		return err
-	}
-	for k := range lanes {
-		// Lanes whose entry published (clean runs and deterministic
-		// errors; never ErrSimPanic aborts) flow through to the store.
-		if e := lanes[k].e; e.Done() {
-			storePut(ctx, e.Key(), lanes[k].tr)
+		e := p.owned[j]
+		p.out[j], p.owned[j] = tr, nil
+		switch {
+		case e == nil:
+		case errors.Is(tr.Err, ErrSimPanic):
+			e.Abort()
+		default:
+			// Clean runs and deterministic runtime errors alike.
+			publish(e, tr)
+			storePut(ctx, e.Key(), tr)
 		}
 	}
 	return nil
@@ -364,7 +323,7 @@ func (p *GangPlan) Fail(jobs []int, err error) {
 // Finish collects the jobs left to other callers and returns every job's
 // trace, aligned with srcs. Call it after Run has covered every job. A job
 // whose owner released its claim is adopted: answered from the store when it
-// holds the trace, else run by Run as a gang of one, before Finish waits on
+// holds the trace, else run by Run, before Finish waits on
 // the next entry — so the plan never waits while it holds a claim, and two
 // plans that adopt each other's aborted claims cannot deadlock.
 func (p *GangPlan) Finish(ctx context.Context) ([]*FPTrace, error) {
@@ -400,192 +359,4 @@ func (p *GangPlan) Release() {
 			p.owned[j] = nil
 		}
 	}
-}
-
-// finishLane resolves a lane: crash traces are returned to this job only
-// (their memo claim aborts, keeping the memo clean for a retry), anything
-// else — clean runs and deterministic runtime errors alike — publishes.
-func finishLane(ln *gangLane, tr *FPTrace) {
-	ln.tr = tr
-	if ln.e == nil {
-		return
-	}
-	if tr.Err != nil && errors.Is(tr.Err, ErrSimPanic) {
-		ln.e.Abort()
-	} else {
-		publish(ln.e, tr)
-	}
-}
-
-// runGangLanesCtx computes lanes[k].tr for every lane, publishing each
-// lane's memo entry (when present) as it resolves. With a golden ref, the
-// lockstep lanes stop at their first case that disagrees with it. Lanes
-// that cannot join the lockstep run — no schedule, or a binding failure —
-// fall back to the solo path, which reproduces the name-keyed behavior
-// byte-for-byte (a full trace, which decides any verdict). The
-// walk observes ctx between test cases; on cancellation it returns the
-// ctx error with unresolved lanes left untouched for the caller to abort.
-// A panic anywhere in the lockstep walk is confined: every unresolved lane
-// re-runs solo, isolating the crash to the candidate that caused it.
-func runGangLanesCtx(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, ref *FPTrace) error {
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: %v", errGangCrashed, r)
-			}
-		}()
-		return runGangLockstep(ctx, lanes, top, st, backend, ref)
-	}()
-	if err == nil || !errors.Is(err, errGangCrashed) {
-		return err // nil, or a context error the caller unwinds
-	}
-	// The lockstep walk crashed. Gang-vs-solo equivalence means every lane
-	// untouched by the fault reproduces its result solo bit-for-bit, and
-	// the faulty lane's own solo run converts the crash into its private
-	// ErrSimPanic trace (runSolo recovers per candidate).
-	for k := range lanes {
-		if lanes[k].tr != nil {
-			continue
-		}
-		tr, serr := runSolo(ctx, lanes[k].src, top, st, backend)
-		if serr != nil {
-			return serr
-		}
-		finishLane(&lanes[k], tr)
-	}
-	return nil
-}
-
-// errGangCrashed marks a recovered panic inside the lockstep gang walk; it
-// never leaves runGangLanesCtx.
-var errGangCrashed = errors.New("gang walk crashed")
-
-// runGangLockstep is the lockstep walk proper: bind every lane, then drive
-// all lanes through the shared schedule case by case. With a golden ref, a
-// lane retires (error-free) at the end of its first case whose fingerprint
-// differs from ref's, leaving a trace that stops at that case.
-func runGangLockstep(ctx context.Context, lanes []gangLane, top string, st *Stimulus, backend Backend, ref *FPTrace) error {
-	sched := st.schedule()
-	g := sim.NewSoAGang(len(lanes))
-	gangOf := make([]int, 0, len(lanes)) // gang lane id -> lanes index
-	seq := st.Ifc.Sequential()
-	for li := range lanes {
-		ln := &lanes[li]
-		if sched == nil {
-			tr, err := runSolo(ctx, ln.src, top, st, backend)
-			if err != nil {
-				return err
-			}
-			finishLane(ln, tr)
-			continue
-		}
-		en := ln.d.AcquireEngine()
-		b, ok := cachedBind(ln.d, sched, en, &st.Ifc)
-		if !ok {
-			ln.d.ReleaseEngine(en)
-			tr, err := runSolo(ctx, ln.src, top, st, backend)
-			if err != nil {
-				return err
-			}
-			finishLane(ln, tr)
-			continue
-		}
-		if seq {
-			// Sequential cases each start from reset (BeginCase); the probe
-			// engine only served handle resolution.
-			ln.d.ReleaseEngine(en)
-			en = nil
-		}
-		g.AddLane(ln.d, en, b.clock, b.ins, b.outs)
-		gangOf = append(gangOf, li)
-		statSims.Add(1) // one fingerprint simulation per gang lane
-	}
-	if len(gangOf) == 0 {
-		return nil
-	}
-
-	// Fault-injection keys are derived only while a drill is armed: the
-	// canonical hash identifies a lane's candidate across gang and solo
-	// runs, so a drill can target one candidate deterministically.
-	var fiKeys []string
-	if faultinject.Enabled() {
-		fiKeys = make([]string, len(gangOf))
-		for k, li := range gangOf {
-			fiKeys[k] = sim.CanonicalKey(lanes[li].src)
-		}
-	}
-
-	// One backing block for every lane's per-case fingerprints: the lane
-	// count and case count are both fixed here, so n+1 small slices flatten
-	// to two allocations.
-	nCases := st.NumCases()
-	caseFPs := make([][]uint64, len(gangOf))
-	fpBlock := make([]uint64, len(gangOf)*nCases)
-	for k := range caseFPs {
-		caseFPs[k] = fpBlock[k*nCases : k*nCases : (k+1)*nCases]
-	}
-	var retired []bool
-	if ref != nil {
-		retired = make([]bool, len(gangOf))
-	}
-	for ci := 0; ci < nCases; ci++ {
-		// The per-case check bounds how long a cancel can go unobserved:
-		// one case, tens of steps.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if g.LiveLanes() == 0 {
-			break
-		}
-		if fiKeys != nil {
-			for k := range gangOf {
-				if g.Err(k) == nil {
-					faultinject.Fire(faultinject.PointSimCase, fiKeys[k])
-				}
-			}
-		}
-		g.BeginCase()
-		nSteps := int(sched.stepOff[ci+1] - sched.stepOff[ci])
-		off := int(sched.stepOff[ci]) * sched.rowWords
-		for si := 0; si < nSteps; si++ {
-			// Decode the step row once; broadcast each value to all lanes.
-			for pos := range sched.names {
-				nw := int(sched.wordsOf[pos])
-				g.Drive(pos, sim.ValueView(int(sched.widths[pos]), sched.val[off:off+nw], sched.xz[off:off+nw]))
-				off += nw
-			}
-			g.Advance()
-			for oi := range st.Ifc.Outputs {
-				g.HashOutput(oi, st.Ifc.Outputs[oi].Width)
-			}
-		}
-		// Gang lane ids are assigned in AddLane order, so id == k. A lane
-		// records the case fingerprint only if it survived the whole case,
-		// exactly like the solo per-case append. The divergence check runs
-		// here, once per case: a mirror reads its leader's hash, so leader
-		// and mirrors retire together.
-		for k := range gangOf {
-			if g.Err(k) != nil || (retired != nil && retired[k]) {
-				continue
-			}
-			fp := g.Hash(k)
-			caseFPs[k] = append(caseFPs[k], fp)
-			if ref != nil && fp != ref.CaseFPs[ci] {
-				retired[k] = true
-				g.Retire(k)
-			}
-		}
-	}
-	for k, li := range gangOf {
-		ln := &lanes[li]
-		tr := &FPTrace{Ifc: st.Ifc, CaseFPs: caseFPs[k]}
-		if err := g.Err(k); err != nil {
-			tr.Err = fmt.Errorf("%w: %v", ErrRun, err)
-		}
-		finishLane(ln, tr)
-	}
-	// Close only after the last Err/Hash read: a closed gang recycles its
-	// lane tables and scratch through the gang pool.
-	g.Close()
-	return nil
 }

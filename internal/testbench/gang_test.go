@@ -9,7 +9,7 @@ import (
 )
 
 // gangSeqVariant is a functional mutant of schedSeqSrc (subtracts instead of
-// accumulating), so the gang carries disagreeing lanes.
+// accumulating), so a batch carries disagreeing candidates.
 const gangSeqVariant = `
 module top_module (
     input clk,
@@ -27,7 +27,7 @@ endmodule
 `
 
 // gangSeqLoop oscillates: the combinational self-loop on inv fails every
-// case, so the lane retires with a runtime error.
+// case, so the run ends with a runtime error.
 const gangSeqLoop = `
 module top_module (
     input clk,
@@ -45,7 +45,7 @@ endmodule
 `
 
 // gangSeqMissingPort compiles but lacks the d input, so its binding fails
-// and the lane must fall back to the solo path (identical error bytes).
+// and the run drives by name (identical error bytes).
 const gangSeqMissingPort = `
 module top_module (
     input clk,
@@ -94,10 +94,10 @@ func runBatch(srcs []*ast.Source, top string, st *Stimulus, backend Backend) []*
 	return out
 }
 
-// soloRun is the unmemoized solo run under a background context: the
-// referee the memo, the gang and the store are held to.
+// soloRun is the unmemoized full-trace solo run under a background context:
+// the referee the memo, the plan and the store are held to.
 func soloRun(src *ast.Source, top string, st *Stimulus, backend Backend) *FPTrace {
-	tr, err := runSolo(context.Background(), src, top, st, backend)
+	tr, err := runSolo(context.Background(), newInstSource(src, top, backend), st, nil)
 	if err != nil {
 		panic(err) // a background context never cancels
 	}
@@ -127,13 +127,13 @@ func fpTraceEqual(t *testing.T, label string, got, want *FPTrace) {
 	}
 }
 
-// TestGangLanesMatchSolo drives runGangLanesCtx (memo bypassed: nil fpEntry)
-// against runSolo for every lane kind the gang distinguishes —
-// healthy lanes, a disagreeing mutant, a runtime-error lane that retires
-// mid-gang, and a bind-failure lane that falls back to the solo path — on
-// sequential and combinational interfaces, on the SoA gang. A retiring lane
-// must not perturb survivors: the surviving lanes' fingerprints are checked
-// against solo runs that never saw the failed lane.
+// TestGangLanesMatchSolo runs every kind of job a plan meets — healthy
+// designs, a disagreeing mutant, a design that fails at run time, a design
+// whose binding fails so that it drives by name, and a duplicate — as one
+// batch on a memo-cold stimulus, on sequential and combinational
+// interfaces. Every trace must equal an unmemoized solo run, and every
+// finished run, runtime errors included, must have published that trace
+// under its full-trace memo key.
 func TestGangLanesMatchSolo(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -148,29 +148,26 @@ func TestGangLanesMatchSolo(t *testing.T) {
 			if st.schedule() == nil {
 				t.Fatal("generated stimulus must be schedulable")
 			}
-			lanes := make([]gangLane, 0, len(tc.srcs))
 			parsed := make([]*ast.Source, len(tc.srcs))
 			for i, code := range tc.srcs {
 				parsed[i] = mustParse(t, code)
-				d, err := sim.CompileCached(parsed[i], "top_module")
-				if err != nil {
-					t.Fatalf("src %d: %v", i, err)
+			}
+			out := runBatch(parsed, "top_module", st, BackendCompiled)
+			for i, src := range parsed {
+				solo := soloRun(src, "top_module", st, BackendCompiled)
+				fpTraceEqual(t, tc.name+"/job", out[i], solo)
+				memo, ok := fpMemo.Peek(memoKey(src, "top_module", st, nil))
+				if !ok {
+					t.Fatalf("%s: job %d published no memo entry", tc.name, i)
 				}
-				lanes = append(lanes, gangLane{src: parsed[i], d: d})
-			}
-			if err := runGangLanesCtx(context.Background(), lanes, "top_module", st, BackendCompiled, nil); err != nil {
-				t.Fatal(err)
-			}
-			for i := range lanes {
-				solo := soloRun(parsed[i], "top_module", st, BackendCompiled)
-				fpTraceEqual(t, tc.name+"/lane", lanes[i].tr, solo)
+				fpTraceEqual(t, tc.name+"/memo", memo, solo)
 			}
 		})
 	}
 }
 
-// TestGangLanesIrregularStimulusFallsBack: with no schedule every lane must
-// take the solo path and still match it.
+// TestGangLanesIrregularStimulusFallsBack: with no schedule every case
+// drives by name and must still match the solo run.
 func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 	st := &Stimulus{
 		Ifc: combIfc(),
@@ -183,15 +180,7 @@ func TestGangLanesIrregularStimulusFallsBack(t *testing.T) {
 		t.Fatal("irregular stimulus must not schedule")
 	}
 	src := mustParse(t, xorSrc)
-	d, err := sim.CompileCached(src, "top_module")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes := []gangLane{{src: src, d: d}}
-	if err := runGangLanesCtx(context.Background(), lanes, "top_module", st, BackendCompiled, nil); err != nil {
-		t.Fatal(err)
-	}
-	fpTraceEqual(t, "irregular", lanes[0].tr, soloRun(src, "top_module", st, BackendCompiled))
+	fpTraceEqual(t, "irregular", runOne(src, "top_module", st, BackendCompiled), soloRun(src, "top_module", st, BackendCompiled))
 }
 
 // TestRunFingerprintGangMatchesSolo exercises RunFingerprints over a batch
@@ -212,7 +201,7 @@ func TestRunFingerprintGangMatchesSolo(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Fresh stimulus value per subtest: a fresh pointer misses the
-			// (design, stimulus) memo, so the gang really runs.
+			// (design, stimulus) memo, so the plan really runs.
 			st := NewGenerator(5).Ranking(schedSeqIfc())
 			out := runBatch(srcs, "top_module", st, tc.backend)
 			if len(out) != len(srcs) {

@@ -20,7 +20,7 @@ func runBackendLegacy(t *testing.T, src string, st *Stimulus, backend Backend) *
 	ms := &Stimulus{Ifc: st.Ifc, Cases: stimCases(st)}
 	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, ms.NumCases())}
 	cr := caseRunner{} // sched nil: every case takes the legacy path
-	tr.Err = forEachCase(context.Background(), parsed, "top_module", ms, backend, &cr, func(s sim.Instance, ci int) error {
+	tr.Err = forEachCase(context.Background(), newInstSource(parsed, "top_module", backend), ms, &cr, func(s sim.Instance, ci int) error {
 		ct, cerr := runCase(s, ms, nil, ci)
 		if cerr != nil {
 			return cerr

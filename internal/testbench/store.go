@@ -64,8 +64,8 @@ func ActiveStore() resultstore.Store {
 // --- Counters ----------------------------------------------------------------
 
 // StoreStats is a snapshot of the process-wide simulation/store counters.
-// Sims counts fingerprint simulations actually performed (solo runs and
-// gang lanes); a fully warm process — every result served from memo or
+// Sims counts fingerprint simulations actually performed (one per
+// candidate run); a fully warm process — every result served from memo or
 // store — reports zero. The cross-process determinism test and the
 // warm-restart smoke assert on exactly that.
 type StoreStats struct {
@@ -291,7 +291,7 @@ func decodeFPTrace(data []byte, ifc Interface) (*FPTrace, bool) {
 // run under k could have written: more cases than the stimulus holds, or —
 // outside verdict-grade keys — a clean record that stops short of the last
 // case (a verdict prefix must never reach ranking as a full trace). A
-// verdict-grade clean record holds at least one case, since a lane retires
+// verdict-grade clean record holds at least one case, since a run is cut
 // only after a case it finished. A rejected record is a miss.
 func decodeStored(data []byte, k fpKey) (*FPTrace, bool) {
 	tr, ok := decodeFPTrace(data, k.st.Ifc)

@@ -789,19 +789,15 @@ type instSource struct {
 	src *ast.Source
 	top string
 	d   *sim.Design // nil selects the interpreter
+	err error       // the compile error: the run fails before its first case
 }
 
-func newInstSource(src *ast.Source, top string, backend Backend) (instSource, error) {
+func newInstSource(src *ast.Source, top string, backend Backend) instSource {
 	is := instSource{src: src, top: top}
-	if backend == BackendInterpreter {
-		return is, nil
+	if backend != BackendInterpreter {
+		is.d, is.err = sim.CompileCached(src, top)
 	}
-	d, err := sim.CompileCached(src, top)
-	if err != nil {
-		return is, err
-	}
-	is.d = d
-	return is, nil
+	return is
 }
 
 func (is *instSource) acquire() (sim.Instance, error) {
@@ -857,14 +853,15 @@ func (cr *caseRunner) prepare(d *sim.Design, s sim.Instance, ifc *Interface) {
 // instance so cases are independent; combinational interfaces reuse one
 // instance across cases (deterministic for both golden and candidates, so
 // comparisons stay apples-to-apples even for buggy candidates with
-// accidental state). Run errors are wrapped with ErrRun; a context error is
-// returned bare so callers can tell cancellation from a failing candidate.
-func forEachCase(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend, cr *caseRunner, visit func(s sim.Instance, ci int) error) error {
-	is, err := newInstSource(src, top, backend)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRun, err)
+// accidental state). A visit that returns errStop ends the run cleanly after
+// its case. Run errors are wrapped with ErrRun; a context error is returned
+// bare so callers can tell cancellation from a failing candidate.
+func forEachCase(ctx context.Context, is instSource, st *Stimulus, cr *caseRunner, visit func(s sim.Instance, ci int) error) error {
+	if is.err != nil {
+		return fmt.Errorf("%w: %v", ErrRun, is.err)
 	}
 	var shared sim.Instance
+	var err error
 	if st.Ifc.Clock == "" {
 		if shared, err = is.acquire(); err != nil {
 			return fmt.Errorf("%w: %v", ErrRun, err)
@@ -887,12 +884,19 @@ func forEachCase(ctx context.Context, src *ast.Source, top string, st *Stimulus,
 			// Release per case so the next case recycles this engine.
 			is.release(s)
 		}
+		if verr == errStop {
+			return nil
+		}
 		if verr != nil {
 			return fmt.Errorf("%w: %v", ErrRun, verr)
 		}
 	}
 	return nil
 }
+
+// errStop, returned by a forEachCase visit, ends the run after the visited
+// case without an error.
+var errStop = errors.New("testbench: stop")
 
 // RunBackend executes the stimulus against a design on the chosen backend
 // and captures its full printed trace. A runtime error is recorded in the
@@ -901,7 +905,7 @@ func forEachCase(ctx context.Context, src *ast.Source, top string, st *Stimulus,
 func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Trace {
 	tr := &Trace{Ifc: st.Ifc, Cases: make([]CaseTrace, 0, st.NumCases())}
 	cr := caseRunner{sched: st.schedule()}
-	tr.Err = forEachCase(context.Background(), src, top, st, backend, &cr, func(s sim.Instance, ci int) error {
+	tr.Err = forEachCase(context.Background(), newInstSource(src, top, backend), st, &cr, func(s sim.Instance, ci int) error {
 		var ct CaseTrace
 		var err error
 		if cr.fast {
@@ -920,13 +924,15 @@ func RunBackend(src *ast.Source, top string, st *Stimulus, backend Backend) *Tra
 
 // runSolo is the unmemoized single-candidate fingerprint run: RunBackend's
 // run recording only per-case fingerprints, so no StepRecord string is
-// materialized on the bound path. It serves the jobs a lockstep gang cannot
-// take (the interpreter, compile failures, irregular stimuli, failed
-// bindings, a crashed walk). A panic anywhere in the run — compile, bind, or
+// materialized on the bound path. With a golden ref, a run on the bound
+// path stops after its first case whose fingerprint differs from ref's,
+// keeping that case's fingerprint: a verdict-grade trace. A run that drives
+// by name (an irregular stimulus, a failed binding) records its full trace,
+// which decides any verdict. A panic anywhere in the run — bind or
 // simulation — is recovered into the trace as an ErrSimPanic error, so one
 // crashing candidate stays a per-candidate result instead of taking down its
 // worker. On cancellation it returns ctx's error and no trace.
-func runSolo(ctx context.Context, src *ast.Source, top string, st *Stimulus, backend Backend) (tr *FPTrace, err error) {
+func runSolo(ctx context.Context, is instSource, st *Stimulus, ref *FPTrace) (tr *FPTrace, err error) {
 	statSims.Add(1)
 	tr = &FPTrace{Ifc: st.Ifc, CaseFPs: make([]uint64, 0, st.NumCases())}
 	defer func() {
@@ -938,10 +944,10 @@ func runSolo(ctx context.Context, src *ast.Source, top string, st *Stimulus, bac
 	fire := faultinject.Enabled()
 	var fiKey string
 	if fire {
-		fiKey = sim.CanonicalKey(src)
+		fiKey = sim.CanonicalKey(is.src)
 	}
 	cr := caseRunner{sched: st.schedule()}
-	ferr := forEachCase(ctx, src, top, st, backend, &cr, func(s sim.Instance, ci int) error {
+	ferr := forEachCase(ctx, is, st, &cr, func(s sim.Instance, ci int) error {
 		if fire {
 			faultinject.Fire(faultinject.PointSimCase, fiKey)
 		}
@@ -951,6 +957,9 @@ func runSolo(ctx context.Context, src *ast.Source, top string, st *Stimulus, bac
 				return err
 			}
 			tr.CaseFPs = append(tr.CaseFPs, fp)
+			if ref != nil && fp != ref.CaseFPs[ci] {
+				return errStop
+			}
 			return nil
 		}
 		// The name-keyed fallback (a failed binding, an irregular stimulus)
