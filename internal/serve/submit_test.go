@@ -170,9 +170,8 @@ func postRaw(t *testing.T, client *http.Client, base, body string) (int, string)
 }
 
 // TestSubmitStrictKeys: a misspelled, duplicated or wrong-case key, or the
-// retired gang_size, is a 400
-// naming the key, never a job that silently ranks a server-generated pool
-// in place of the one submitted.
+// retired gang_size, is a 400 naming the key, never a job that silently
+// ranks a server-generated pool in place of the one submitted.
 func TestSubmitStrictKeys(t *testing.T) {
 	_, ts, client := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 	pool, err := json.Marshal(gateCandidates())

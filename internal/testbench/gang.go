@@ -123,7 +123,7 @@ func publish(e *fpEntry, tr *FPTrace) {
 // as one GangPlan; a single candidate is a batch of one. Every result equals
 // the candidate's solo run — the printed trace's fingerprints, with a
 // runtime failure folded into the trace rather than returned — and each
-// memo-missing candidate simulates once, on its own compiled engine.
+// memo-missing candidate simulates once, on its own engine.
 //
 // Compiled runs are memoized process-wide by (design content, stimulus) and
 // read through the persistent store (see GangPlan): a memo or store hit
@@ -267,8 +267,8 @@ func lookupClaimed(ctx context.Context, e *fpEntry) *FPTrace {
 func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == nil }
 
 // Run simulates the pending jobs among jobs, one after another, each on its
-// own compiled engine (runSolo) and, for a verdict-grade plan, cut against
-// its golden. A finished run publishes its claim and reaches the store,
+// own engine (runSolo) and, for a verdict-grade plan, cut against its
+// golden. A finished run publishes its claim and reaches the store,
 // except a crash: an ErrSimPanic trace aborts the claim, so the next caller
 // simulates afresh. A job that does not compile drops its claim, leaving no
 // memo entry and no store record. Run may be called concurrently on disjoint

@@ -884,7 +884,7 @@ func forEachCase(ctx context.Context, is instSource, st *Stimulus, cr *caseRunne
 			// Release per case so the next case recycles this engine.
 			is.release(s)
 		}
-		if verr == errStop {
+		if errors.Is(verr, errStop) {
 			return nil
 		}
 		if verr != nil {
