@@ -108,7 +108,7 @@ func TestFig4Pinned(t *testing.T) {
 // TestTable1PinnedInterpreter renders the seed-1 paper-size Table I on the
 // interpreter backend and compares it against the compiled backend's pinned
 // digest: the interpreter is the independent semantic reference, so this is
-// the paper-size check that the compiled, gang and fingerprint paths
+// the paper-size check that the compiled and fingerprint paths
 // compute what the reference computes.
 func TestTable1PinnedInterpreter(t *testing.T) {
 	skipPinnedUnderRace(t)

@@ -17,7 +17,7 @@ import (
 
 // refereeVerdicts verifies a pool of candidate texts for task the way the
 // oracle seeded with seed does, but through referee.Verify: solo printed
-// traces compared with the golden's, with no memo, gang or store.
+// traces compared with the golden's, with no memo, plan or store.
 func refereeVerdicts(t *testing.T, task eval.Task, seed int64, pool []string, backend testbench.Backend) []bool {
 	t.Helper()
 	golden, err := eval.ParseCached(task.Golden)

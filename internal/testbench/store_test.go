@@ -111,9 +111,9 @@ func TestStoreRoundTripEquivalence(t *testing.T) {
 	}
 }
 
-// TestGangStoreWarmSkipsSimulation drives the gang path: with a warm
-// store, every claimed lane is served before gangs form, the lockstep walk
-// never runs, and the batch's traces are bit-identical to the cold run's.
+// TestGangStoreWarmSkipsSimulation drives a batch through its plan: with a
+// warm store, every claimed job is served while planning, nothing
+// simulates, and the batch's traces are bit-identical to the cold run's.
 func TestGangStoreWarmSkipsSimulation(t *testing.T) {
 	d, err := resultstore.NewDisk(t.TempDir())
 	if err != nil {
@@ -132,18 +132,18 @@ func TestGangStoreWarmSkipsSimulation(t *testing.T) {
 	cold := runBatch(srcs, "top_module", stim(), BackendCompiled)
 	mid := ReadStoreStats()
 	if mid.Sims == 0 {
-		t.Fatal("cold gang pass performed no simulations")
+		t.Fatal("cold batch pass performed no simulations")
 	}
 	warm := runBatch(srcs, "top_module", stim(), BackendCompiled)
 	post := ReadStoreStats()
 	if post.Sims != mid.Sims {
-		t.Fatalf("warm gang pass simulated %d times, want 0", post.Sims-mid.Sims)
+		t.Fatalf("warm batch pass simulated %d times, want 0", post.Sims-mid.Sims)
 	}
 	if post.Hits-mid.Hits != uint64(len(srcs)) {
-		t.Fatalf("warm gang pass hit the store %d times, want %d", post.Hits-mid.Hits, len(srcs))
+		t.Fatalf("warm batch pass hit the store %d times, want %d", post.Hits-mid.Hits, len(srcs))
 	}
 	for i := range srcs {
-		sameTraces(t, "gang warm vs cold", warm[i], cold[i])
+		sameTraces(t, "batch warm vs cold", warm[i], cold[i])
 	}
 }
 
@@ -362,7 +362,7 @@ func TestFPMemoSurvivesCompileCacheEviction(t *testing.T) {
 }
 
 // TestCompileFailureLeavesNoMemoEntry runs a candidate that does not
-// compile, solo and in a gang next to one that does: its memo claim is
+// compile, solo and in a batch next to one that does: its memo claim is
 // taken before compiling, and the failed compile must release it without a
 // memo entry or a store record, while the error trace equals the solo one.
 func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
@@ -377,10 +377,10 @@ func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
 		t.Fatal("a design without the top module compiled")
 	}
 	sameTraces(t, "run of one", runOne(bad, "top_module", st, BackendCompiled), solo)
-	gang := runBatch([]*ast.Source{bad, good}, "top_module", st, BackendCompiled)
-	sameTraces(t, "gang lane", gang[0], solo)
-	if gang[1].Err != nil {
-		t.Fatalf("compiling lane errored: %v", gang[1].Err)
+	batch := runBatch([]*ast.Source{bad, good}, "top_module", st, BackendCompiled)
+	sameTraces(t, "batch", batch[0], solo)
+	if batch[1].Err != nil {
+		t.Fatalf("compiling candidate errored: %v", batch[1].Err)
 	}
 
 	_, resident := fpMemo.Resident(memoKey(bad, "top_module", st, nil))
@@ -388,6 +388,6 @@ func TestCompileFailureLeavesNoMemoEntry(t *testing.T) {
 		t.Error("failed compile left a memo entry")
 	}
 	if n, _ := mem.Len(); n != 1 {
-		t.Errorf("store holds %d records, want 1 (the compiling lane only)", n)
+		t.Errorf("store holds %d records, want 1 (the compiling candidate only)", n)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // accMinus and sumMinus are the same subtracting machine as gangSeqVariant
-// with an internal register under two names: distinct designs that the SoA
-// gang runs as one leader and one mirror.
+// with an internal register under two names: distinct designs with one
+// behaviour.
 const accMinus = `
 module top_module (
     input clk,
@@ -48,7 +48,7 @@ module top_module (
 endmodule
 `
 
-// cutAt is what a verdict-grade run of a lane must leave behind: its full
+// cutAt is what a verdict-grade run of a candidate must leave behind: its full
 // trace up to and including the first case that disagrees with golden, or
 // the whole trace (error included) when no completed case disagrees.
 func cutAt(full, golden *FPTrace) *FPTrace {
@@ -61,8 +61,9 @@ func cutAt(full, golden *FPTrace) *FPTrace {
 }
 
 // verifyBatches are the candidate batches the verdict-only tests run: the
-// golden first, then passing duplicates, functional mutants (a leader and
-// its mirror among them), a looping lane and a lane whose binding fails.
+// golden first, then passing duplicates, functional mutants (two namings
+// of one machine among them), a looping candidate and a candidate whose
+// binding fails.
 var verifyBatches = []struct {
 	name  string
 	ifc   Interface
@@ -73,9 +74,9 @@ var verifyBatches = []struct {
 }
 
 // TestVerifyGangMatchesFullTraces referees verdict-only verification
-// against full traces on the SoA gang: every lane's verdict-grade trace is
-// its full solo trace cut at the first case that disagrees with the golden,
-// and every verdict equals comparing full traces.
+// against full traces: every candidate's verdict-grade trace is its full
+// solo trace cut at the first case that disagrees with the golden, and
+// every verdict equals comparing full traces.
 func TestVerifyGangMatchesFullTraces(t *testing.T) {
 	for _, b := range verifyBatches {
 		t.Run(b.name+"/soa", func(t *testing.T) {
@@ -95,13 +96,13 @@ func TestVerifyGangMatchesFullTraces(t *testing.T) {
 			cut := 0
 			for i := range srcs {
 				want := cutAt(full[i], golden)
-				fpTraceEqual(t, fmt.Sprintf("lane %d", i), got[i], want)
+				fpTraceEqual(t, fmt.Sprintf("candidate %d", i), got[i], want)
 				if len(want.CaseFPs) < len(full[i].CaseFPs) {
 					cut++
 				}
 			}
 			if cut == 0 {
-				t.Fatal("no lane retired before its last case; the batch does not exercise retirement")
+				t.Fatal("no run was cut before its last case; the batch does not exercise the cut")
 			}
 		})
 	}
@@ -130,7 +131,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Errorf("%s lane %d: verdict %v, want %v", backend, i, got[i], want[i])
+						t.Errorf("%s candidate %d: verdict %v, want %v", backend, i, got[i], want[i])
 					}
 				}
 			}
@@ -150,7 +151,7 @@ func TestVerifyGangVerdicts(t *testing.T) {
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Errorf("concurrent lane %d: verdict %v, want %v", i, got[i], want[i])
+							t.Errorf("concurrent candidate %d: verdict %v, want %v", i, got[i], want[i])
 						}
 					}
 				}()
