@@ -12,8 +12,10 @@ import (
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/mutate"
+	"repro/internal/sim"
 	"repro/internal/testbench"
 	"repro/internal/verilog/ast"
+	"repro/internal/verilog/parser"
 	"repro/internal/verilog/printer"
 	"repro/internal/xrng"
 )
@@ -29,23 +31,28 @@ import (
 //   - appending a copy of a clustered candidate raises its cluster's score
 //     by exactly one;
 //   - nil entries only shift indices;
-//   - Workers 1 and 4 give the same result.
+//   - Workers 1 and 4 give the same result;
+//   - every ranked candidate's trace is its solo interpreter run
+//     (testbench.RunBackend on BackendInterpreter).
 //
 // Every ranking runs under a fresh stimulus value with the same content, so
-// each one misses the fingerprint memo and really simulates.
+// each one misses the fingerprint memo and really simulates. When the high
+// bit of mutants is set, the pool also holds a probed copy of a valid
+// sample (probeCandidate): a design the register file refuses, which the
+// compiled backend ranks on the interpreter.
 func FuzzRankPoolMetamorphic(f *testing.F) {
 	f.Fuzz(func(t *testing.T, taskIdx uint16, seed int64, size uint8, mutants uint8, shuffle uint64, dup uint8, pad uint64) {
 		suite := eval.Suite()
 		task := suite[int(taskIdx)%len(suite)]
-		srcs := metamorphicPool(t, task, seed, 2+int(size)%15, int(mutants)%5)
+		srcs := metamorphicPool(t, task, seed, 2+int(size)%15, int(mutants)%5, mutants&0x80 != 0)
 		golden, err := eval.ParseCached(task.Golden)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stim := func() *testbench.Stimulus { return testbench.NewGenerator(seed).Ranking(task.Ifc) }
 		rank := func(pool []*ast.Source, workers int) *RankPoolResult {
 			t.Helper()
-			st := testbench.NewGenerator(seed).Ranking(task.Ifc)
-			res, err := RankPool(context.Background(), pool, st, RankPoolConfig{Workers: workers, Golden: golden})
+			res, err := RankPool(context.Background(), pool, stim(), RankPoolConfig{Workers: workers, Golden: golden})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,6 +60,17 @@ func FuzzRankPoolMetamorphic(f *testing.F) {
 		}
 		n := len(srcs)
 		base := rank(srcs, 1)
+
+		// Solo agreement with the interpreter.
+		for i, src := range srcs {
+			if src == nil || base.FPs[i] == nil {
+				continue
+			}
+			solo := testbench.RunBackend(src, eval.TopModule, stim(), testbench.BackendInterpreter).FP()
+			if !slices.Equal(base.FPs[i].CaseFPs, solo.CaseFPs) || !sameTrace(base.FPs[i], solo) {
+				t.Fatalf("candidate %d: ranked trace differs from its solo interpreter run", i)
+			}
+		}
 		identity := make([]int, n)
 		for i := range identity {
 			identity[i] = i
@@ -115,9 +133,10 @@ func FuzzRankPoolMetamorphic(f *testing.F) {
 
 // metamorphicPool draws n samples for task from a SimClient seeded by seed
 // (an invalid completion keeps its slot as nil), then appends the given
-// number of semantic mutants of valid samples, printed and validated like
-// any completion.
-func metamorphicPool(t *testing.T, task eval.Task, seed int64, n, mutants int) []*ast.Source {
+// number of semantic mutants of valid samples and, if probe is set, a
+// probed copy of a valid sample, each printed and validated like any
+// completion.
+func metamorphicPool(t *testing.T, task eval.Task, seed int64, n, mutants int, probe bool) []*ast.Source {
 	t.Helper()
 	profile, err := llm.ProfileByName("qwq-32b")
 	if err != nil {
@@ -152,20 +171,61 @@ func metamorphicPool(t *testing.T, task eval.Task, seed int64, n, mutants int) [
 		if mutant == nil {
 			continue
 		}
-		var b []byte
-		for _, m := range src.Modules {
-			if m == top {
-				m = mutant
-			}
-			b = append(printer.AppendModule(b, m), '\n')
+		srcs = append(srcs, withTop(src, mutant))
+	}
+	if probe && len(valid) > 0 {
+		in := task.Ifc.Inputs[0]
+		if data := task.Ifc.DataInputs(); len(data) > 0 {
+			in = data[0]
 		}
-		v, ok := ValidateCandidate(string(b))
-		if !ok {
-			v = nil
-		}
-		srcs = append(srcs, v)
+		srcs = append(srcs, probeCandidate(t, valid[rng.Intn(len(valid))], in))
 	}
 	return srcs
+}
+
+// withTop prints src with its top module replaced by top and validates the
+// text like any completion: nil if it does not validate.
+func withTop(src *ast.Source, top *ast.Module) *ast.Source {
+	old := src.FindModule(eval.TopModule)
+	var b []byte
+	for _, m := range src.Modules {
+		if m == old {
+			m = top
+		}
+		b = append(printer.AppendModule(b, m), '\n')
+	}
+	v, ok := ValidateCandidate(string(b))
+	if !ok {
+		return nil
+	}
+	return v
+}
+
+// probeCandidate returns src with an unobserved wire that reduces a
+// dynamic part-select of input in: the outputs, and so the trace, are
+// src's, but the register file cannot size the select, so sim.Compile
+// refuses the design with sim.ErrUnsupported. Nil if the probed text does
+// not validate.
+func probeCandidate(t *testing.T, src *ast.Source, in testbench.PortSpec) *ast.Source {
+	t.Helper()
+	snippet, err := parser.Parse(fmt.Sprintf(`module probe (input [%[1]d:0] %[2]s);
+    wire vfocus_probe;
+    assign vfocus_probe = ^%[2]s[%[1]d + (%[2]s & 1'b0):0];
+endmodule
+`, in.Width-1, in.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := *src.FindModule(eval.TopModule)
+	top.Items = append(slices.Clip(top.Items), snippet.Modules[0].Items...)
+	v := withTop(src, &top)
+	if v == nil {
+		return nil
+	}
+	if _, err := sim.Compile(v, eval.TopModule); !errors.Is(err, sim.ErrUnsupported) {
+		t.Fatalf("probed candidate: Compile returned %v, want sim.ErrUnsupported", err)
+	}
+	return v
 }
 
 // mapClusters returns cls with every member i renamed to to[i], members

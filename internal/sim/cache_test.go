@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/verilog/parser"
 )
 
 // TestCacheInFlightEntryPinnedDuringEviction regression-tests LRU eviction
@@ -90,5 +93,32 @@ func TestCacheColdKeyBurstSingleFlight(t *testing.T) {
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
 		t.Errorf("cold key compiled %d times under a concurrent burst, want 1", got)
+	}
+}
+
+// TestCompileCacheCachesUnsupported: a design the register file refuses is
+// a compile result like any other: Compile reports ErrUnsupported, and the
+// cache answers a second request from memory with the same error.
+func TestCompileCacheCachesUnsupported(t *testing.T) {
+	parsed, err := parser.Parse(`
+module top_module (
+    input [63:0] a,
+    input [7:0] b,
+    output [63:0] y
+);
+    assign y = a[b[2:0] + 8'd7:b[2:0]];
+endmodule
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCompileCache(4)
+	for i := 0; i < 2; i++ {
+		if d, err := c.Get(parsed, "top_module"); d != nil || !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("request %d: got (%v, %v), want ErrUnsupported", i, d, err)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("cache stats: %d hits, %d misses; want 1 and 1", hits, misses)
 	}
 }

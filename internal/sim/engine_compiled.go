@@ -172,8 +172,8 @@ func (en *Engine) Inputs() []PortInfo { return append([]PortInfo(nil), en.d.inpu
 // Outputs returns the top module's output ports in declaration order.
 func (en *Engine) Outputs() []PortInfo { return append([]PortInfo(nil), en.d.outputs...) }
 
-// netValue boxes the current value of net idx (API boundary and boxed
-// fallback path only — the hot path never materializes Values).
+// netValue boxes the current value of net idx (API boundary only — the hot
+// path never materializes Values).
 func (en *Engine) netValue(idx int32) Value {
 	n := &en.d.nets[idx]
 	return NewFromPlanes(n.width, en.val[n.off:n.off+n.nw], en.xz[n.off:n.off+n.nw])
@@ -515,28 +515,4 @@ func (en *Engine) runProcess(pid int32) error {
 	err := p.run(en)
 	en.current = prev
 	return err
-}
-
-// assignLV distributes v across the lvalue's resolved targets MSB-first,
-// mirroring Simulator.assign (boxed fallback path).
-func (en *Engine) assignLV(lv *clval, v Value, blocking bool) error {
-	targets, totalWidth, err := lv.resolve(en)
-	if err != nil {
-		return err
-	}
-	// Reading bit ranges of v with guarded loads is Resize(totalWidth)
-	// semantics: zero-extension beyond v's width, truncation past total.
-	pos := totalWidth
-	for _, t := range targets {
-		pos -= t.width
-		if t.skip {
-			continue
-		}
-		if blocking {
-			en.storeNet(t.idx, t.lo, v.val, v.xz, pos, t.width)
-		} else {
-			en.queueNBA(t.idx, t.lo, v.val, v.xz, pos, t.width)
-		}
-	}
-	return nil
 }

@@ -14,21 +14,19 @@ import (
 // two-word vector.
 var kernelWidths = []int{1, 63, 64, 65, 128}
 
-// threeWay elaborates one source on the interpreter, the PR-1 boxed
-// compiler, and the register-file compiler, and replays identical stimulus
-// on all three, requiring bit-exact four-state agreement on every output
-// after every step. It is the backbone of the width tests below and of the
-// random differential harness.
-type threeWay struct {
+// twoWay elaborates one source on the interpreter and the register-file
+// compiler, and replays identical stimulus on both, requiring bit-exact
+// four-state agreement on every output after every step. It is the backbone
+// of the width tests below and of the random differential harness.
+type twoWay struct {
 	src     string
 	interp  *Simulator
 	regfile *Engine
-	boxed   *Engine
 }
 
-// compileForTest lowers src with the chosen strategy (forceBoxed drops every
-// process to the PR-1 boxed path).
-func compileForTest(t *testing.T, src, top string, forceBoxed bool) *Design {
+// compileForTest lowers src to the register file, failing the test if the
+// design does not compile (ErrUnsupported included).
+func compileForTest(t *testing.T, src, top string) *Design {
 	t.Helper()
 	parsed, err := parser.Parse(src)
 	if err != nil {
@@ -38,14 +36,14 @@ func compileForTest(t *testing.T, src, top string, forceBoxed bool) *Design {
 	if err != nil {
 		t.Fatalf("elaborate: %v\n%s", err, src)
 	}
-	d, err := compileFrom(s, forceBoxed)
+	d, err := compileFrom(s)
 	if err != nil {
-		t.Fatalf("compile(forceBoxed=%v): %v\n%s", forceBoxed, err, src)
+		t.Fatalf("compile: %v\n%s", err, src)
 	}
 	return d
 }
 
-func newThreeWay(t *testing.T, src, top string) *threeWay {
+func newTwoWay(t *testing.T, src, top string) *twoWay {
 	t.Helper()
 	parsed, err := parser.Parse(src)
 	if err != nil {
@@ -55,15 +53,14 @@ func newThreeWay(t *testing.T, src, top string) *threeWay {
 	if err != nil {
 		t.Fatalf("interpreter elaborate: %v\n%s", err, src)
 	}
-	return &threeWay{
+	return &twoWay{
 		src:     src,
 		interp:  interp,
-		regfile: compileForTest(t, src, top, false).NewEngine(),
-		boxed:   compileForTest(t, src, top, true).NewEngine(),
+		regfile: compileForTest(t, src, top).NewEngine(),
 	}
 }
 
-func (tw *threeWay) instances() []struct {
+func (tw *twoWay) instances() []struct {
 	name string
 	ins  Instance
 } {
@@ -73,11 +70,10 @@ func (tw *threeWay) instances() []struct {
 	}{
 		{"interpreter", tw.interp},
 		{"regfile", tw.regfile},
-		{"boxed", tw.boxed},
 	}
 }
 
-func (tw *threeWay) drive(t *testing.T, name string, v Value) {
+func (tw *twoWay) drive(t *testing.T, name string, v Value) {
 	t.Helper()
 	for _, b := range tw.instances() {
 		if err := b.ins.SetInput(name, v); err != nil {
@@ -86,7 +82,7 @@ func (tw *threeWay) drive(t *testing.T, name string, v Value) {
 	}
 }
 
-func (tw *threeWay) settle(t *testing.T) {
+func (tw *twoWay) settle(t *testing.T) {
 	t.Helper()
 	var firstErr error
 	for i, b := range tw.instances() {
@@ -102,7 +98,7 @@ func (tw *threeWay) settle(t *testing.T) {
 	}
 }
 
-func (tw *threeWay) tick(t *testing.T, clock string) {
+func (tw *twoWay) tick(t *testing.T, clock string) {
 	t.Helper()
 	var firstErr error
 	for i, b := range tw.instances() {
@@ -118,7 +114,7 @@ func (tw *threeWay) tick(t *testing.T, clock string) {
 	}
 }
 
-func (tw *threeWay) compare(t *testing.T, label string) {
+func (tw *twoWay) compare(t *testing.T, label string) {
 	t.Helper()
 	for _, out := range tw.interp.Outputs() {
 		ref, err := tw.interp.Output(out.Name)
@@ -273,7 +269,8 @@ endmodule
 }
 
 // TestKernelWidthBoundaries runs every kernel family at every boundary
-// width through all three engines under known and four-state stimulus.
+// width on the interpreter and the register file under known and four-state
+// stimulus.
 func TestKernelWidthBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	for _, tmpl := range kernelTemplates() {
@@ -283,10 +280,7 @@ func TestKernelWidthBoundaries(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s/w%d", tmpl.name, w)
 			src := tmpl.src(w)
-			tw := newThreeWay(t, src, "top_module")
-			if n := tw.regfile.Design().BoxedProcs(); n != 0 {
-				t.Errorf("%s: %d processes fell back to the boxed path", label, n)
-			}
+			tw := newTwoWay(t, src, "top_module")
 			if tmpl.seq {
 				tw.drive(t, "clk", NewKnown(1, 0))
 			}
@@ -322,47 +316,13 @@ func TestKernelWidthBoundaries(t *testing.T) {
 	}
 }
 
-// TestKernelWidthBoundariesBoxedFallback pins the fallback boundary: a
-// dynamic [a:b] part-select cannot be statically sized, must lower via the
-// boxed path, and must still agree with the interpreter.
-func TestKernelWidthBoundariesBoxedFallback(t *testing.T) {
-	src := `
-module top_module (
-    input [63:0] a,
-    input [7:0] b,
-    output [63:0] y
-);
-    wire [7:0] hi = b[2:0] + 8'd7;
-    assign y = a[hi:b[2:0]];
-endmodule
-`
-	tw := newThreeWay(t, src, "top_module")
-	if n := tw.regfile.Design().BoxedProcs(); n == 0 {
-		t.Fatalf("dynamic [a:b] part-select should use the boxed fallback")
-	}
-	rng := rand.New(rand.NewSource(7))
-	for vec := 0; vec < 12; vec++ {
-		tw.drive(t, "a", randFourState(rng, 64, 0.1))
-		tw.drive(t, "b", NewKnown(8, rng.Uint64()))
-		tw.settle(t)
-		tw.compare(t, fmt.Sprintf("vec%d", vec))
-	}
-}
-
-// TestRegfileCoverageOnGoldens asserts the register-file path carries the
-// real workload: every golden design in the width templates compiles with
-// zero boxed processes (the eval suite equivalent lives in internal/eval's
-// trace tests, which would fail loudly on semantic drift).
+// TestRegfileCoverageOnGoldens asserts the register file carries the real
+// workload: every golden design in the width templates compiles, none of
+// them refused with ErrUnsupported (the eval suite equivalent lives in
+// internal/eval's trace tests, which would fail loudly on semantic drift).
 func TestRegfileCoverageOnGoldens(t *testing.T) {
-	var boxed, procs int
 	for _, tmpl := range kernelTemplates() {
-		src := tmpl.src(64)
-		d := compileForTest(t, src, "top_module", false)
-		boxed += d.BoxedProcs()
-		procs += len(d.procs)
-	}
-	if boxed != 0 {
-		t.Fatalf("%d of %d template processes fell back to the boxed path", boxed, procs)
+		compileForTest(t, tmpl.src(64), "top_module")
 	}
 }
 
@@ -384,7 +344,7 @@ module top_module (
     end
 endmodule
 `
-	tw := newThreeWay(t, src, "top_module")
+	tw := newTwoWay(t, src, "top_module")
 	rng := rand.New(rand.NewSource(31))
 	for vec := 0; vec < 16; vec++ {
 		tw.drive(t, "x", NewKnown(8, rng.Uint64()))
@@ -414,7 +374,7 @@ module top_module (
     assign z = x ^ 8'h55;
 endmodule
 `
-	d := compileForTest(t, src, "top_module", false)
+	d := compileForTest(t, src, "top_module")
 	en := d.AcquireEngine()
 	if err := en.SetInputUint("x", 0x80); err != nil {
 		t.Fatal(err)
@@ -441,35 +401,6 @@ endmodule
 	}
 }
 
-// TestBoxedFallbackRollsBackFrameSpace guards the fallback path's frame
-// hygiene: the scratch/constant words a failed register-file attempt
-// allocated must be rolled back, so a process that drops to the boxed path
-// costs the same frame space as compiling it boxed outright.
-func TestBoxedFallbackRollsBackFrameSpace(t *testing.T) {
-	src := `
-module top_module (
-    input [63:0] a,
-    input [7:0] b,
-    output [63:0] y
-);
-    wire [63:0] big = (a * a) + {8{b}} + 64'hFFFF_FFFF_FFFF_FFFF;
-    assign y = big[b[2:0] + 8'd7:b[2:0]];
-endmodule
-`
-	mixed := compileForTest(t, src, "top_module", false)
-	boxed := compileForTest(t, src, "top_module", true)
-	if mixed.BoxedProcs() == 0 {
-		t.Fatal("expected the dynamic [a:b] select to use the boxed fallback")
-	}
-	// The failed regfile attempt on the y-process must not leave dead words
-	// behind: its frame may exceed the all-boxed frame only by the scratch
-	// of processes that DID lower to the register file (the `big` assign).
-	if mixed.FrameWords() > boxed.FrameWords()+words(64)*16 {
-		t.Fatalf("fallback leaked frame space: mixed=%d words, all-boxed=%d words",
-			mixed.FrameWords(), boxed.FrameWords())
-	}
-}
-
 // TestHugeDynamicLValueOffsetDropsWrite pins WriteBits drop semantics for
 // dynamic lvalue offsets beyond 2^32: the store offset must not be
 // truncated to 32 bits (which would wrap a far out-of-range write back
@@ -488,7 +419,7 @@ module top_module (
     end
 endmodule
 `
-	tw := newThreeWay(t, src, "top_module")
+	tw := newTwoWay(t, src, "top_module")
 	for _, iv := range []uint64{0, 3, 6, 1 << 32, 1<<32 | 2, (1 << 33) - 1} {
 		tw.drive(t, "i", NewKnown(33, iv))
 		tw.drive(t, "x", NewKnown(2, 3))
@@ -510,7 +441,7 @@ module top_module (
     assign y = a;
 endmodule
 `
-	en := compileForTest(t, src, "top_module", false).NewEngine()
+	en := compileForTest(t, src, "top_module").NewEngine()
 	if err := en.SetInputUint("ghost", 1); !errors.Is(err, ErrUnknownNet) {
 		t.Errorf("SetInputUint unknown: %v", err)
 	}

@@ -314,22 +314,19 @@ endmodule
 
 // --- Interpreter vs compiled differential harness ---------------------------------
 //
-// Every design generated below runs through all THREE engines — the
-// AST-walking interpreter, the PR-1 boxed compiler (forced via the
-// compileFrom fallback switch), and the register-file kernels — under
-// identical stimulus, and every output must agree bit-exactly in all four
-// states (compared via Value.String, which encodes width and each 0/1/x/z
-// bit).
+// Every design generated below runs on both engines — the AST-walking
+// interpreter and the register-file kernels — under identical stimulus, and
+// every output must agree bit-exactly in all four states (compared via
+// Value.String, which encodes width and each 0/1/x/z bit).
 
-// diffPair holds one design elaborated on all backends.
+// diffPair holds one design elaborated on both backends.
 type diffPair struct {
 	interp   *Simulator
 	compiled *Engine // register-file lowering
-	boxed    *Engine // forced PR-1 boxed lowering
 }
 
-// newDiffPair elaborates src under every backend, failing the test if any
-// rejects the design.
+// newDiffPair elaborates src under both backends, failing the test if
+// either rejects the design.
 func newDiffPair(t *testing.T, src, top string) *diffPair {
 	t.Helper()
 	parsed, err := parser.Parse(src)
@@ -344,19 +341,11 @@ func newDiffPair(t *testing.T, src, top string) *diffPair {
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
-	sb, err := New(parsed, top)
-	if err != nil {
-		t.Fatalf("boxed elaborate: %v\n%s", err, src)
-	}
-	db, err := compileFrom(sb, true)
-	if err != nil {
-		t.Fatalf("boxed compile: %v\n%s", err, src)
-	}
-	return &diffPair{interp: s, compiled: d.NewEngine(), boxed: db.NewEngine()}
+	return &diffPair{interp: s, compiled: d.NewEngine()}
 }
 
 // backends lists the engines with their labels, interpreter first (it is
-// the reference the others are compared against).
+// the reference the compiled engine is compared against).
 func (dp *diffPair) backends() []struct {
 	name string
 	ins  Instance
@@ -367,7 +356,6 @@ func (dp *diffPair) backends() []struct {
 	}{
 		{"interp", dp.interp},
 		{"compiled", dp.compiled},
-		{"boxed", dp.boxed},
 	}
 }
 
@@ -411,8 +399,8 @@ func (dp *diffPair) tick(t *testing.T, clock, src string) {
 	}
 }
 
-// compareOutputs asserts bit-exact four-state three-way equality of every
-// output, and that each engine's streaming HashOutput digest matches the
+// compareOutputs asserts bit-exact four-state equality of every output,
+// and that the compiled engine's streaming HashOutput digest matches the
 // FNV-1a hash of the printed string — the equivalence the fingerprint
 // ranking path relies on — at the natural width and a wider one (covering
 // the beyond-width zero-extension rule).

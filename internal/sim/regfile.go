@@ -15,7 +15,7 @@
 // Anything without a static width bound — [a:b] part-selects with
 // non-constant bounds, indexed part-selects with non-constant widths,
 // replications with non-constant counts, capacities past maxRegCap — reports
-// errNoRegfile and the whole process drops to the boxed path in compile.go.
+// ErrUnsupported, and the whole design runs on the interpreter instead.
 package sim
 
 import (
@@ -50,7 +50,7 @@ func (e *rexpr) planes(en *Engine) ([]uint64, []uint64) {
 // node allocates a fresh scratch slot for a kernel with capacity cap bits.
 func (c *compiler) node(cap int) (*rexpr, error) {
 	if cap > maxRegCap {
-		return nil, fmt.Errorf("%w: intermediate capacity %d bits", errNoRegfile, cap)
+		return nil, fmt.Errorf("%w: intermediate capacity %d bits", ErrUnsupported, cap)
 	}
 	if cap < 1 {
 		cap = 1
@@ -190,8 +190,8 @@ func constFoldCtx(e ast.Expr, sc *scope, ctx int) (Value, bool) {
 	}
 }
 
-// compileProcessRegfile lowers one process to register-file form.
-func (c *compiler) compileProcessRegfile(p *process) (cproc, error) {
+// compileProcess lowers one process to register-file form.
+func (c *compiler) compileProcess(p *process) (cproc, error) {
 	if p.cont {
 		rsc := p.rhsScope
 		if rsc == nil {
@@ -408,8 +408,8 @@ type rtarget struct {
 	skip  bool
 }
 
-// rlval is a lowered lvalue. The total width is always static here (dynamic
-// widths fall back to the boxed path); only target offsets may be dynamic.
+// rlval is a lowered lvalue. The total width is always static (a dynamic
+// width is ErrUnsupported); only target offsets may be dynamic.
 type rlval struct {
 	total   int
 	static  []rtarget                           // non-nil: fully static resolve
@@ -552,9 +552,9 @@ func (lv *rlval) isWholeNet(idx int32) bool {
 		lv.static[0].net == idx && lv.static[0].lo == 0
 }
 
-// compileRLValue lowers an lvalue. Mirrors compileLValue but produces
-// static-total-width resolvers; constructs with dynamic widths return
-// errNoRegfile.
+// compileRLValue lowers an lvalue. Mirrors Simulator.resolveLValue but
+// produces static-total-width resolvers; constructs with dynamic widths
+// return ErrUnsupported.
 func (c *compiler) compileRLValue(lhs ast.Expr, sc *scope) (*rlval, error) {
 	switch x := lhs.(type) {
 	case *ast.Ident:
@@ -633,9 +633,9 @@ func (c *compiler) compileRLValue(lhs ast.Expr, sc *scope) (*rlval, error) {
 			return &rlval{total: rw, static: []rtarget{t}, netIdxs: []int32{idx}}, nil
 		}
 		// Indexed part-selects with a constant width keep a static total;
-		// anything else has a dynamic lvalue width: boxed fallback.
+		// anything else has a dynamic lvalue width.
 		if x.Kind == ast.SelConst || !bConst {
-			return nil, fmt.Errorf("%w: dynamic part-select bounds", errNoRegfile)
+			return nil, fmt.Errorf("%w: dynamic part-select bounds", ErrUnsupported)
 		}
 		wv, okw := bv.Uint64()
 		if !okw || wv == 0 {
@@ -1225,7 +1225,7 @@ func (c *compiler) compileRConcat(x *ast.Concat, sc *scope) (*rexpr, error) {
 func (c *compiler) compileRRepl(x *ast.Repl, sc *scope) (*rexpr, error) {
 	cntV, isConst := constFold(x.Count, sc)
 	if !isConst {
-		return nil, fmt.Errorf("%w: non-constant replication count", errNoRegfile)
+		return nil, fmt.Errorf("%w: non-constant replication count", ErrUnsupported)
 	}
 	child, err := c.compileRExpr(x.Value, sc, 0)
 	if err != nil {
@@ -1261,6 +1261,17 @@ func (c *compiler) compileRRepl(x *ast.Repl, sc *scope) (*rexpr, error) {
 		return int32(cnt) * wv, nil
 	}
 	return out, nil
+}
+
+// exprBaseLSB resolves the declared LSB of a select's base expression, which
+// only identifiers that name nets carry (everything else reads from bit 0).
+func exprBaseLSB(e ast.Expr, sc *scope) int {
+	if id, ok := e.(*ast.Ident); ok {
+		if n, ok2 := sc.lookupNet(id.Name); ok2 {
+			return n.lsb
+		}
+	}
+	return 0
 }
 
 func (c *compiler) compileRIndex(x *ast.Index, sc *scope) (*rexpr, error) {
@@ -1348,9 +1359,9 @@ func (c *compiler) compileRPartSel(x *ast.PartSel, sc *scope) (*rexpr, error) {
 		return out, nil
 	}
 	// Indexed part-selects with constant width stay static-width; everything
-	// else is dynamically sized and falls back to the boxed path.
+	// else is dynamically sized.
 	if x.Kind == ast.SelConst || !bConst {
-		return nil, fmt.Errorf("%w: dynamic part-select bounds", errNoRegfile)
+		return nil, fmt.Errorf("%w: dynamic part-select bounds", ErrUnsupported)
 	}
 	wv, okw := bv.Uint64()
 	if !okw || wv == 0 {

@@ -761,8 +761,10 @@ const (
 	// for repeated (or canonically identical) designs, and per-case
 	// instantiation is a value-snapshot copy.
 	BackendCompiled Backend = iota
-	// BackendInterpreter is the original AST-walking engine, retained for
-	// differential testing against the compiled backend.
+	// BackendInterpreter is the original AST-walking engine, the semantic
+	// reference the compiled backend is tested against. The compiled
+	// backend also runs on it every design sim.Compile refuses with
+	// sim.ErrUnsupported.
 	BackendInterpreter
 )
 
@@ -792,10 +794,15 @@ type instSource struct {
 	err error       // the compile error: the run fails before its first case
 }
 
+// newInstSource compiles src for the compiled backend. A design the
+// register file cannot size (sim.ErrUnsupported) runs on the interpreter.
 func newInstSource(src *ast.Source, top string, backend Backend) instSource {
 	is := instSource{src: src, top: top}
 	if backend != BackendInterpreter {
 		is.d, is.err = sim.CompileCached(src, top)
+		if errors.Is(is.err, sim.ErrUnsupported) {
+			is.err = nil
+		}
 	}
 	return is
 }

@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/sim"
 	"repro/internal/verilog/ast"
 	"repro/internal/verilog/parser"
@@ -16,7 +18,7 @@ import (
 // refuses three constructs: part-selects with dynamic bounds, replications
 // with non-constant counts, and intermediates wider than its slot cap. The
 // candidates below hold one each, combinational and clocked, over two
-// interfaces; every one agrees with the interpreter.
+// interfaces. The compiled backend runs them on the interpreter.
 
 func unsupportedCombIfc() Interface {
 	return Interface{
@@ -225,12 +227,8 @@ func TestUnsupportedConstructsPinned(t *testing.T) {
 	for _, c := range unsupportedCandidates {
 		t.Run(c.name, func(t *testing.T) {
 			src := mustParse(t, c.src)
-			d, err := sim.Compile(src, top)
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			if d.BoxedProcs() == 0 {
-				t.Fatal("the register file lowered every process")
+			if _, err := sim.Compile(src, top); !errors.Is(err, sim.ErrUnsupported) {
+				t.Fatalf("Compile: got %v, want ErrUnsupported", err)
 			}
 			_, rankSt, verifySt := unsupportedStimuli(c.seq)
 
@@ -268,9 +266,38 @@ func TestUnsupportedConstructsPinned(t *testing.T) {
 	}
 }
 
+// TestUnsupportedDesignsReachTheStore: a design the register file refuses
+// keeps its persistent store record, so a rerun under a fresh stimulus of
+// the same content reads every trace back and simulates nothing.
+func TestUnsupportedDesignsReachTheStore(t *testing.T) {
+	mem := resultstore.NewMemory(64)
+	installStore(t, mem)
+	var srcs []*ast.Source
+	for _, c := range unsupportedCandidates {
+		if !c.seq {
+			srcs = append(srcs, mustParse(t, c.src))
+		}
+	}
+	stim := func() *Stimulus { return NewGenerator(3203).Ranking(unsupportedCombIfc()) }
+
+	cold := runBatch(srcs, "top_module", stim(), BackendCompiled)
+	mid := ReadStoreStats()
+	if n, _ := mem.Len(); n != len(srcs) {
+		t.Fatalf("store holds %d records, want %d", n, len(srcs))
+	}
+	warm := runBatch(srcs, "top_module", stim(), BackendCompiled)
+	if post := ReadStoreStats(); post.Sims != mid.Sims {
+		t.Fatalf("warm rerun simulated %d times, want 0", post.Sims-mid.Sims)
+	}
+	for i := range srcs {
+		sameTraces(t, "warm vs cold", warm[i], cold[i])
+	}
+}
+
 // BenchmarkUnsupportedConstructs times one unmemoized fingerprint run of
 // each candidate above under its ranking and its verification stimulus, on
-// the compiled backend's path for designs the register file refuses.
+// the compiled backend's path for designs the register file refuses: the
+// interpreter.
 func BenchmarkUnsupportedConstructs(b *testing.B) {
 	for _, c := range unsupportedCandidates {
 		src, err := parser.Parse(c.src)
