@@ -102,9 +102,9 @@ func (s *Simulator) TickH(h int) error {
 
 // HashOutputH folds the net's printed rendering at the given width into a
 // running FNV-1a hash: byte-identical to hashing AppendOutputH's output.
-// The interpreter is the differential referee and runs only the rare design
-// the register file refuses, not a hot path, so it renders through the boxed
-// Value.
+// The interpreter is not a hot path (it is the differential referee, and in
+// production runs only the rare design the register file refuses), so it
+// renders through the boxed Value.
 func (s *Simulator) HashOutputH(hash uint64, h int, width int) uint64 {
 	rendered := s.nets[h].value.Resize(width).String()
 	for i := 0; i < len(rendered); i++ {

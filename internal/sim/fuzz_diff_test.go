@@ -65,8 +65,9 @@ var fuzzWidths = []int{8, 16, 63, 64, 65, 128, 130}
 // temporary and an if; 2: a clocked design with a for loop, a case and a
 // reset — with its internal net named fuzzHelper. A quarter of the designs
 // also carry a zero-delay oscillator that fails to converge whenever
-// a[0] & b[0] is 1, so runs fail mid-run. Another quarter fold one of
-// fuzzUnsupported into their last output; unsupported reports those.
+// a[0] & b[0] is 1, so runs fail mid-run, and, drawn independently, a
+// quarter fold one of fuzzUnsupported into their last output; unsupported
+// reports those.
 func genFuzzDesign(rng *rand.Rand, kind, w int) (src string, unsupported bool) {
 	ab := &richExprGen{rng: rng, vars: []string{"a", "b"}, width: w}
 	abh := &richExprGen{rng: rng, vars: []string{"a", "b", fuzzHelper}, width: w}

@@ -272,9 +272,9 @@ func (p *GangPlan) Pending(j int) bool { return p.out[j] == nil && p.wait[j] == 
 // except a crash: an ErrSimPanic trace aborts the claim, so the next caller
 // simulates afresh. A job that does not compile drops its claim, leaving no
 // memo entry and no store record; a job the register file cannot size runs
-// on the interpreter and is published like any other. Run may be called concurrently on disjoint
-// job sets. On cancellation it returns ctx's error, leaving unfinished jobs
-// claimed for Release.
+// on the interpreter and is published like any other. Run may be called
+// concurrently on disjoint job sets. On cancellation it returns ctx's error,
+// leaving unfinished jobs claimed for Release.
 func (p *GangPlan) Run(ctx context.Context, jobs []int) error {
 	for _, j := range jobs {
 		if !p.Pending(j) {

@@ -206,14 +206,14 @@ func fpDigest(tr *FPTrace) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// unsupportedStimuli returns the ranking and verification stimuli of one
-// interface.
-func unsupportedStimuli(seq bool) (ifc Interface, rank, verify *Stimulus) {
-	ifc = unsupportedCombIfc()
+// unsupportedStimuli returns the ranking and verification stimuli of the
+// combinational or the clocked interface.
+func unsupportedStimuli(seq bool) (rank, verify *Stimulus) {
+	ifc := unsupportedCombIfc()
 	if seq {
 		ifc = unsupportedSeqIfc()
 	}
-	return ifc, NewGenerator(3201).Ranking(ifc), NewGenerator(3202).Verification(ifc)
+	return NewGenerator(3201).Ranking(ifc), NewGenerator(3202).Verification(ifc)
 }
 
 // TestUnsupportedConstructsPinned pins the fingerprints of designs the
@@ -230,7 +230,7 @@ func TestUnsupportedConstructsPinned(t *testing.T) {
 			if _, err := sim.Compile(src, top); !errors.Is(err, sim.ErrUnsupported) {
 				t.Fatalf("Compile: got %v, want ErrUnsupported", err)
 			}
-			_, rankSt, verifySt := unsupportedStimuli(c.seq)
+			rankSt, verifySt := unsupportedStimuli(c.seq)
 
 			rank := runOne(src, top, rankSt, BackendCompiled)
 			fpTraceEqual(t, "ranking vs interpreter", rank, RunBackend(src, top, rankSt, BackendInterpreter).FP())
@@ -304,7 +304,7 @@ func BenchmarkUnsupportedConstructs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, rankSt, verifySt := unsupportedStimuli(c.seq)
+		rankSt, verifySt := unsupportedStimuli(c.seq)
 		for _, s := range []struct {
 			name string
 			st   *Stimulus
